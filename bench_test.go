@@ -29,7 +29,6 @@ import (
 	"untangle/internal/obs"
 	"untangle/internal/parallel"
 	"untangle/internal/partition"
-	"untangle/internal/sim"
 	"untangle/internal/stats"
 	"untangle/internal/telemetry"
 	"untangle/internal/tracecache"
@@ -91,24 +90,11 @@ func reportMixMetrics(b *testing.B, res *experiments.MixResult) {
 	b.ReportMetric(mf, "maintain-frac")
 }
 
-// warmRateTables hoists the one-time covert rate-table construction
-// (covert.Shared, seconds of compute, cached process-wide) out of the timed
-// region. Without it the cost lands in whichever Untangle-running benchmark
-// happens to execute first in the process, skewing that one entry.
-func warmRateTables(b *testing.B) {
-	b.Helper()
-	cfg := sim.Scaled(partition.DefaultScheme(partition.Untangle), benchScale())
-	if err := cfg.WarmRateTables(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func benchmarkMixOpts(b *testing.B, mixID int, opts experiments.Options) {
 	mix, err := workload.MixByID(mixID)
 	if err != nil {
 		b.Fatal(err)
 	}
-	warmRateTables(b)
 	b.ResetTimer()
 	var res *experiments.MixResult
 	for i := 0; i < b.N; i++ {
@@ -164,7 +150,6 @@ func BenchmarkFigure10Mix1Warm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warmRateTables(b)
 	b.ResetTimer()
 	var res *experiments.MixResult
 	for i := 0; i < b.N; i++ {
@@ -250,8 +235,6 @@ func BenchmarkFigure11SensitivityWarm(b *testing.B) {
 // Table 6: average and total leakage for Mixes 1-4 under Time and Untangle.
 // The four mixes fan out onto the worker pool; rows come back in mix order.
 func BenchmarkTable6Leakage(b *testing.B) {
-	warmRateTables(b)
-	b.ResetTimer()
 	var rows []experiments.Table6Row
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -289,8 +272,6 @@ func BenchmarkTable6Leakage(b *testing.B) {
 
 // Section 9, active attacker: Untangle without the Maintain optimization.
 func BenchmarkActiveAttacker(b *testing.B) {
-	warmRateTables(b)
-	b.ResetTimer()
 	var rates []float64
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -338,21 +319,31 @@ func BenchmarkAdaptationBurstyWorkload(b *testing.B) {
 	}
 }
 
-// Appendix A: the R'max table computation itself.
+// Appendix A: the R'max table computation itself. covert.NewRateTable reads
+// the default table from its offline memo, so this solves the default
+// table's channels (m = 0..8) with the Dinkelbach solver directly: inputs
+// from the effective cooldown (m+1)Tc over 16 delay widths in 128 steps,
+// under uniform delay, at Tc/40 resolution.
 func BenchmarkRmaxComputation(b *testing.B) {
 	cfg := covert.DefaultTableConfig()
-	cfg.MaxMaintains = 8
-	var tbl *covert.RateTable
-	var err error
+	const tcUnits, noiseUnits, step, maxMaintains = 40, 40, 5, 8
+	results := make([]covert.Result, maxMaintains+1)
 	for i := 0; i < b.N; i++ {
-		tbl, err = covert.NewRateTable(cfg)
-		if err != nil {
-			b.Fatal(err)
+		for m := range results {
+			var durations []int
+			for d := tcUnits * (m + 1); d <= tcUnits*(m+1)+16*noiseUnits; d += step {
+				durations = append(durations, d)
+			}
+			ch, err := covert.NewChannel(durations, covert.UniformNoise(noiseUnits))
+			if err != nil {
+				b.Fatal(err)
+			}
+			results[m] = ch.MaxRate(cfg.Solver)
 		}
 	}
-	b.ReportMetric(tbl.Entry(0).RatePerSecond, "rmax0-bits/s")
-	b.ReportMetric(tbl.Entry(0).BitsPerTransmission, "bits/resize-0")
-	b.ReportMetric(tbl.Entry(tbl.Len()-1).BitsPerTransmission, "bits/resize-max")
+	b.ReportMetric(results[0].UpperBound/cfg.Unit.Seconds(), "rmax0-bits/s")
+	b.ReportMetric(results[0].BitsPerTransmission, "bits/resize-0")
+	b.ReportMetric(results[maxMaintains].BitsPerTransmission, "bits/resize-max")
 }
 
 // Ablation: the cooldown Tc sweep (Mechanism 1). Longer cooldowns lower the

@@ -25,8 +25,8 @@ func randTrace(rng *rand.Rand, n int) []uint64 {
 // non-power-of-two set counts of the 3MB/6MB partition sizes.
 func TestLaneMatchesCache(t *testing.T) {
 	for _, cfg := range []Config{
-		{SizeBytes: 32 << 10, Ways: 8},  // the L1 geometry
-		{SizeBytes: 3 << 20, Ways: 16},  // non-power-of-two sets
+		{SizeBytes: 32 << 10, Ways: 8},   // the L1 geometry
+		{SizeBytes: 3 << 20, Ways: 16},   // non-power-of-two sets
 		{SizeBytes: 128 << 10, Ways: 16}, // smallest partition size
 	} {
 		c := MustNew(cfg)

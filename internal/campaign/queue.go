@@ -212,8 +212,8 @@ func (h pq[T]) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h pq[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pq[T]) Push(x any)         { *h = append(*h, x.(item[T])) }
+func (h pq[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pq[T]) Push(x any)   { *h = append(*h, x.(item[T])) }
 func (h *pq[T]) Pop() any {
 	old := *h
 	n := len(old)

@@ -172,6 +172,9 @@ type parsed struct {
 	units map[string]json.RawMessage
 	dead  map[string]DeadLetter
 	good  int
+	// unterminated reports that the valid prefix ends in a complete record
+	// missing only its trailing newline.
+	unterminated bool
 }
 
 // parseRecords replays the record lines after the header. It stops at the
@@ -210,8 +213,13 @@ scan:
 		}
 		p.good += len(line) + 1
 	}
+	// The last record may be complete JSON whose newline never landed (a
+	// crash between the record's bytes and its terminator). Its bytes count
+	// as valid, and the missing terminator is reported so Open can restore
+	// it before the next append.
 	if p.good > len(data) {
 		p.good = len(data)
+		p.unterminated = true
 	}
 	return p
 }
@@ -265,6 +273,18 @@ func Open(path string, fp Fingerprint) (*Journal, error) {
 	if _, err := f.Seek(int64(p.good), 0); err != nil {
 		f.Close()
 		return nil, err
+	}
+	if p.unterminated {
+		// Terminate the kept record so the next append starts its own line
+		// instead of extending this one into an unparseable tail.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	j.f = f
 	return j, nil

@@ -133,6 +133,59 @@ func TestTornFinalLineTruncated(t *testing.T) {
 	}
 }
 
+// A crash can tear exactly the trailing newline of the last record, leaving
+// complete JSON on an unterminated line. Recovery must keep that record and
+// start the next append on a fresh line; appending onto the unterminated
+// line would make both records unparseable on the following reopen.
+func TestTornNewlineKeepsLineBoundary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	j, err := Open(path, testFP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record("sens/a", unit{Mean: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[len(data)-1] != '\n' {
+		t.Fatal("journal does not end in a newline")
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := Open(path, testFP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j2.Done("sens/a") {
+		t.Error("complete record with a torn newline dropped on recovery")
+	}
+	if err := j2.Record("mix/9", unit{Mean: 2}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	j3, err := Open(path, testFP())
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j3.Close()
+	var got unit
+	if ok, err := j3.Lookup("mix/9", &got); err != nil || !ok || got.Mean != 2 {
+		raw, _ := os.ReadFile(path)
+		t.Fatalf("acknowledged record mix/9 lost across reopen (ok=%v err=%v); file:\n%s", ok, err, raw)
+	}
+	if !j3.Done("sens/a") {
+		t.Error("sens/a lost across the second reopen")
+	}
+}
+
 func TestTornHeaderStartsOver(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	// A crash before the header's newline landed: no units can exist.

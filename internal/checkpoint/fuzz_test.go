@@ -39,15 +39,16 @@ func FuzzJournalRecovery(f *testing.F) {
 	valid = append(valid, dead("mix/2")...)
 	valid = append(valid, unit("mix/1", "2")...)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-7])             // torn final line
-	f.Add(header()[:10])                    // torn header
-	f.Add(append(valid[:0:0], valid...))    // pristine copy
-	f.Add(append(valid, "{garbage\n"...))   // trailing garbage line
-	f.Add(append(valid, valid...))          // duplicated journal (second header is garbage)
-	f.Add([]byte("\n\n\n"))                 // blank lines only
-	f.Add(append(header(), dead("")...))    // dead record with empty key
+	f.Add(valid[:len(valid)-7])           // torn final line
+	f.Add(header()[:10])                  // torn header
+	f.Add(append(valid[:0:0], valid...))  // pristine copy
+	f.Add(append(valid, "{garbage\n"...)) // trailing garbage line
+	f.Add(append(valid, valid...))        // duplicated journal (second header is garbage)
+	f.Add([]byte("\n\n\n"))               // blank lines only
+	f.Add(append(header(), dead("")...))  // dead record with empty key
 	f.Add(append(header(), []byte(`{"kind":"dead","key":"x","value":"notanobject"}`+"\n")...))
 	f.Add([]byte{})
+	f.Add(valid[:len(valid)-1]) // newline-only tear: last record complete, unterminated
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -101,8 +101,10 @@ type RateTable struct {
 	entries []RateEntry
 }
 
-// NewRateTable precomputes entries 0..cfg.MaxMaintains. It is deterministic
-// and moderately expensive; share one table per configuration (see Shared).
+// NewRateTable precomputes entries 0..cfg.MaxMaintains. It is
+// deterministic. Channels in the offline memo cost a map lookup; any other
+// channel is solved, which takes a fraction of a second per entry, so share
+// one table per configuration (see Shared).
 func NewRateTable(cfg TableConfig) (*RateTable, error) {
 	cfg = cfg.withDefaults()
 	t := &RateTable{cfg: cfg}
@@ -117,9 +119,33 @@ func NewRateTable(cfg TableConfig) (*RateTable, error) {
 	return t, nil
 }
 
-// solveEntry builds the channel for m consecutive Maintains and runs the
-// Dinkelbach computation.
+// solveEntry computes the table row for m consecutive Maintains: from the
+// offline memo when the discretized channel has been solved before (see
+// memo.go), otherwise with the Dinkelbach solver.
 func (cfg TableConfig) solveEntry(m int) (RateEntry, error) {
+	key := cfg.channel(m)
+	res, ok := key.memoized()
+	if !ok {
+		var err error
+		if res, err = key.solve(); err != nil {
+			return RateEntry{}, err
+		}
+	}
+	perSecond := res.UpperBound / cfg.Unit.Seconds()
+	return RateEntry{
+		Maintains:           m,
+		RatePerSecond:       perSecond,
+		BitsPerTransmission: res.BitsPerTransmission,
+		AvgTime:             time.Duration(res.AvgTime * float64(cfg.Unit)),
+		Verified:            res.Verified,
+	}, nil
+}
+
+// channel discretizes the channel for m consecutive Maintains: candidate
+// durations from the effective cooldown (m+1)Tc over the configured spread
+// at the grid step, under uniform noise of the delay width, all in time
+// units.
+func (cfg TableConfig) channel(m int) channelKey {
 	cooldownUnits := cfg.units(cfg.Cooldown) * (m + 1)
 	noiseUnits := cfg.units(cfg.DelayWidth)
 	if cfg.DelayWidth <= 0 {
@@ -139,23 +165,13 @@ func (cfg TableConfig) solveEntry(m int) (RateEntry, error) {
 			step = 1
 		}
 	}
-	var durations []int
-	for d := cooldownUnits; d <= cooldownUnits+spread; d += step {
-		durations = append(durations, d)
+	return channelKey{
+		First:  cooldownUnits,
+		Last:   cooldownUnits + spread/step*step,
+		Step:   step,
+		Noise:  noiseUnits,
+		Solver: cfg.Solver,
 	}
-	ch, err := NewChannel(durations, UniformNoise(noiseUnits))
-	if err != nil {
-		return RateEntry{}, err
-	}
-	res := ch.MaxRate(cfg.Solver)
-	perSecond := res.UpperBound / cfg.Unit.Seconds()
-	return RateEntry{
-		Maintains:           m,
-		RatePerSecond:       perSecond,
-		BitsPerTransmission: res.BitsPerTransmission,
-		AvgTime:             time.Duration(res.AvgTime * float64(cfg.Unit)),
-		Verified:            res.Verified,
-	}, nil
 }
 
 // Entry returns the table row for m consecutive Maintains, clamping to the

@@ -292,27 +292,31 @@ func (c *Coordinator) Run(ctx context.Context, keys []string) (map[string]json.R
 	}
 
 	for remaining > 0 {
-		// Fill every live worker's window before blocking.
-		for _, w := range c.workers {
-			for !w.dead && len(w.inflight) < c.opts.Window && len(pending) > 0 {
-				key := pending[0]
-				if !w.enqueue(message{Kind: kindAssign, Key: key}) {
-					c.opts.Logf("shard: assign %s to worker %d: queue full, declaring dead", key, w.shard)
-					requeued, err := c.handleDeath(w, want)
-					if err != nil {
-						return nil, err
-					}
-					pending = append(pending, requeued...)
-					break
+		// Hand out pending units before blocking, each to the least-loaded
+		// live worker, so a phase with fewer units than Workers×Window
+		// still runs on every worker instead of queueing on the first.
+		for len(pending) > 0 {
+			w := c.leastLoaded()
+			if w == nil {
+				break // every live worker's window is full
+			}
+			key := pending[0]
+			if !w.enqueue(message{Kind: kindAssign, Key: key}) {
+				c.opts.Logf("shard: assign %s to worker %d: queue full, declaring dead", key, w.shard)
+				requeued, err := c.handleDeath(w, want)
+				if err != nil {
+					return nil, err
 				}
-				pending = pending[1:]
-				w.inflight = append(w.inflight, key)
-				c.mu.Lock()
-				c.stats.Assigned++
-				c.mu.Unlock()
-				if c.opts.OnAssign != nil {
-					c.opts.OnAssign(key, w.shard)
-				}
+				pending = append(pending, requeued...)
+				continue
+			}
+			pending = pending[1:]
+			w.inflight = append(w.inflight, key)
+			c.mu.Lock()
+			c.stats.Assigned++
+			c.mu.Unlock()
+			if c.opts.OnAssign != nil {
+				c.opts.OnAssign(key, w.shard)
 			}
 		}
 		// Recovery during handleDeath may have completed units.
@@ -380,6 +384,22 @@ func (c *Coordinator) Run(ctx context.Context, keys []string) (map[string]json.R
 		out[k] = c.results[k]
 	}
 	return out, nil
+}
+
+// leastLoaded returns the live worker with the fewest units in flight and
+// room in its window, the lowest shard index on ties; nil when every live
+// worker's window is full.
+func (c *Coordinator) leastLoaded() *workerState {
+	var best *workerState
+	for _, w := range c.workers {
+		if w.dead || len(w.inflight) >= c.opts.Window {
+			continue
+		}
+		if best == nil || len(w.inflight) < len(best.inflight) {
+			best = w
+		}
+	}
+	return best
 }
 
 // liveOrLost fails the campaign when units remain but no worker can run

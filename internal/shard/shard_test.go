@@ -270,6 +270,32 @@ func TestBackpressureWindow(t *testing.T) {
 	}
 }
 
+// A phase with fewer units than Workers×Window must still spread across the
+// workers: filling one worker's window first would run both units one after
+// the other on shard 0 while shard 1 idles.
+func TestShortPhaseSpreadsAcrossWorkers(t *testing.T) {
+	h := newHarness(t, func(_ context.Context, _, _ int, key string) (json.RawMessage, error) {
+		return valueFor(key), nil
+	})
+	shards := map[int]bool{}
+	c, err := New(h.spawn, Options{
+		Workers:  2,
+		Window:   2,
+		OnAssign: func(_ string, shard int) { shards[shard] = true },
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if _, err := c.Run(context.Background(), keys(2)); err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 2 {
+		t.Errorf("2 units on 2 workers were assigned to shards %v, want both shards", shards)
+	}
+}
+
 // A worker that goes silent (no heartbeat, no results) is declared dead at
 // lease expiry and its units finish elsewhere.
 func TestLeaseExpiryReassigns(t *testing.T) {

@@ -214,11 +214,11 @@ func (c Config) rateTableConfig() covert.TableConfig {
 	return tc
 }
 
-// WarmRateTables precomputes the process-wide covert rate table this
-// configuration's Untangle accountant consults (covert.Shared). Table
-// construction is a one-time multi-second cost that otherwise lands inside
-// whichever caller first builds an Untangle sim; benchmarks call this in
-// their setup so no timed region absorbs it.
+// WarmRateTables builds the process-wide covert rate table this
+// configuration's Untangle accountant consults (covert.Shared). For the
+// default schemes at any scale the table comes from covert's offline memo
+// and costs microseconds; a table outside the memo (another delay width,
+// cooldown or time unit) is solved here, which takes seconds.
 func (c Config) WarmRateTables() error {
 	_, err := covert.Shared(c.rateTableConfig())
 	return err

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The repository's verification gate, in two tiers:
 #
-#   tier 1  build + vet + the fast (-short) test suite — what every change
-#           must keep green (see ROADMAP.md)
+#   tier 1  build + vet + gofmt + the fast (-short) test suite — what
+#           every change must keep green (see ROADMAP.md)
 #   tier 2  the race detector over the concurrency-bearing packages: the
 #           worker pool, the shard coordinator, the campaign service's
 #           bounded priority queue, the fault-injection harness, the
@@ -12,7 +12,8 @@
 #           mid-mix kill-and-resume), and the cmd-level kill-and-resume,
 #           sharded worker-kill-and-merge, dead-letter-and-replay,
 #           serve-mode drain-and-restart, warm-cache, and
-#           observability-equivalence tests
+#           observability-equivalence tests; then each fuzz target for a
+#           bounded 10 seconds
 #
 # Everything is hermetic (no network, no external services); the whole
 # script runs in a few minutes on a laptop. CI=full additionally runs the
@@ -26,6 +27,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go test -short ./..."
 go test -short ./...
@@ -66,6 +75,14 @@ echo "==> go test -race (mix-fusion equivalence: clean + mid-mix kill)"
 go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
+
+echo "==> go test -fuzz (bounded, 10s per target)"
+# Plain go test runs only each fuzz target's seed corpus; this stage
+# mutates beyond it: journal crash recovery, lane-outcome sidecar
+# decoding, and the trace-file round trip.
+go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s ./internal/checkpoint/
+go test -run '^$' -fuzz '^FuzzLaneSidecar$' -fuzztime 10s ./internal/tracecache/
+go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/isa/
 
 echo "==> benchjson gate (committed baselines)"
 # Committed-baseline deltas on sub-second single-iteration benchmarks
