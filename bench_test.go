@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -556,11 +555,7 @@ func BenchmarkCampaignQueueOverhead(b *testing.B) {
 		}
 		return time.Since(start)
 	}
-	names := experiments.SensitivityOrder()
-	keys := make([]string, len(names))
-	for i, name := range names {
-		keys[i] = experiments.SensitivityKey(name)
-	}
+	keys := experiments.SensitivityKeys()
 	queued := func(name string) time.Duration {
 		j := open(name)
 		defer j.Close()
@@ -571,7 +566,8 @@ func BenchmarkCampaignQueueOverhead(b *testing.B) {
 			ID:     name,
 			Phases: []campaign.PhaseSpec{{Name: "sensitivity", Keys: keys}},
 			Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
-				return experiments.RunSensitivityUnit(ctx, strings.TrimPrefix(key, "sens/"), ins)
+				raw, _, err := experiments.RunSensitivityUnit(ctx, key, ins)
+				return raw, err
 			},
 			Journal: j,
 		})

@@ -5,14 +5,14 @@
 // paper's layout. The -out flag additionally writes the same report to a
 // file (used to regenerate EXPERIMENTS.md's measured columns).
 //
-// Everything the evaluation simulates is an independent run, so the whole
-// command executes on the experiment engine's worker pool: the sensitivity
-// study fans out its 36 benchmarks (each one a single multi-lane pass
-// covering all 9 partition sizes) and the mix phase fans out the mixes
-// (each mix's four schemes plus its active-attacker rerun run inside one
-// worker). -jobs bounds the pool; 0 uses every core and 1 is the legacy
-// sequential path. The report is identical for every -jobs value: results
-// are collected by index and printed in mix order.
+// Everything the evaluation simulates is an independent unit, so every
+// campaign runs as jobs on the campaign service (internal/campaign): the
+// sensitivity phase's 36 benchmark units (each one a single multi-lane pass
+// covering all 9 partition sizes), then the mix phase's units (each mix's
+// four schemes plus its active-attacker rerun). -jobs bounds the service's
+// worker pool; 0 uses every core and 1 runs the units one at a time in
+// order. The report is identical for every -jobs value: each phase is
+// assembled from the campaign's journal in canonical order.
 //
 // Long campaigns survive faults (see docs/ROBUSTNESS.md). A panicking
 // point fails the run with a diagnosable parallel.PanicError instead of
@@ -48,10 +48,12 @@
 //	experiments -scale 0.01 -telemetry run.jsonl -pprof localhost:6060
 //	experiments -scale 1.0 -checkpoint run.ckpt -shards 8   # N worker processes
 //
-// -shards N executes the campaign's units on N worker processes (re-execs
+// -shards N executes the service's units on N worker processes (re-execs
 // of this binary) with per-shard crash-recovery journals and automatic
-// worker respawn; the merged outputs are byte-identical to an in-process
-// run (see EXPERIMENTS.md "Sharded campaigns" and shard.go).
+// worker respawn; the outputs are byte-identical to an in-process run (see
+// EXPERIMENTS.md "Sharded campaigns" and shard.go). -dlq switches the
+// failure policy: a poisoned unit dead-letters into the journal and the
+// campaign completes degraded instead of failing.
 package main
 
 import (
@@ -75,6 +77,7 @@ import (
 	"untangle/internal/parallel"
 	"untangle/internal/partition"
 	"untangle/internal/report"
+	"untangle/internal/shard"
 	"untangle/internal/stats"
 	"untangle/internal/telemetry"
 	"untangle/internal/tracecache"
@@ -105,11 +108,10 @@ type config struct {
 	feCacheDir     string // -fe-cache: cache directory ("" = off)
 	feCacheRebuild bool   // -fe-cache-rebuild: regenerate corrupt/mismatched entries
 
-	// Resident-service execution (docs/ROBUSTNESS.md "Dead-letter
-	// journal"): -dlq routes the campaign's units through the campaign
-	// service, so a poisoned unit dead-letters into the checkpoint journal
-	// and the run completes degraded instead of failing; -replay re-drives
-	// exactly the journaled dead letters.
+	// Failure policy (docs/ROBUSTNESS.md "Dead-letter journal"): with -dlq
+	// a poisoned unit dead-letters into the checkpoint journal and the run
+	// completes degraded instead of failing; -replay re-drives exactly the
+	// journaled dead letters.
 	dlq      bool // -dlq: dead-letter poisoned units (requires -checkpoint)
 	replay   bool // -replay: re-drive dead-lettered units (implies -dlq)
 	priority int  // -priority: unit priority on a shared campaign service
@@ -136,8 +138,8 @@ type config struct {
 	obsPath  string // -obs-trace: wall-clock span JSONL
 	quiet    bool   // -quiet: suppress the live TTY progress line
 
-	// unitHook, when set (tests only), runs after each mix unit completes
-	// and journals — the injection point for kill-at-unit-k.
+	// unitHook, when set (tests only), runs after each unit completes and
+	// journals — the injection point for kill-at-unit-k.
 	unitHook func(key string)
 	// httpReady, when set (tests only), receives the observability server's
 	// bound address once it is scrapable — how tests reach an ephemeral
@@ -199,8 +201,8 @@ func mixKey(id int) string { return fmt.Sprintf("mix/%d", id) }
 func main() {
 	// Worker mode short-circuits everything: the coordinator re-execs this
 	// binary with -shard-worker as the first argument (see shard.go), and
-	// the worker must not parse campaign flags, install signal handlers, or
-	// touch the campaign's outputs.
+	// the worker must not install signal handlers or touch the campaign's
+	// outputs.
 	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
 		os.Exit(workerMain(os.Args[2:]))
 	}
@@ -212,55 +214,11 @@ func main() {
 	}
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	var (
-		scale    = flag.Float64("scale", 0.01, "scale factor (1.0 = paper fidelity)")
-		mixList  = flag.String("mixes", "", "comma-separated mix ids (default: all 16)")
-		sensIns  = flag.Uint64("sensitivity-instructions", 1_500_000, "instructions per sensitivity run (0 skips Figure 11)")
-		outPath  = flag.String("out", "", "also write the report to this file (atomically)")
-		skipAct  = flag.Bool("skip-active", false, "skip the active-attacker accounting runs")
-		telemOut = flag.String("telemetry", "", "stream a JSONL telemetry event trace of every mix to this file")
-		jobs     = flag.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		shards   = flag.Int("shards", 0, "split the campaign across N worker processes (requires -checkpoint; 0/1 = in-process)")
-		ckpt     = flag.String("checkpoint", "", "journal completed units to this file and resume from it on restart")
-		feCache  = flag.String("fe-cache", "", "persist/replay front-end event streams (sensitivity study and mixes) in this directory")
-		oracleMx = flag.Bool("oracle-mixes", false, "run mixes on the per-scheme oracle path instead of the fused engine (bitwise-identical, slower)")
-		feRebld  = flag.Bool("fe-cache-rebuild", false, "regenerate corrupt or key-mismatched -fe-cache entries instead of failing")
-		dlqRun   = flag.Bool("dlq", false, "run units through the campaign service: poisoned units dead-letter into the journal and the run completes degraded (requires -checkpoint)")
-		replay   = flag.Bool("replay", false, "re-drive units the checkpoint journal holds dead letters for (implies -dlq)")
-		priority = flag.Int("priority", 0, "unit priority on the campaign service queue (higher dequeues first)")
-		httpAddr = flag.String("http", "", "serve /metrics, /progress, /healthz and pprof on this address (e.g. :8080)")
-		obsTrace = flag.String("obs-trace", "", "write a wall-clock span trace (JSONL) of the campaign to this file")
-		quiet    = flag.Bool("quiet", false, "suppress the live progress line on stderr")
-	)
+	parse := campaignFlags(flag.CommandLine)
 	profile := telemetry.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
-
-	ids, err := parseMixes(*mixList)
+	cfg, err := parse()
 	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := config{
-		scale:          *scale,
-		ids:            ids,
-		sensIns:        *sensIns,
-		jobs:           *jobs,
-		shards:         *shards,
-		active:         !*skipAct,
-		traced:         *telemOut != "",
-		outPath:        *outPath,
-		telePath:       *telemOut,
-		ckptPath:       *ckpt,
-		dlq:            *dlqRun || *replay,
-		replay:         *replay,
-		priority:       *priority,
-		feCacheDir:     *feCache,
-		feCacheRebuild: *feRebld,
-		oracleMixes:    *oracleMx,
-		httpAddr:       *httpAddr,
-		obsPath:        *obsTrace,
-		quiet:          *quiet,
-	}
-	if err := cfg.validate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -288,6 +246,61 @@ func main() {
 	}
 }
 
+// campaignFlags registers the campaign flags on fs — the command line's,
+// or a shard worker's, which parses the coordinator's own flags so both
+// sides build the identical config and checkpoint fingerprint. The returned
+// function builds and validates the config once fs is parsed.
+func campaignFlags(fs *flag.FlagSet) func() (config, error) {
+	var (
+		scale    = fs.Float64("scale", 0.01, "scale factor (1.0 = paper fidelity)")
+		mixList  = fs.String("mixes", "", "comma-separated mix ids (default: all 16)")
+		sensIns  = fs.Uint64("sensitivity-instructions", 1_500_000, "instructions per sensitivity run (0 skips Figure 11)")
+		outPath  = fs.String("out", "", "also write the report to this file (atomically)")
+		skipAct  = fs.Bool("skip-active", false, "skip the active-attacker accounting runs")
+		telemOut = fs.String("telemetry", "", "stream a JSONL telemetry event trace of every mix to this file")
+		jobs     = fs.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+		shards   = fs.Int("shards", 0, "split the campaign across N worker processes (requires -checkpoint; 0/1 = in-process)")
+		ckpt     = fs.String("checkpoint", "", "journal completed units to this file and resume from it on restart")
+		feCache  = fs.String("fe-cache", "", "persist/replay front-end event streams (sensitivity study and mixes) in this directory")
+		oracleMx = fs.Bool("oracle-mixes", false, "run mixes on the per-scheme oracle path instead of the fused engine (bitwise-identical, slower)")
+		feRebld  = fs.Bool("fe-cache-rebuild", false, "regenerate corrupt or key-mismatched -fe-cache entries instead of failing")
+		dlqRun   = fs.Bool("dlq", false, "dead-letter poisoned units into the journal and complete degraded instead of failing (requires -checkpoint)")
+		replay   = fs.Bool("replay", false, "re-drive units the checkpoint journal holds dead letters for (implies -dlq)")
+		priority = fs.Int("priority", 0, "unit priority on the campaign service queue (higher dequeues first)")
+		httpAddr = fs.String("http", "", "serve /metrics, /progress, /healthz and pprof on this address (e.g. :8080)")
+		obsTrace = fs.String("obs-trace", "", "write a wall-clock span trace (JSONL) of the campaign to this file")
+		quiet    = fs.Bool("quiet", false, "suppress the live progress line on stderr")
+	)
+	return func() (config, error) {
+		ids, err := parseMixes(*mixList)
+		if err != nil {
+			return config{}, err
+		}
+		cfg := config{
+			scale:          *scale,
+			ids:            ids,
+			sensIns:        *sensIns,
+			jobs:           *jobs,
+			shards:         *shards,
+			active:         !*skipAct,
+			traced:         *telemOut != "",
+			outPath:        *outPath,
+			telePath:       *telemOut,
+			ckptPath:       *ckpt,
+			dlq:            *dlqRun || *replay,
+			replay:         *replay,
+			priority:       *priority,
+			feCacheDir:     *feCache,
+			feCacheRebuild: *feRebld,
+			oracleMixes:    *oracleMx,
+			httpAddr:       *httpAddr,
+			obsPath:        *obsTrace,
+			quiet:          *quiet,
+		}
+		return cfg, cfg.validate()
+	}
+}
+
 // validate rejects configurations that would otherwise panic deep in the
 // engine or silently simulate nothing.
 func (c config) validate() error {
@@ -310,7 +323,9 @@ func (c config) validate() error {
 		return fmt.Errorf("-dlq requires -checkpoint (the journal is the dead-letter store)")
 	}
 	if c.dlq && c.shards > 1 {
-		return fmt.Errorf("-dlq is incompatible with -shards (the campaign service owns unit execution)")
+		// A unit that fails because the worker pool spent its respawns is
+		// not a poisoned unit; dead-lettering it would be a lie.
+		return fmt.Errorf("-dlq is incompatible with -shards (a lost worker pool is not a poisoned unit)")
 	}
 	return nil
 }
@@ -363,7 +378,9 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		telemSink = telemetry.NewJSONL(f)
 	}
 
-	var journal *checkpoint.Journal
+	// The journal every phase is assembled from: the checkpoint file, or a
+	// journal held in memory when the campaign is not checkpointed.
+	journal := checkpoint.Memory(cfg.fingerprint())
 	if cfg.ckptPath != "" {
 		j, err := checkpoint.Open(cfg.ckptPath, cfg.fingerprint())
 		if err != nil {
@@ -376,23 +393,29 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		journal = j
 	}
 
-	// Front-end trace cache: installed process-wide before the study so
-	// every engine pass sees it; cleared on exit so tests driving run()
-	// back-to-back never leak a store into the next campaign.
+	// Units run on the service's goroutines, or under -shards on worker
+	// processes, which then own the front-end trace cache. The cache is
+	// installed process-wide before the study so every engine pass sees it,
+	// and cleared on exit so tests driving run() back-to-back never leak a
+	// store into the next campaign.
+	units := &unitExec{cfg: cfg}
+	exec, workers := units.exec, cfg.jobs
+	var coord *shard.Coordinator
 	var feStore *tracecache.Store
-	if cfg.feCacheDir != "" {
-		st, err := tracecache.NewStore(cfg.feCacheDir, cfg.feCacheRebuild)
+	if cfg.shards > 1 {
+		c, err := shard.Launch(journal, cfg.shards, cfg.workerArgs(), log.Printf)
 		if err != nil {
 			return err
 		}
+		defer c.Close()
+		coord, exec, workers = c, c.Exec, cfg.shards
+	} else if cfg.feCacheDir != "" {
+		st, release, err := experiments.OpenFrontEndCache(cfg.feCacheDir, cfg.feCacheRebuild, log.Printf)
+		if err != nil {
+			return err
+		}
+		defer release()
 		feStore = st
-		experiments.SetFrontEndCache(feStore)
-		defer experiments.SetFrontEndCache(nil)
-		defer func() {
-			c := feStore.Counters()
-			log.Printf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written",
-				c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten)
-		}()
 	}
 
 	// Operational observability (progress, spans, /metrics) — wall-clock
@@ -404,48 +427,58 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 	}
 	defer func() { obsSt.stop(retErr) }()
 
-	// Sharded execution: spawn the worker processes up front so both
-	// phases reuse them. The campaign's phase structure, interrupt
-	// semantics, and outputs are identical either way — only where the
-	// units execute changes.
-	var sc *shardCampaign
-	if cfg.shards > 1 {
-		sc, err = newShardCampaign(cfg, journal)
-		if err != nil {
-			return err
-		}
-		defer sc.close()
+	svc := cfg.service
+	if svc == nil {
+		svc = campaign.New(campaign.Options{Workers: workers, Logf: log.Printf})
+		// Every job has settled by the time run returns (Service.Run waits
+		// for it), so the drain only stops the idle workers.
+		defer svc.Drain(context.Background())
+	}
+	// runPhase runs one phase as a job on the service. Without -dlq a
+	// poisoned unit fails the campaign, and a dead letter an earlier -dlq
+	// run left behind is simply run again.
+	runPhase := func(id string, ph campaign.PhaseSpec) error {
+		return svc.Run(ctx, campaign.JobSpec{
+			ID:         cfg.jobPrefix + id,
+			Priority:   cfg.priority,
+			Phases:     []campaign.PhaseSpec{ph},
+			Exec:       exec,
+			Journal:    journal,
+			FailFast:   !cfg.dlq,
+			ReplayDead: cfg.replay || !cfg.dlq,
+			Observe:    cfg.observeUnit,
+			PostRecord: cfg.unitHook,
+		})
+	}
+	interrupted := func(err error) bool {
+		return ctx.Err() != nil || errors.Is(err, campaign.ErrInterrupted)
 	}
 
-	// Dead-letter execution: route the units through the resident campaign
-	// service so a poisoned unit degrades the run instead of failing it.
-	var qc *queueCampaign
-	if cfg.dlq {
-		qc, err = newQueueCampaign(cfg, journal)
-		if err != nil {
-			return err
-		}
-		defer qc.close()
-	}
-
-	// Figure 11.
-	var study []experiments.SensitivityResult
+	// Figure 11. The phase's Done assembles the study that mix units caption
+	// against and, under -shards, hands it to the workers.
 	if cfg.sensIns > 0 && ctx.Err() == nil {
 		log.Printf("running Figure 11 sensitivity study (%d instructions per benchmark pass, %d jobs)...",
 			cfg.sensIns, cfg.jobs)
-		var err error
-		switch {
-		case qc != nil:
-			study, err = qc.sensitivityStudy(ctx)
-		case sc != nil:
-			study, err = sc.sensitivityStudy(ctx)
-		default:
-			study, err = experiments.SensitivityStudyCheckpointed(ctx, cfg.sensIns, cfg.jobs, journal)
-		}
+		var study []experiments.SensitivityResult
+		err := runPhase("sens", campaign.PhaseSpec{Name: "sensitivity", Keys: experiments.SensitivityKeys(), Done: func() error {
+			var err error
+			if study, err = experiments.StudyFromJournal(journal); err != nil {
+				return err
+			}
+			units.study = study
+			if coord == nil {
+				return nil
+			}
+			raw, err := experiments.EncodeStudy(study)
+			if err != nil {
+				return err
+			}
+			return coord.Broadcast("study", raw)
+		}})
 		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, campaign.ErrInterrupted) {
+			if interrupted(err) {
 				log.Print("interrupted during the sensitivity study")
-				writeManifest(w, cfg, study, 0, journalDead(journal))
+				writeManifest(w, cfg, journal, 0)
 				return commit(telemSink, telemFile, outFile)
 			}
 			return err
@@ -453,31 +486,29 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		fmt.Fprintln(w, report.Figure11(study))
 	}
 
-	// Figures 10 and 12-17 plus Table 6 inputs: one worker per mix. Each
-	// worker runs its mix's four schemes (sequentially when several mixes
-	// share the pool, so -jobs bounds total concurrency) and then the
-	// worst-case accounting rerun, and journals the finished unit.
-	var outcomes []*savedMix
-	var runErr error
-	switch {
-	case qc != nil:
-		outcomes, runErr = qc.runMixes(ctx, study)
-	case sc != nil:
-		outcomes, runErr = sc.runMixes(ctx, study)
-	default:
-		outcomes, runErr = runMixes(ctx, cfg, study, journal)
+	// Figures 10 and 12-17 plus Table 6 inputs: one unit per mix, each
+	// running its four schemes and then the worst-case accounting rerun.
+	mixKeys := make([]string, len(cfg.ids))
+	for i, id := range cfg.ids {
+		mixKeys[i] = mixKey(id)
 	}
-	if runErr != nil && ctx.Err() == nil && !errors.Is(runErr, campaign.ErrInterrupted) {
-		return runErr
+	if err := runPhase("mix", campaign.PhaseSpec{Name: "mix", Keys: mixKeys}); err != nil && !interrupted(err) {
+		return err
 	}
 
-	// Report in mix order regardless of completion order. After an
-	// interrupt, report every mix that finished.
+	// Report in mix order regardless of completion order: every mix the
+	// journal holds, which after an interrupt or a dead letter is the
+	// completed subset.
 	var rows []experiments.Table6Row
 	var activeRates, maintainFracs []float64
 	done := 0
-	for _, sv := range outcomes {
-		if sv == nil {
+	for _, key := range mixKeys {
+		var sv savedMix
+		ok, err := journal.Lookup(key, &sv)
+		if err != nil {
+			return fmt.Errorf("checkpoint %s: %w", key, err)
+		}
+		if !ok {
 			continue
 		}
 		done++
@@ -498,7 +529,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		}
 	}
 	if done < len(cfg.ids) {
-		if dead := journalDead(journal); dead > 0 {
+		if dead := journal.DeadLen(); dead > 0 {
 			log.Printf("degraded; reporting %d of %d mixes (%d units dead-lettered)", done, len(cfg.ids), dead)
 		} else {
 			log.Printf("interrupted; reporting %d of %d mixes", done, len(cfg.ids))
@@ -519,37 +550,27 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		fmt.Fprintf(w, "Active attacker (no Maintain optimization): %.1f bits per assessment on average\n",
 			stats.Mean(activeRates))
 	}
-	writeManifest(w, cfg, study, done, journalDead(journal))
+	writeManifest(w, cfg, journal, done)
 	return commit(telemSink, telemFile, outFile)
 }
 
-// journalDead counts the journal's live dead letters; zero without a
-// journal. A replay that succeeds clears its key (Record supersedes the
-// dead letter), so a fully repaired run reports no dead units.
-func journalDead(j *checkpoint.Journal) int {
-	if j == nil {
-		return 0
-	}
-	return j.DeadLen()
-}
-
-// writeManifest ends the report with an explicit statement of coverage, so
-// a degraded or interrupted run can never be mistaken for a complete one.
-// The dead-letter suffix appears only when units actually died, keeping a
-// clean run's manifest byte-identical to pre-dlq reports.
-func writeManifest(w io.Writer, cfg config, study []experiments.SensitivityResult, mixesDone, dead int) {
+// writeManifest ends the report with an explicit statement of coverage —
+// the units the journal holds — so a degraded or interrupted run can never
+// be mistaken for a complete one. The dead-letter suffix appears only when
+// units actually died, keeping a clean run's manifest byte-identical to
+// pre-dlq reports.
+func writeManifest(w io.Writer, cfg config, journal *checkpoint.Journal, mixesDone int) {
 	sens := "sensitivity study skipped"
 	if cfg.sensIns > 0 {
 		doneSens := 0
-		for _, r := range study {
-			if r.Name != "" {
+		for _, key := range experiments.SensitivityKeys() {
+			if journal.Done(key) {
 				doneSens++
 			}
 		}
-		total := len(workload.SPECBenchmarks)
-		sens = fmt.Sprintf("%d/%d sensitivity benchmarks", doneSens, total)
+		sens = fmt.Sprintf("%d/%d sensitivity benchmarks", doneSens, len(workload.SPECBenchmarks))
 	}
-	if dead > 0 {
+	if dead := journal.DeadLen(); dead > 0 {
 		fmt.Fprintf(w, "Completed: %s, %d/%d mixes (%d dead-lettered).\n", sens, mixesDone, len(cfg.ids), dead)
 		return
 	}
@@ -575,61 +596,68 @@ func commit(telemSink *telemetry.JSONL, telemFile, outFile *fsutil.AtomicFile) e
 	return nil
 }
 
-// runMixes fans the mixes onto the worker pool and collects each mix's
-// rendered outcome by index. Units already in the journal are replayed
-// without simulating; fresh units retry transient failures, then journal.
-// A canceled context abandons unstarted mixes; the returned slice still
-// holds every completed outcome. A unit the cancellation cut short (main
-// run done, active rerun not) is reported but never journaled, so a resume
-// re-runs it in full rather than recording a truncated outcome.
-func runMixes(ctx context.Context, cfg config, study []experiments.SensitivityResult, journal *checkpoint.Journal) ([]*savedMix, error) {
+// observeUnit opens a unit's observation span: through the serve-mode hook
+// when one is set, else through the process-wide observer startObs
+// installs, under the names the experiments layer reports.
+func (c config) observeUnit(phase, key string) func(outcome string, err error) {
+	if c.observe != nil {
+		return c.observe(phase, key)
+	}
+	return experiments.ObserveUnit(phase, unitName(key))
+}
+
+// unitName is a unit's observed name: the benchmark for a sensitivity unit,
+// the journal key for a mix.
+func unitName(key string) string { return strings.TrimPrefix(key, "sens/") }
+
+// unitExec is the campaign's unit executor — the one "sens/" and "mix/"
+// dispatch, behind both the service's in-process Exec and a shard worker's
+// — so a unit's journal value is byte-identical wherever it ran.
+type unitExec struct {
+	cfg config
+	// study is the assembled Figure 11 study mix units caption against. The
+	// sensitivity phase's Done sets it before the service enqueues any mix
+	// unit (in a worker, SetContext sets it on the unit loop's goroutine),
+	// so the queue orders it before every read.
+	study []experiments.SensitivityResult
+}
+
+// exec runs one unit by key. Retries live inside the executors; an error
+// escaping here is terminal, and the job's failure policy settles it.
+func (u *unitExec) exec(ctx context.Context, key string) (json.RawMessage, error) {
+	idStr, isMix := strings.CutPrefix(key, "mix/")
+	if !isMix {
+		raw, outcome, err := experiments.RunSensitivityUnit(ctx, key, u.cfg.sensIns)
+		campaign.ReportOutcome(ctx, outcome)
+		return raw, err
+	}
+	id, err := strconv.Atoi(idStr)
+	if err != nil {
+		return nil, fmt.Errorf("bad mix key %q", key)
+	}
 	// Scheme-level concurrency only helps when the mixes themselves cannot
 	// fill the pool.
 	innerJobs := 1
-	if len(cfg.ids) == 1 {
-		innerJobs = cfg.jobs
+	if len(u.cfg.ids) == 1 {
+		innerJobs = u.cfg.jobs
 	}
-	return parallel.Map(ctx, len(cfg.ids), cfg.jobs, func(ctx context.Context, i int) (out *savedMix, err error) {
-		id := cfg.ids[i]
-		key := mixKey(id)
-		// Observability: report the unit's begin/end (with its outcome and
-		// error status) to whatever observer the command installed. No-op
-		// when observability is off — unitDone is nil.
-		outcome := experiments.UnitGenerated
-		if unitDone := experiments.ObserveUnit("mix", key); unitDone != nil {
-			defer func() { unitDone(outcome, err) }()
-		}
-		if journal != nil {
-			var sv savedMix
-			if ok, err := journal.Lookup(key, &sv); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: %w", key, err)
-			} else if ok {
-				log.Printf("mix %d: resumed from checkpoint", id)
-				outcome = experiments.UnitResumed
-				return &sv, nil
-			}
-		}
-		sv, err := runMixUnit(ctx, cfg, study, id, innerJobs)
-		if err != nil {
-			return nil, err
-		}
-		if journal != nil && (!cfg.active || sv.HaveActive) {
-			if err := journal.Record(key, sv); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: %w", key, err)
-			}
-		}
-		if cfg.unitHook != nil {
-			cfg.unitHook(key)
-		}
-		return sv, nil
-	})
+	sv, err := runMixUnit(ctx, u.cfg, u.study, id, innerJobs)
+	if err != nil {
+		return nil, err
+	}
+	if u.cfg.active && !sv.HaveActive {
+		// Cancellation landed between the main run and the active rerun;
+		// journaling the truncated unit would poison every future resume.
+		return nil, fmt.Errorf("mix %d interrupted before the active-attacker rerun: %w", id, ctx.Err())
+	}
+	return json.Marshal(sv)
 }
 
 // runMixUnit simulates one mix in full — the four-scheme run with
 // per-scheme telemetry buffers, the worst-case accounting rerun, and the
 // rendered report group — and returns the unit's journal value. It is the
-// single execution path for a mix whether the unit runs on the in-process
-// pool or inside a shard worker, which is what makes the two journals
+// single execution path for a mix whether the unit runs in-process or
+// inside a shard worker, which is what makes the two journals
 // byte-identical. A cancellation that lands between the main run and the
 // active rerun returns sv with HaveActive false; callers must not journal
 // such a truncated unit (a resume re-runs it in full).

@@ -42,8 +42,8 @@ func (c config) obsEnabled() bool {
 }
 
 // startObs wires up the enabled surfaces and installs the unit observer.
-// journal and store may be nil (no heartbeat / no trace-cache gauges then).
-// Returns nil when nothing is enabled.
+// An in-memory journal has no heartbeat, and store may be nil (no
+// trace-cache gauges then). Returns nil when nothing is enabled.
 func startObs(cfg config, journal *checkpoint.Journal, store *tracecache.Store) (*obsState, error) {
 	// Serve mode: the resident service owns the progress tracker, registry,
 	// and HTTP server, shared across concurrent campaigns — a per-campaign
@@ -57,8 +57,8 @@ func startObs(cfg config, journal *checkpoint.Journal, store *tracecache.Store) 
 	st := &obsState{}
 	progress := obs.NewProgress()
 
-	if journal != nil {
-		hb, err := obs.OpenHeartbeat(obs.HeartbeatPath(journal))
+	if path := obs.HeartbeatPath(journal); path != "" {
+		hb, err := obs.OpenHeartbeat(path)
 		if err != nil {
 			// The heartbeat is advisory; a run directory that rejects the
 			// sidecar should not kill the campaign.

@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"untangle/internal/experiments"
 	"untangle/internal/obs"
 )
 
@@ -102,5 +104,51 @@ func TestObservabilityDoesNotPerturbOutputs(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.ckptPath + ".heartbeat"); err != nil {
 		t.Errorf("no heartbeat sidecar: %v", err)
+	}
+}
+
+// Sensitivity units whose front end replays from a warm fe-cache settle
+// "replayed" on every in-process path — direct, and the -dlq policy — so
+// they stay out of the unit-latency histograms and the ETA rate.
+func TestWarmCacheUnitsReportReplayed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three small campaigns")
+	}
+	cacheDir := t.TempDir()
+	campaignCfg := func() config {
+		cfg := equivalenceConfig(t.TempDir())
+		cfg.ids = []int{1}
+		cfg.active = false
+		cfg.feCacheDir = cacheDir
+		cfg.ckptPath = filepath.Join(filepath.Dir(cfg.outPath), "run.ckpt")
+		return cfg
+	}
+	runCampaignFiles(t, context.Background(), campaignCfg()) // fills the cache
+
+	for _, dlq := range []bool{false, true} {
+		cfg := campaignCfg()
+		cfg.dlq = dlq
+		var mu sync.Mutex
+		outcomes := map[string]string{}
+		cfg.observe = func(phase, key string) func(string, error) {
+			return func(outcome string, _ error) {
+				if phase == "sensitivity" {
+					mu.Lock()
+					outcomes[key] = outcome
+					mu.Unlock()
+				}
+			}
+		}
+		runCampaignFiles(t, context.Background(), cfg)
+		mu.Lock()
+		if len(outcomes) != 36 {
+			t.Errorf("dlq=%v: observed %d sensitivity units, want 36", dlq, len(outcomes))
+		}
+		for key, outcome := range outcomes {
+			if outcome != experiments.UnitReplayed {
+				t.Errorf("dlq=%v: warm unit %s settled %q, want %q", dlq, key, outcome, experiments.UnitReplayed)
+			}
+		}
+		mu.Unlock()
 	}
 }

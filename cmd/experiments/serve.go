@@ -38,7 +38,6 @@ import (
 	"untangle/internal/experiments"
 	"untangle/internal/obs"
 	"untangle/internal/telemetry"
-	"untangle/internal/tracecache"
 	"untangle/internal/workload"
 )
 
@@ -138,12 +137,11 @@ func runServe(opts serveOptions) error {
 	// The front-end cache is process-wide; serve installs it once so every
 	// campaign shares it (per-campaign configs leave feCacheDir empty).
 	if opts.feCache != "" {
-		store, err := tracecache.NewStore(opts.feCache, opts.feRebld)
+		_, release, err := experiments.OpenFrontEndCache(opts.feCache, opts.feRebld, log.Printf)
 		if err != nil {
 			return err
 		}
-		experiments.SetFrontEndCache(store)
-		defer experiments.SetFrontEndCache(nil)
+		defer release()
 	}
 
 	reg := telemetry.NewRegistry()
@@ -365,8 +363,7 @@ func (st *serveState) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.oc.Phase(req.ID+":mix", len(cfg.ids))
 	cfg.observe = func(phase, key string) func(outcome string, err error) {
-		_, unit := obsUnitName(key)
-		return sc.oc.Unit(req.ID+":"+phase, unit)
+		return sc.oc.Unit(req.ID+":"+phase, unitName(key))
 	}
 
 	go st.runCampaign(ctx, sc, cfg)

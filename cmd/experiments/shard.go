@@ -1,488 +1,109 @@
-// Sharded campaign execution: -shards N partitions the campaign's unit
-// graph (36 sensitivity passes, then the mixes) across N worker processes
-// re-exec'd from this binary with -shard-worker. The coordinator owns the
-// main checkpoint journal, the report, and the telemetry stream; workers
-// own one unit at a time plus a per-shard journal (<checkpoint>.shard<i>)
-// that survives their death. The merged outputs are byte-identical to a
-// -jobs 1 run of the same campaign — the equivalence tests in
-// shard_test.go compare whole files, kills included.
+// Shard workers: -shards N runs the campaign service's units on N worker
+// processes re-exec'd from this binary with -shard-worker. The coordinating
+// process owns the main checkpoint journal, the report, and the telemetry
+// stream; a worker owns one unit at a time plus a per-shard journal
+// (<checkpoint>.shard<i>) that survives its death (internal/shard). The
+// outputs are byte-identical to a -jobs 1 run of the same campaign — the
+// equivalence tests in shard_test.go compare whole files, kills included.
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/exec"
-	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
-	"untangle/internal/checkpoint"
 	"untangle/internal/experiments"
-	"untangle/internal/obs"
 	"untangle/internal/shard"
-	"untangle/internal/tracecache"
 )
-
-const (
-	// shardLease is how long a worker may stay silent before the
-	// coordinator declares it dead and reassigns its units. Heartbeats
-	// arrive every shardHeartbeatEvery, so a healthy worker is never close
-	// to the bound even when a single unit runs for minutes.
-	shardLease          = 2 * time.Minute
-	shardHeartbeatEvery = 5 * time.Second
-
-	// envShardKillKey / envShardKillOnce are the worker-kill injection
-	// hooks the equivalence tests use: a worker that journals the named
-	// unit exits immediately afterwards — the journaled-but-unstreamed
-	// window — and the kill-once sentinel file (created O_EXCL) makes sure
-	// only the first incarnation dies.
-	envShardKillKey  = "UNTANGLE_SHARD_KILL_KEY"
-	envShardKillOnce = "UNTANGLE_SHARD_KILL_ONCE"
-)
-
-// shardJournalPath is worker i's private checkpoint journal. It lives next
-// to the main journal so harvest, merge, and resume all find it.
-func shardJournalPath(ckpt string, shard int) string {
-	return fmt.Sprintf("%s.shard%d", ckpt, shard)
-}
 
 // workerMain is the -shard-worker entry point: a single-shard unit executor
 // speaking the shard protocol on stdin/stdout. All logging goes to stderr
-// (stdout is the protocol stream). The flags mirror the coordinator's
-// campaign settings exactly so the worker reconstructs the identical
-// checkpoint fingerprint.
+// (stdout is the protocol stream). Besides its shard index, the worker
+// parses the campaign flags the coordinator passes down (workerArgs), so
+// it builds the identical config and checkpoint fingerprint, and runs units
+// with the in-process campaign's executor.
 func workerMain(args []string) int {
 	log.SetFlags(0)
-	fs := newWorkerFlags()
-	if err := fs.fs.Parse(args); err != nil {
+	fs := flag.NewFlagSet("shard-worker", flag.ContinueOnError)
+	shardIdx := fs.Int("shard", 0, "this worker's shard index")
+	parse := campaignFlags(fs)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	log.SetPrefix(fmt.Sprintf("experiments[shard %d]: ", *fs.shard))
-
-	ids, err := parseMixes(*fs.mixes)
+	log.SetPrefix(fmt.Sprintf("experiments[shard %d]: ", *shardIdx))
+	cfg, err := parse()
 	if err != nil {
 		log.Print(err)
 		return 2
-	}
-	cfg := config{
-		scale:          *fs.scale,
-		ids:            ids,
-		sensIns:        *fs.sensIns,
-		jobs:           1, // the process count is the parallelism
-		active:         !*fs.skipAct,
-		traced:         *fs.traced,
-		ckptPath:       *fs.ckpt,
-		feCacheDir:     *fs.feCache,
-		feCacheRebuild: *fs.feRebld,
-		oracleMixes:    *fs.oracleMx,
 	}
 	if cfg.ckptPath == "" {
 		log.Print("-shard-worker requires -checkpoint")
 		return 2
 	}
-	// The coordinator owns the campaign's lifecycle: a terminal ^C reaches
-	// the whole process group, but the worker must keep draining units
-	// until the coordinator says shutdown (or closes the pipe).
-	signal.Ignore(os.Interrupt)
+	cfg.jobs = 1 // the process count is the parallelism
 
-	if err := runWorker(cfg, *fs.shard); err != nil {
+	// The worker does the front-end cache's work, so it logs the cache's
+	// counter line on shutdown.
+	if cfg.feCacheDir != "" {
+		_, release, err := experiments.OpenFrontEndCache(cfg.feCacheDir, cfg.feCacheRebuild, log.Printf)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		defer release()
+	}
+	units := &unitExec{cfg: cfg}
+	err = shard.ServeWorker(cfg.ckptPath, cfg.fingerprint(), shard.WorkerConfig{
+		Shard: *shardIdx,
+		Exec:  units.exec,
+		SetContext: func(name string, value json.RawMessage) error {
+			if name != "study" {
+				return fmt.Errorf("unknown campaign context %q", name)
+			}
+			study, err := experiments.DecodeStudy(value)
+			units.study = study
+			return err
+		},
+	})
+	if err != nil {
 		log.Print(err)
 		return 1
 	}
 	return 0
 }
 
-// workerFlags is the -shard-worker flag set, shared knowledge with
-// spawnWorker which generates the matching argv.
-type workerFlags struct {
-	fs       *flag.FlagSet
-	shard    *int
-	scale    *float64
-	mixes    *string
-	sensIns  *uint64
-	skipAct  *bool
-	traced   *bool
-	ckpt     *string
-	feCache  *string
-	feRebld  *bool
-	oracleMx *bool
-}
-
-func newWorkerFlags() *workerFlags {
-	fs := flag.NewFlagSet("shard-worker", flag.ContinueOnError)
-	return &workerFlags{
-		fs:       fs,
-		shard:    fs.Int("shard", 0, "this worker's shard index"),
-		scale:    fs.Float64("scale", 0.01, "scale factor (must match the coordinator)"),
-		mixes:    fs.String("mixes", "", "comma-separated mix ids (must match the coordinator)"),
-		sensIns:  fs.Uint64("sensitivity-instructions", 1_500_000, "instructions per sensitivity pass"),
-		skipAct:  fs.Bool("skip-active", false, "skip the active-attacker accounting runs"),
-		traced:   fs.Bool("traced", false, "journal telemetry events with each mix"),
-		ckpt:     fs.String("checkpoint", "", "the campaign's main checkpoint path (shard journal derives from it)"),
-		feCache:  fs.String("fe-cache", "", "front-end trace cache directory"),
-		feRebld:  fs.Bool("fe-cache-rebuild", false, "regenerate corrupt fe-cache entries"),
-		oracleMx: fs.Bool("oracle-mixes", false, "run mixes on the per-scheme oracle path"),
-	}
-}
-
-// runWorker opens the worker's journal, cache, and heartbeat sidecar, then
-// hands the protocol loop to shard.RunWorker.
-func runWorker(cfg config, shardIdx int) error {
-	journal, err := checkpoint.Open(shardJournalPath(cfg.ckptPath, shardIdx), cfg.fingerprint())
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	if cfg.feCacheDir != "" {
-		st, err := tracecache.NewStore(cfg.feCacheDir, cfg.feCacheRebuild)
-		if err != nil {
-			return err
-		}
-		experiments.SetFrontEndCache(st)
-		defer experiments.SetFrontEndCache(nil)
-	}
-
-	// The on-disk heartbeat sidecar rides the shard journal so the
-	// coordinator can tell post-mortem when a dead worker last made
-	// progress (obs.LastBeat).
-	var hb *obs.Heartbeat
-	if h, err := obs.OpenHeartbeat(obs.HeartbeatPath(journal)); err != nil {
-		log.Printf("heartbeat: %v (continuing without)", err)
-	} else {
-		hb = h
-		defer hb.Close()
-	}
-
-	killKey := os.Getenv(envShardKillKey)
-	killOnce := os.Getenv(envShardKillOnce)
-
-	var study []experiments.SensitivityResult
-	wcfg := shard.WorkerConfig{
-		Shard:          shardIdx,
-		Journal:        journal,
-		HeartbeatEvery: shardHeartbeatEvery,
-		OnBeat:         func() { hb.Beat(obs.Snapshot{}) },
-		SetContext: func(name string, value json.RawMessage) error {
-			if name != "study" {
-				return fmt.Errorf("unknown campaign context %q", name)
-			}
-			s, err := experiments.DecodeStudy(value)
-			if err != nil {
-				return err
-			}
-			study = s
-			return nil
-		},
-		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
-			switch {
-			case strings.HasPrefix(key, "sens/"):
-				return experiments.RunSensitivityUnit(ctx, strings.TrimPrefix(key, "sens/"), cfg.sensIns)
-			case strings.HasPrefix(key, "mix/"):
-				id, err := strconv.Atoi(strings.TrimPrefix(key, "mix/"))
-				if err != nil {
-					return nil, fmt.Errorf("bad mix key %q", key)
-				}
-				sv, err := runMixUnit(ctx, cfg, study, id, 1)
-				if err != nil {
-					return nil, err
-				}
-				if cfg.active && !sv.HaveActive {
-					// Cancellation landed between the main run and the
-					// active rerun; journaling the truncated unit would
-					// poison every future resume.
-					return nil, fmt.Errorf("mix %d interrupted before the active-attacker rerun", id)
-				}
-				return json.Marshal(sv)
-			}
-			return nil, fmt.Errorf("unknown unit key %q", key)
-		},
-		PostRecord: func(key string) {
-			if killKey == "" || key != killKey {
-				return
-			}
-			if killOnce != "" {
-				f, err := os.OpenFile(killOnce, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-				if err != nil {
-					return // a previous incarnation already died here
-				}
-				f.Close()
-			}
-			log.Printf("kill hook: exiting after journaling %s", key)
-			os.Exit(17)
-		},
-	}
-	return shard.RunWorker(context.Background(), os.Stdin, os.Stdout, wcfg)
-}
-
-// shardCampaign drives a campaign across worker processes. It owns the
-// main journal: every streamed result is re-recorded there (bytes
-// verbatim), and each phase's outputs are assembled from the journal in
-// canonical order — exactly what a resumed sequential run does — so the
-// report and telemetry bytes cannot depend on shard scheduling.
-type shardCampaign struct {
-	cfg     config
-	journal *checkpoint.Journal
-	coord   *shard.Coordinator
-
-	mu        sync.Mutex
-	unitDone  map[string]func(outcome string, err error) // obs spans by unit key
-	recordErr error                                      // first main-journal write failure
-}
-
-// newShardCampaign merges any leftover shard journals from a previous
-// (killed) sharded run into the main journal, then spawns the workers.
-func newShardCampaign(cfg config, journal *checkpoint.Journal) (*shardCampaign, error) {
-	if journal == nil {
-		return nil, errors.New("-shards requires -checkpoint")
-	}
-	for i := 0; i < cfg.shards; i++ {
-		added, err := journal.MergeFrom(shardJournalPath(cfg.ckptPath, i))
-		if err != nil {
-			return nil, fmt.Errorf("merge shard %d journal: %w", i, err)
-		}
-		if added > 0 {
-			log.Printf("resumed %d units from shard %d's journal", added, i)
-		}
-	}
-	sc := &shardCampaign{
-		cfg:      cfg,
-		journal:  journal,
-		unitDone: make(map[string]func(string, error)),
-	}
-	coord, err := shard.New(sc.spawnWorker, shard.Options{
-		Workers: cfg.shards,
-		Lease:   shardLease,
-		Recover: func(shardIdx int) (map[string]json.RawMessage, error) {
-			path := shardJournalPath(cfg.ckptPath, shardIdx)
-			if at, ok := obs.LastBeat(path + ".heartbeat"); ok {
-				log.Printf("shard %d last heartbeat %s ago", shardIdx, time.Since(at).Round(time.Second))
-			}
-			return checkpoint.ReadUnits(path, cfg.fingerprint())
-		},
-		OnAssign: sc.onAssign,
-		OnResult: sc.onResult,
-		Logf:     log.Printf,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sc.coord = coord
-	return sc, nil
-}
-
-// spawnWorker re-execs this binary in -shard-worker mode. The argv mirrors
-// newWorkerFlags so the worker reconstructs the identical fingerprint; the
-// environment is inherited, which is how the kill-injection hooks reach
-// the workers in tests.
-func (sc *shardCampaign) spawnWorker(shardIdx int) (*shard.Proc, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
+// workerArgs is the part of the campaign's flags a shard worker needs: the
+// ones that enter the checkpoint fingerprint or a unit's execution. The
+// worker never writes the -telemetry file; the flag only tells it to
+// journal each mix's events.
+func (c config) workerArgs() []string {
+	ids := make([]string, len(c.ids))
+	for i, id := range c.ids {
+		ids[i] = strconv.Itoa(id)
 	}
 	args := []string{
-		"-shard-worker",
-		"-shard", strconv.Itoa(shardIdx),
-		"-scale", strconv.FormatFloat(sc.cfg.scale, 'g', -1, 64),
-		"-sensitivity-instructions", strconv.FormatUint(sc.cfg.sensIns, 10),
-		"-mixes", idsCSV(sc.cfg.ids),
-		"-checkpoint", sc.cfg.ckptPath,
+		"-scale", strconv.FormatFloat(c.scale, 'g', -1, 64),
+		"-sensitivity-instructions", strconv.FormatUint(c.sensIns, 10),
+		"-mixes", strings.Join(ids, ","),
+		"-checkpoint", c.ckptPath,
 	}
-	if !sc.cfg.active {
+	if !c.active {
 		args = append(args, "-skip-active")
 	}
-	if sc.cfg.traced {
-		args = append(args, "-traced")
+	if c.traced {
+		args = append(args, "-telemetry", c.telePath)
 	}
-	if sc.cfg.feCacheDir != "" {
-		args = append(args, "-fe-cache", sc.cfg.feCacheDir)
+	if c.feCacheDir != "" {
+		args = append(args, "-fe-cache", c.feCacheDir)
 	}
-	if sc.cfg.feCacheRebuild {
+	if c.feCacheRebuild {
 		args = append(args, "-fe-cache-rebuild")
 	}
-	if sc.cfg.oracleMixes {
+	if c.oracleMixes {
 		args = append(args, "-oracle-mixes")
 	}
-	cmd := exec.Command(exe, args...)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	return &shard.Proc{
-		In:   stdin,
-		Out:  stdout,
-		Kill: func() { cmd.Process.Kill() },
-		Wait: func() error { return cmd.Wait() },
-	}, nil
-}
-
-// onAssign opens the unit's observability span. A reassignment after a
-// worker death closes the orphaned span first so the progress counters
-// stay coherent.
-func (sc *shardCampaign) onAssign(key string, shardIdx int) {
-	phase, unit := obsUnitName(key)
-	sc.mu.Lock()
-	prev := sc.unitDone[key]
-	sc.unitDone[key] = experiments.ObserveUnit(phase, unit)
-	sc.mu.Unlock()
-	if prev != nil {
-		prev(experiments.UnitGenerated, errors.New("reassigned after worker death"))
-	}
-}
-
-// onResult re-records the streamed unit into the main journal — the raw
-// bytes pass through verbatim, so the main journal's value for a unit is
-// identical to what a sequential run would have recorded — and closes the
-// unit's span. Called from Run's event loop, never concurrently.
-func (sc *shardCampaign) onResult(key string, shardIdx int, value json.RawMessage, resumed bool) {
-	var err error
-	if recErr := sc.journal.Record(key, value); recErr != nil {
-		err = fmt.Errorf("checkpoint %s: %w", key, recErr)
-		sc.mu.Lock()
-		if sc.recordErr == nil {
-			sc.recordErr = err
-		}
-		sc.mu.Unlock()
-	}
-	outcome := experiments.UnitGenerated
-	if resumed {
-		outcome = experiments.UnitResumed
-	}
-	sc.mu.Lock()
-	done := sc.unitDone[key]
-	delete(sc.unitDone, key)
-	sc.mu.Unlock()
-	if done != nil {
-		done(outcome, err)
-	}
-	if sc.cfg.unitHook != nil && err == nil {
-		sc.cfg.unitHook(key)
-	}
-}
-
-// obsUnitName maps a journal key to the (phase, unit) names the sequential
-// path reports, so progress and span traces look the same either way.
-func obsUnitName(key string) (phase, unit string) {
-	if name, ok := strings.CutPrefix(key, "sens/"); ok {
-		return "sensitivity", name
-	}
-	return "mix", key
-}
-
-// runPhase executes the phase's not-yet-journaled keys on the workers.
-// Units already in the main journal (a resume, or a merged shard journal)
-// are observed as resumed, same as the sequential path.
-func (sc *shardCampaign) runPhase(ctx context.Context, keys []string) error {
-	todo := keys[:0:0]
-	for _, key := range keys {
-		if sc.journal.Done(key) {
-			phase, unit := obsUnitName(key)
-			if done := experiments.ObserveUnit(phase, unit); done != nil {
-				done(experiments.UnitResumed, nil)
-			}
-			continue
-		}
-		todo = append(todo, key)
-	}
-	_, err := sc.coord.Run(ctx, todo)
-	sc.mu.Lock()
-	recErr := sc.recordErr
-	sc.mu.Unlock()
-	if recErr != nil {
-		return recErr
-	}
-	return err
-}
-
-// sensitivityStudy runs the Figure 11 units across the workers and
-// assembles the study from the main journal in canonical benchmark order.
-// On interruption the partial study is returned with the error, matching
-// SensitivityStudyCheckpointed's contract.
-func (sc *shardCampaign) sensitivityStudy(ctx context.Context) ([]experiments.SensitivityResult, error) {
-	names := experiments.SensitivityOrder()
-	keys := make([]string, len(names))
-	for i, name := range names {
-		keys[i] = experiments.SensitivityKey(name)
-	}
-	runErr := sc.runPhase(ctx, keys)
-	study := make([]experiments.SensitivityResult, len(names))
-	for i, key := range keys {
-		var raw json.RawMessage
-		ok, err := sc.journal.Lookup(key, &raw)
-		if err != nil {
-			return study, fmt.Errorf("checkpoint %s: %w", key, err)
-		}
-		if !ok {
-			continue // interrupted before this unit; zero value, like the pool
-		}
-		if study[i], err = experiments.DecodeSensitivityUnit(raw); err != nil {
-			return study, fmt.Errorf("checkpoint %s: %w", key, err)
-		}
-	}
-	return study, runErr
-}
-
-// runMixes broadcasts the assembled study to the workers, runs the mix
-// units, and collects each mix's journaled outcome by index — nil where
-// an interrupt left the unit unfinished, exactly like the pooled path.
-func (sc *shardCampaign) runMixes(ctx context.Context, study []experiments.SensitivityResult) ([]*savedMix, error) {
-	raw, err := experiments.EncodeStudy(study)
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.coord.Broadcast("study", raw); err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(sc.cfg.ids))
-	for i, id := range sc.cfg.ids {
-		keys[i] = mixKey(id)
-	}
-	runErr := sc.runPhase(ctx, keys)
-	outcomes := make([]*savedMix, len(sc.cfg.ids))
-	for i, key := range keys {
-		var sv savedMix
-		ok, err := sc.journal.Lookup(key, &sv)
-		if err != nil {
-			return outcomes, fmt.Errorf("checkpoint %s: %w", key, err)
-		}
-		if ok {
-			outcomes[i] = &sv
-		}
-	}
-	return outcomes, runErr
-}
-
-// close shuts the workers down. Idempotent via the coordinator (dead
-// workers are skipped), so the deferred call after an explicit one is
-// harmless.
-func (sc *shardCampaign) close() {
-	if err := sc.coord.Shutdown(); err != nil {
-		log.Printf("shard shutdown: %v", err)
-	}
-	st := sc.coord.Stats()
-	log.Printf("shards: %d spawned, %d died, %d assigned, %d completed, %d recovered, %d requeued, %d duplicates",
-		st.Spawned, st.Died, st.Assigned, st.Completed, st.Recovered, st.Requeued, st.Duplicates)
-}
-
-func idsCSV(ids []int) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
-	}
-	return strings.Join(parts, ",")
+	return args
 }

@@ -6,6 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"untangle/internal/shard"
+)
+
+// The worker-kill injection hooks the sharded equivalence test arms.
+const (
+	envShardKillKey  = shard.EnvKillKey
+	envShardKillOnce = shard.EnvKillOnce
 )
 
 // TestMain lets this test binary double as the shard worker and the

@@ -10,12 +10,13 @@
 // Results are identical for every -jobs value. SIGINT cancels the study:
 // in-flight passes stop at their next front-end chunk.
 //
-// Usage:
-//
-// A full-fidelity study can journal its progress: -checkpoint records each
-// completed benchmark pass to a crash-safe JSONL file, and a restarted
-// study with the same flags skips the journaled passes and reproduces the
-// identical output (see docs/ROBUSTNESS.md).
+// The full study runs as one job on the campaign service (internal/campaign)
+// — the same path as cmd/experiments' sensitivity phase — with its units
+// in-process or, under -shards, on worker processes. A full-fidelity study
+// can journal its progress: -checkpoint records each completed benchmark
+// pass to a crash-safe JSONL file, and a restarted study with the same flags
+// skips the journaled passes and reproduces the identical output (see
+// docs/ROBUSTNESS.md).
 //
 // Usage:
 //
@@ -88,53 +89,46 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var journal *checkpoint.Journal
+	if *ckpt != "" && *bench != "" {
+		log.Fatal("-checkpoint journals the full study; it cannot be combined with -bench")
+	}
+	// The journal the study is assembled from: the checkpoint file, or a
+	// journal held in memory when the study is not checkpointed.
+	journal := checkpoint.Memory(studyFingerprint(*instructions))
 	if *ckpt != "" {
-		if *bench != "" {
-			log.Fatal("-checkpoint journals the full study; it cannot be combined with -bench")
-		}
-		var err error
-		journal, err = checkpoint.Open(*ckpt, checkpoint.Fingerprint{
-			Instructions: *instructions,
-			Units:        "sensitivity",
-			ParamsTag:    experiments.ParamsFingerprint(),
-		})
+		j, err := checkpoint.Open(*ckpt, studyFingerprint(*instructions))
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer journal.Close()
-		if n := journal.Resumed(); n > 0 {
+		defer j.Close()
+		if n := j.Resumed(); n > 0 {
 			log.Printf("resuming from %s: %d benchmark passes already complete", *ckpt, n)
 		}
+		journal = j
 	}
 
 	// Front-end trace cache: warm entries replay the post-L1 event stream
 	// instead of re-running the generator and L1 (bitwise-identical output;
-	// see EXPERIMENTS.md "Front-end trace cache").
+	// see EXPERIMENTS.md "Front-end trace cache"). Under -shards the workers
+	// do that work, so they own the cache.
 	var feStore *tracecache.Store
-	if *feCache != "" {
-		st, err := tracecache.NewStore(*feCache, *feRebuild)
+	if *feCache != "" && *shards <= 1 {
+		st, release, err := experiments.OpenFrontEndCache(*feCache, *feRebuild, log.Printf)
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer release()
 		feStore = st
-		experiments.SetFrontEndCache(feStore)
-		defer experiments.SetFrontEndCache(nil)
-		defer func() {
-			c := feStore.Counters()
-			log.Printf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written",
-				c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten)
-		}()
 	}
 
 	// Operational observability: progress/ETA and metrics for the full
 	// study. Wall-clock only — the printed figure is unchanged by any of it.
-	if *bench == "" && (*httpAddr != "" || journal != nil || (!*quiet && obs.IsTTY(os.Stderr))) {
+	if *bench == "" && (*httpAddr != "" || *ckpt != "" || (!*quiet && obs.IsTTY(os.Stderr))) {
 		progress := obs.NewProgress()
 		var hb *obs.Heartbeat
-		if journal != nil {
+		if path := obs.HeartbeatPath(journal); path != "" {
 			var err error
-			if hb, err = obs.OpenHeartbeat(obs.HeartbeatPath(journal)); err != nil {
+			if hb, err = obs.OpenHeartbeat(path); err != nil {
 				log.Printf("heartbeat: %v (continuing without)", err)
 			} else {
 				defer hb.Close()
@@ -179,10 +173,14 @@ func main() {
 		var r experiments.SensitivityResult
 		r, err = experiments.Sensitivity(*bench, *instructions)
 		study = []experiments.SensitivityResult{r}
-	case *shards > 1:
-		study, err = runShardedStudy(ctx, *shards, *instructions, journal, *feCache, *feRebuild)
 	default:
-		study, err = experiments.SensitivityStudyCheckpointed(ctx, *instructions, *jobs, journal)
+		study, err = runStudy(ctx, studyConfig{
+			instructions: *instructions,
+			jobs:         *jobs,
+			shards:       *shards,
+			feCache:      *feCache,
+			feRebuild:    *feRebuild,
+		}, journal)
 	}
 	if err != nil {
 		if ctx.Err() != nil {

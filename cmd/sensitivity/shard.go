@@ -1,9 +1,9 @@
-// Sharded study execution: -shards N partitions the 36 benchmark passes
-// across N worker processes re-exec'd from this binary with -shard-worker,
-// each journaling to <checkpoint>.shard<i> and streaming results back. The
-// merged study — and therefore the printed figure — is byte-identical to a
-// -jobs 1 run, worker kills included. The mechanism is the same as
-// cmd/experiments' (see internal/shard); this command only wires the
+// The full study as a campaign job: the 36 benchmark passes are one phase
+// on the campaign service, executed in-process or — under -shards N — on N
+// worker processes re-exec'd from this binary with -shard-worker, each
+// journaling to <checkpoint>.shard<i>. The figure is byte-identical either
+// way, worker kills included. The mechanism is cmd/experiments' (see
+// internal/shard and internal/campaign); this command only wires the
 // sensitivity phase.
 package main
 
@@ -13,40 +13,30 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/exec"
-	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
+	"untangle/internal/campaign"
 	"untangle/internal/checkpoint"
 	"untangle/internal/experiments"
-	"untangle/internal/obs"
 	"untangle/internal/shard"
-	"untangle/internal/tracecache"
 )
-
-const (
-	shardLease          = 2 * time.Minute
-	shardHeartbeatEvery = 5 * time.Second
-
-	// Worker-kill injection for the equivalence tests, same contract as
-	// cmd/experiments: journal the named unit, then exit; the O_EXCL
-	// sentinel keeps replacement workers alive.
-	envShardKillKey  = "UNTANGLE_SHARD_KILL_KEY"
-	envShardKillOnce = "UNTANGLE_SHARD_KILL_ONCE"
-)
-
-func shardJournalPath(ckpt string, shard int) string {
-	return fmt.Sprintf("%s.shard%d", ckpt, shard)
-}
 
 func studyFingerprint(instructions uint64) checkpoint.Fingerprint {
 	return checkpoint.Fingerprint{
 		Instructions: instructions,
 		Units:        "sensitivity",
 		ParamsTag:    experiments.ParamsFingerprint(),
+	}
+}
+
+// execSensitivity runs one "sens/<name>" unit, reporting a trace-cache
+// replay to the service as such.
+func execSensitivity(instructions uint64) func(ctx context.Context, key string) (json.RawMessage, error) {
+	return func(ctx context.Context, key string) (json.RawMessage, error) {
+		raw, outcome, err := experiments.RunSensitivityUnit(ctx, key, instructions)
+		campaign.ReportOutcome(ctx, outcome)
+		return raw, err
 	}
 }
 
@@ -70,207 +60,70 @@ func workerMain(args []string) int {
 		log.Print("-shard-worker requires -checkpoint")
 		return 2
 	}
-	// The coordinator owns the lifecycle; ^C reaches the process group but
-	// workers drain until told to stop (or their stdin closes).
-	signal.Ignore(os.Interrupt)
-
-	journal, err := checkpoint.Open(shardJournalPath(*ckpt, *shardIdx), studyFingerprint(*instructions))
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	defer journal.Close()
-
 	if *feCache != "" {
-		st, err := tracecache.NewStore(*feCache, *feRebuild)
+		_, release, err := experiments.OpenFrontEndCache(*feCache, *feRebuild, log.Printf)
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
-		experiments.SetFrontEndCache(st)
-		defer experiments.SetFrontEndCache(nil)
+		defer release()
 	}
-
-	var hb *obs.Heartbeat
-	if h, err := obs.OpenHeartbeat(obs.HeartbeatPath(journal)); err != nil {
-		log.Printf("heartbeat: %v (continuing without)", err)
-	} else {
-		hb = h
-		defer hb.Close()
-	}
-
-	killKey := os.Getenv(envShardKillKey)
-	killOnce := os.Getenv(envShardKillOnce)
-	wcfg := shard.WorkerConfig{
-		Shard:          *shardIdx,
-		Journal:        journal,
-		HeartbeatEvery: shardHeartbeatEvery,
-		OnBeat:         func() { hb.Beat(obs.Snapshot{}) },
-		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
-			name, ok := strings.CutPrefix(key, "sens/")
-			if !ok {
-				return nil, fmt.Errorf("unknown unit key %q", key)
-			}
-			return experiments.RunSensitivityUnit(ctx, name, *instructions)
-		},
-		PostRecord: func(key string) {
-			if killKey == "" || key != killKey {
-				return
-			}
-			if killOnce != "" {
-				f, err := os.OpenFile(killOnce, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-				if err != nil {
-					return
-				}
-				f.Close()
-			}
-			log.Printf("kill hook: exiting after journaling %s", key)
-			os.Exit(17)
-		},
-	}
-	if err := shard.RunWorker(context.Background(), os.Stdin, os.Stdout, wcfg); err != nil {
+	if err := shard.ServeWorker(*ckpt, studyFingerprint(*instructions), shard.WorkerConfig{
+		Shard: *shardIdx,
+		Exec:  execSensitivity(*instructions),
+	}); err != nil {
 		log.Print(err)
 		return 1
 	}
 	return 0
 }
 
-// runShardedStudy executes the study across worker processes and assembles
-// it from the main journal in canonical benchmark order, exactly as a
-// resumed sequential run would.
-func runShardedStudy(ctx context.Context, shards int, instructions uint64, journal *checkpoint.Journal, feCache string, feRebuild bool) ([]experiments.SensitivityResult, error) {
-	ckptPath := journal.Path()
-	for i := 0; i < shards; i++ {
-		added, err := journal.MergeFrom(shardJournalPath(ckptPath, i))
-		if err != nil {
-			return nil, fmt.Errorf("merge shard %d journal: %w", i, err)
-		}
-		if added > 0 {
-			log.Printf("resumed %d passes from shard %d's journal", added, i)
-		}
-	}
+// studyConfig is the full study's settings.
+type studyConfig struct {
+	instructions uint64
+	jobs         int // service workers for in-process units
+	shards       int // > 1: worker processes instead
+	feCache      string
+	feRebuild    bool
+}
 
-	spawn := func(shardIdx int) (*shard.Proc, error) {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
+// runStudy runs the study as one job on a campaign service and assembles
+// it from journal in canonical benchmark order. A unit that fails (after
+// its retries) fails the study.
+func runStudy(ctx context.Context, cfg studyConfig, journal *checkpoint.Journal) ([]experiments.SensitivityResult, error) {
+	exec, workers := execSensitivity(cfg.instructions), cfg.jobs
+	if cfg.shards > 1 {
 		args := []string{
-			"-shard-worker",
-			"-shard", strconv.Itoa(shardIdx),
-			"-instructions", strconv.FormatUint(instructions, 10),
-			"-checkpoint", ckptPath,
+			"-instructions", strconv.FormatUint(cfg.instructions, 10),
+			"-checkpoint", journal.Path(),
 		}
-		if feCache != "" {
-			args = append(args, "-fe-cache", feCache)
+		if cfg.feCache != "" {
+			args = append(args, "-fe-cache", cfg.feCache)
 		}
-		if feRebuild {
+		if cfg.feRebuild {
 			args = append(args, "-fe-cache-rebuild")
 		}
-		cmd := exec.Command(exe, args...)
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
+		coord, err := shard.Launch(journal, cfg.shards, args, log.Printf)
 		if err != nil {
 			return nil, err
 		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &shard.Proc{
-			In:   stdin,
-			Out:  stdout,
-			Kill: func() { cmd.Process.Kill() },
-			Wait: func() error { return cmd.Wait() },
-		}, nil
+		defer coord.Close()
+		exec, workers = coord.Exec, cfg.shards
 	}
-
-	unitDone := make(map[string]func(outcome string, err error))
-	var recordErr error
-	coord, err := shard.New(spawn, shard.Options{
-		Workers: shards,
-		Lease:   shardLease,
-		Recover: func(shardIdx int) (map[string]json.RawMessage, error) {
-			path := shardJournalPath(ckptPath, shardIdx)
-			if at, ok := obs.LastBeat(path + ".heartbeat"); ok {
-				log.Printf("shard %d last heartbeat %s ago", shardIdx, time.Since(at).Round(time.Second))
-			}
-			return checkpoint.ReadUnits(path, studyFingerprint(instructions))
+	svc := campaign.New(campaign.Options{Workers: workers})
+	defer svc.Drain(context.Background())
+	if err := svc.Run(ctx, campaign.JobSpec{
+		ID:         "sensitivity",
+		Phases:     []campaign.PhaseSpec{{Name: "sensitivity", Keys: experiments.SensitivityKeys()}},
+		Exec:       exec,
+		Journal:    journal,
+		FailFast:   true,
+		ReplayDead: true,
+		Observe: func(phase, key string) func(outcome string, err error) {
+			return experiments.ObserveUnit(phase, strings.TrimPrefix(key, "sens/"))
 		},
-		// OnAssign/OnResult run on the coordinator's event loop, never
-		// concurrently, so the maps need no locking here.
-		OnAssign: func(key string, shardIdx int) {
-			if prev := unitDone[key]; prev != nil {
-				prev(experiments.UnitGenerated, fmt.Errorf("reassigned after worker death"))
-			}
-			unitDone[key] = experiments.ObserveUnit("sensitivity", strings.TrimPrefix(key, "sens/"))
-		},
-		OnResult: func(key string, shardIdx int, value json.RawMessage, resumed bool) {
-			var err error
-			if recErr := journal.Record(key, value); recErr != nil && recordErr == nil {
-				recordErr = fmt.Errorf("checkpoint %s: %w", key, recErr)
-				err = recordErr
-			}
-			outcome := experiments.UnitGenerated
-			if resumed {
-				outcome = experiments.UnitResumed
-			}
-			if done := unitDone[key]; done != nil {
-				done(outcome, err)
-				delete(unitDone, key)
-			}
-		},
-		Logf: log.Printf,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err := coord.Shutdown(); err != nil {
-			log.Printf("shard shutdown: %v", err)
-		}
-		st := coord.Stats()
-		log.Printf("shards: %d spawned, %d died, %d assigned, %d completed, %d recovered, %d requeued, %d duplicates",
-			st.Spawned, st.Died, st.Assigned, st.Completed, st.Recovered, st.Requeued, st.Duplicates)
-	}()
-
-	names := experiments.SensitivityOrder()
-	todo := make([]string, 0, len(names))
-	for _, name := range names {
-		key := experiments.SensitivityKey(name)
-		if journal.Done(key) {
-			if done := experiments.ObserveUnit("sensitivity", name); done != nil {
-				done(experiments.UnitResumed, nil)
-			}
-			continue
-		}
-		todo = append(todo, key)
-	}
-	_, runErr := coord.Run(ctx, todo)
-	if recordErr != nil {
-		return nil, recordErr
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	study := make([]experiments.SensitivityResult, len(names))
-	for i, name := range names {
-		key := experiments.SensitivityKey(name)
-		var raw json.RawMessage
-		ok, err := journal.Lookup(key, &raw)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint %s: %w", key, err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("checkpoint %s: missing after sharded run", key)
-		}
-		if study[i], err = experiments.DecodeSensitivityUnit(raw); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: %w", key, err)
-		}
-	}
-	return study, nil
+	return experiments.StudyFromJournal(journal)
 }

@@ -9,6 +9,13 @@ import (
 	"untangle/internal/checkpoint"
 	"untangle/internal/experiments"
 	"untangle/internal/report"
+	"untangle/internal/shard"
+)
+
+// The worker-kill injection hooks the sharded equivalence test arms.
+const (
+	envShardKillKey  = shard.EnvKillKey
+	envShardKillOnce = shard.EnvKillOnce
 )
 
 // TestMain lets this test binary double as the shard worker (the
@@ -49,7 +56,7 @@ func TestShardedStudyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shJ.Close()
-	got, err := runShardedStudy(ctx, 2, instructions, shJ, "", false)
+	got, err := runStudy(ctx, studyConfig{instructions: instructions, shards: 2}, shJ)
 	if err != nil {
 		t.Fatal(err)
 	}

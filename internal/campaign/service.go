@@ -1,11 +1,17 @@
 // The resident campaign service. A Service owns a worker pool fed by one
 // bounded priority queue; a submitted job decomposes into phases of keyed
-// units that flow through the queue onto the workers. A unit that fails for
-// real — exhausted retries inside its executor, or a panic — lands in the
-// job's dead-letter journal (checkpoint.RecordDead) instead of failing the
-// campaign: the job completes degraded, reporting how many units died, and
-// a later replay submission (ReplayDead) re-drives exactly the dead keys.
-// docs/ROBUSTNESS.md "Dead-letter journal" walks the lifecycle.
+// units that flow through the queue onto the workers. It is the only unit
+// scheduler in the repository: every campaign of cmd/experiments and
+// cmd/sensitivity runs as a job here, executing its units either in-process
+// or on shard worker processes (JobSpec.Exec = shard.Coordinator.Exec).
+//
+// A unit that fails for real — exhausted retries inside its executor, or a
+// panic — is settled by the job's failure policy. By default it lands in
+// the job's dead-letter journal (checkpoint.RecordDead) instead of failing
+// the campaign: the job completes degraded, reporting how many units died,
+// and a later replay submission (ReplayDead) re-drives exactly the dead
+// keys. A FailFast job instead fails on the first such unit and cancels
+// the rest. docs/ROBUSTNESS.md "Dead-letter journal" walks the lifecycle.
 package campaign
 
 import (
@@ -95,22 +101,43 @@ type JobSpec struct {
 	// campaign does not burn retries on a unit known to be poisoned.
 	ReplayDead bool
 	// Observe, when set, is notified as each unit begins, mirroring
-	// experiments.UnitObserver. Outcomes: "" ran, "resumed" journal skip,
-	// "dead" dead-lettered (fresh or skipped), "abandoned" never ran.
+	// experiments.UnitObserver. Outcomes: "" ran (or whatever the executor
+	// reported through ReportOutcome), "resumed" journal skip, "dead"
+	// dead-lettered (fresh or skipped), "abandoned" never ran.
 	Observe func(phase, key string) func(outcome string, err error)
 	// PostRecord, when set, runs after a unit's result is journaled — the
 	// kill-injection seam the drain tests use.
 	PostRecord func(key string)
+	// FailFast is the failure policy. Zero value: a unit that fails for
+	// real dead-letters and the job completes degraded. Set: the first such
+	// unit fails the job and cancels its remaining units.
+	FailFast bool
+}
+
+// outcomeKey carries a unit's outcome slot in the context handed to Exec.
+type outcomeKey struct{}
+
+// ReportOutcome lets an executor refine the outcome its successful unit
+// settles with — experiments.UnitReplayed for a unit served from the
+// front-end trace cache, "resumed" for one a shard worker replayed from its
+// own journal — so observers keep fast units out of their rate estimates.
+// Outside a service Exec it is a no-op.
+func ReportOutcome(ctx context.Context, outcome string) {
+	if p, ok := ctx.Value(outcomeKey{}).(*string); ok {
+		*p = outcome
+	}
 }
 
 // Unit outcomes reported to JobSpec.Observe beyond the experiments ones.
 const outcomeAbandoned = "abandoned"
 
-// task is one queued unit.
+// task is one queued unit. done is its observation span, opened when a
+// worker begins executing it.
 type task struct {
 	job   *Job
 	phase string
 	key   string
+	done  func(outcome string, err error)
 }
 
 // Service is the resident campaign service: Submit jobs, watch them via
@@ -193,7 +220,7 @@ func (s *Service) Queue() QueueSnapshot { return s.q.Snapshot() }
 func (s *Service) Draining() bool { return s.isDraining() }
 
 // Submit registers the job and starts feeding its units through the queue.
-// It returns immediately; watch the job via Wait/Done/Status.
+// It returns immediately; watch the job via Wait and Status, or use Run.
 func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	if spec.ID == "" {
 		return nil, errors.New("campaign: job needs an ID")
@@ -237,12 +264,36 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	return job, nil
 }
 
-// Job returns a registered job by ID.
-func (s *Service) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
-	return job, ok
+// Run submits the job and waits for it to end, canceling it if ctx ends
+// first. A unit not yet begun when ctx ends never starts, even if a worker
+// already dequeued it, so a caller that cancels from a unit hook stops the
+// job at a deterministic point. Run returns Job.Wait's error, ctx's once
+// ctx ended; a service already draining interrupts the job before it
+// starts (ErrInterrupted: resubmitting resumes it).
+func (s *Service) Run(ctx context.Context, spec JobSpec) error {
+	if exec := spec.Exec; exec != nil {
+		spec.Exec = func(jctx context.Context, key string) (json.RawMessage, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return exec(jctx, key)
+		}
+	}
+	job, err := s.Submit(spec)
+	if errors.Is(err, ErrDraining) {
+		return ErrInterrupted
+	}
+	if err != nil {
+		return err
+	}
+	defer context.AfterFunc(ctx, job.Cancel)()
+	err = job.Wait(context.Background())
+	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
+		// The units ctx kept from starting can finish the job before the
+		// cancellation reaches it; the cause is still ctx.
+		return ctx.Err()
+	}
+	return err
 }
 
 // Jobs returns every registered job's status in submission order (a
@@ -260,17 +311,6 @@ func (s *Service) Jobs() []Status {
 		out = append(out, s.jobs[id].Status())
 	}
 	return out
-}
-
-// Cancel cancels a job: queued and unstarted units are abandoned, in-flight
-// ones see their context end. Reports whether the ID was known.
-func (s *Service) Cancel(id string) bool {
-	job, ok := s.Job(id)
-	if !ok {
-		return false
-	}
-	job.Cancel()
-	return true
 }
 
 // Drain shuts the service down gracefully: no further submissions, no
@@ -398,13 +438,17 @@ func (s *Service) worker() {
 //   - anything else — exhausted retries, a panic, a hard error: the unit is
 //     poisoned. It dead-letters with its attempt count and stack, and the
 //     campaign carries on degraded.
+//
+// A FailFast job fails on a poisoned unit instead of dead-lettering it.
 func (s *Service) runUnit(t *task) {
 	job := t.job
 	if job.ctx.Err() != nil {
 		job.settle(t, outcomeAbandoned, job.ctx.Err())
 		return
 	}
-	raw, err := execGuarded(job, t.key)
+	t.done = job.observe(t.phase, t.key)
+	outcome := ""
+	raw, err := execGuarded(context.WithValue(job.ctx, outcomeKey{}, &outcome), job, t.key)
 	switch {
 	case err == nil:
 		if recErr := job.spec.Journal.Record(t.key, raw); recErr != nil {
@@ -417,8 +461,12 @@ func (s *Service) runUnit(t *task) {
 		if job.spec.PostRecord != nil {
 			job.spec.PostRecord(t.key)
 		}
-		job.settle(t, "", nil)
+		job.settle(t, outcome, nil)
 	case job.ctx.Err() != nil, errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		job.settle(t, outcomeAbandoned, err)
+	case job.spec.FailFast:
+		job.fail(fmt.Errorf("campaign: unit %s: %w", t.key, err))
+		job.cancel()
 		job.settle(t, outcomeAbandoned, err)
 	default:
 		dl := newDeadLetter(t.key, err)
@@ -438,13 +486,13 @@ func (s *Service) runUnit(t *task) {
 // execGuarded runs the job's executor with a panic guard: a panicking unit
 // becomes a diagnosable *parallel.PanicError (Index -1: no pool index here)
 // destined for the dead-letter journal, never a crashed service.
-func execGuarded(job *Job, key string) (raw json.RawMessage, err error) {
+func execGuarded(ctx context.Context, job *Job, key string) (raw json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &parallel.PanicError{Index: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return job.spec.Exec(job.ctx, key)
+	return job.spec.Exec(ctx, key)
 }
 
 // newDeadLetter shapes a unit's terminal error into its journal record:
@@ -491,9 +539,6 @@ type Job struct {
 	phaseDone       chan struct{}
 	doneCh          chan struct{}
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
 // Err returns the job's failure, if any.
 func (j *Job) Err() error {
@@ -587,7 +632,7 @@ func (j *Job) terminal() bool {
 }
 
 // fail records the job's first hard error (journal write, phase assembly,
-// rejection). Unit failures never come here — they dead-letter.
+// rejection, or a FailFast job's failed unit).
 func (j *Job) fail(err error) {
 	j.mu.Lock()
 	if j.err == nil {
@@ -634,10 +679,18 @@ func (j *Job) waitPhase() {
 	<-ch
 }
 
-// settle records a queued unit's outcome and wakes the feeder when the
-// phase is fully settled.
+// settle records a queued unit's outcome, closes its observation span
+// (opening one first if the unit never began), and wakes the feeder when
+// the phase is fully settled. The span closes first, so a job is never
+// reported finished ahead of its units' observations.
 func (j *Job) settle(t *task, outcome string, err error) {
-	done := j.observe(t.phase, t.key)
+	done := t.done
+	if done == nil {
+		done = j.observe(t.phase, t.key)
+	}
+	if done != nil {
+		done(outcome, err)
+	}
 	j.mu.Lock()
 	j.account(t.key, outcome)
 	j.settled++
@@ -646,9 +699,6 @@ func (j *Job) settle(t *task, outcome string, err error) {
 		j.phaseDone = nil
 	}
 	j.mu.Unlock()
-	if done != nil {
-		done(outcome, err)
-	}
 }
 
 // settleSkip records a unit that never entered the queue (journal skip,
@@ -667,9 +717,6 @@ func (j *Job) settleSkip(phase, key, outcome string, err error) {
 // holds j.mu.
 func (j *Job) account(key, outcome string) {
 	switch outcome {
-	case "":
-		j.done++
-		j.svc.unitsDone.Add(1)
 	case "resumed":
 		j.done++
 		j.resumed++
@@ -681,6 +728,9 @@ func (j *Job) account(key, outcome string) {
 	case outcomeAbandoned:
 		j.abandoned++
 		j.svc.unitsAbandoned.Add(1)
+	default: // ran: generated, or replayed from a front-end cache
+		j.done++
+		j.svc.unitsDone.Add(1)
 	}
 }
 

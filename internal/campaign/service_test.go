@@ -581,3 +581,139 @@ func TestServiceObserverAndMetrics(t *testing.T) {
 		t.Errorf("units dead gauge = %v", got)
 	}
 }
+
+// A FailFast job fails on its first poisoned unit — naming it, journaling
+// no dead letter — and cancels the units behind it.
+func TestServiceFailFastCancelsRest(t *testing.T) {
+	j := testJournal(t, t.TempDir())
+	s := New(Options{Workers: 1, QueueDepth: 8})
+	defer drainAll(t, s)
+
+	var mu sync.Mutex
+	var ran []string
+	job, err := s.Submit(JobSpec{
+		ID: "c1", Journal: j, FailFast: true,
+		Phases: []PhaseSpec{
+			{Name: "mix", Keys: []string{"mix/1", "mix/2", "mix/3"}},
+			{Name: "late", Keys: []string{"late/1"}},
+		},
+		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
+			mu.Lock()
+			ran = append(ran, key)
+			mu.Unlock()
+			if key == "mix/2" {
+				return nil, errors.New("engine exploded")
+			}
+			return okExec(ctx, key)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = job.Wait(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "mix/2") || !strings.Contains(err.Error(), "engine exploded") {
+		t.Fatalf("err = %v, want the failed unit and its cause", err)
+	}
+	st := job.Status()
+	if st.State != StateFailed || st.Dead != 0 || j.DeadLen() != 0 {
+		t.Errorf("status = %+v, journal dead = %d; want failed with no dead letters", st, j.DeadLen())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if strings.Join(ran, ",") != "mix/1,mix/2" {
+		t.Errorf("ran %v, want the units up to the failure only", ran)
+	}
+	if !j.Done("mix/1") || j.Done("mix/3") {
+		t.Error("journal does not hold exactly the units that completed")
+	}
+}
+
+// An executor refines its unit's outcome through ReportOutcome; the
+// observer sees it from the moment the unit begins, and the accounting
+// keeps resumed units apart.
+func TestServiceReportOutcome(t *testing.T) {
+	j := testJournal(t, t.TempDir())
+	s := New(Options{Workers: 1})
+	defer drainAll(t, s)
+
+	var mu sync.Mutex
+	outcomes := map[string]string{}
+	began := map[string]bool{}
+	job, err := s.Submit(JobSpec{
+		ID: "c1", Journal: j,
+		Phases: []PhaseSpec{{Name: "sens", Keys: []string{"sens/a", "sens/b", "sens/c"}}},
+		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
+			mu.Lock()
+			open := began[key]
+			mu.Unlock()
+			if !open {
+				return nil, fmt.Errorf("%s executing before its span opened", key)
+			}
+			switch key {
+			case "sens/a":
+				ReportOutcome(ctx, "replayed")
+			case "sens/b":
+				ReportOutcome(ctx, "resumed")
+			}
+			return okExec(ctx, key)
+		},
+		Observe: func(phase, key string) func(string, error) {
+			mu.Lock()
+			began[key] = true
+			mu.Unlock()
+			return func(outcome string, err error) {
+				mu.Lock()
+				outcomes[key] = outcome
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if outcomes["sens/a"] != "replayed" || outcomes["sens/b"] != "resumed" || outcomes["sens/c"] != "" {
+		t.Errorf("outcomes = %v", outcomes)
+	}
+	if st := job.Status(); st.Done != 3 || st.Resumed != 1 {
+		t.Errorf("status = %+v, want 3 done, 1 resumed", st)
+	}
+	ReportOutcome(context.Background(), "replayed") // no slot: a no-op
+}
+
+// Run cancels the job with its context, and a unit behind the one whose
+// hook canceled never starts — the deterministic stop point the
+// kill-and-resume tests rely on.
+func TestServiceRunStopsAtCancel(t *testing.T) {
+	j := testJournal(t, t.TempDir())
+	s := New(Options{Workers: 1})
+	defer drainAll(t, s)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	var ran []string
+	err := s.Run(ctx, JobSpec{
+		ID: "c1", Journal: j,
+		Phases: []PhaseSpec{{Name: "mix", Keys: []string{"mix/1", "mix/2", "mix/3"}}},
+		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
+			mu.Lock()
+			ran = append(ran, key)
+			mu.Unlock()
+			return okExec(ctx, key)
+		},
+		PostRecord: func(key string) { cancel() },
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || j.Len() != 1 {
+		t.Errorf("ran %v, journaled %d; want only mix/1", ran, j.Len())
+	}
+}

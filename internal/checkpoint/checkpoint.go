@@ -290,6 +290,14 @@ func Open(path string, fp Fingerprint) (*Journal, error) {
 	return j, nil
 }
 
+// Memory returns a journal held only in memory: the same index, Lookup,
+// Record and dead-letter semantics as a file-backed journal, with no file
+// and no fsync. Campaigns run without -checkpoint use it, so every run
+// assembles its phases from one store whether or not it is durable.
+func Memory(fp Fingerprint) *Journal {
+	return &Journal{fp: fp, done: map[string]json.RawMessage{}, dead: map[string]DeadLetter{}}
+}
+
 func create(path string, fp Fingerprint) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -304,8 +312,12 @@ func create(path string, fp Fingerprint) (*Journal, error) {
 }
 
 // append marshals rec, writes it as one line, and makes it durable. The
-// caller must hold no lock; append takes it.
+// caller must hold no lock; append takes it. A Memory journal has no file
+// and keeps only its index.
 func (j *Journal) append(rec record) error {
+	if j.path == "" {
+		return nil
+	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -496,8 +508,12 @@ func (j *Journal) MergeFrom(path string) (added int, err error) {
 }
 
 // Path returns the journal's file path, so sidecar files (the observability
-// heartbeat) can be placed next to it.
+// heartbeat) can be placed next to it; "" for a Memory journal.
 func (j *Journal) Path() string { return j.path }
+
+// Fingerprint returns the configuration the journal is pinned to, so the
+// journals that merge into it (per-shard files) can be read under it.
+func (j *Journal) Fingerprint() Fingerprint { return j.fp }
 
 // Len returns the number of journaled units.
 func (j *Journal) Len() int {

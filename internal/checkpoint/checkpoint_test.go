@@ -294,3 +294,35 @@ func TestConcurrentRecord(t *testing.T) {
 		}
 	}
 }
+
+// A Memory journal keeps the file journal's index semantics — record,
+// lookup, dead letters superseded by a later result — without a file.
+func TestMemoryJournal(t *testing.T) {
+	j := Memory(testFP())
+	if j.Path() != "" {
+		t.Errorf("Path = %q, want empty", j.Path())
+	}
+	want := unit{Mean: 1.5, Label: "mcf"}
+	if err := j.Record("sens/mcf", want); err != nil {
+		t.Fatal(err)
+	}
+	var got unit
+	if ok, err := j.Lookup("sens/mcf", &got); !ok || err != nil || got != want {
+		t.Fatalf("Lookup = %+v, %v, %v; want %+v", got, ok, err, want)
+	}
+	if err := j.RecordDead(DeadLetter{Key: "mix/3", Attempts: 3, Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, dead := j.Dead("mix/3"); !dead || j.DeadLen() != 1 {
+		t.Fatal("dead letter not indexed")
+	}
+	if err := j.Record("mix/3", unit{Label: "mix3"}); err != nil {
+		t.Fatal(err)
+	}
+	if j.DeadLen() != 0 || !j.Done("mix/3") || j.Len() != 2 {
+		t.Errorf("replayed unit did not supersede its dead letter: dead %d, len %d", j.DeadLen(), j.Len())
+	}
+	if err := j.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}

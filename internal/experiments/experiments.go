@@ -568,11 +568,20 @@ func SensitivityStudy(instructions uint64, jobs int) ([]SensitivityResult, error
 // SensitivityStudyContext is SensitivityStudy with cancellation: canceling
 // ctx stops benchmarks that have not started, interrupts in-flight engine
 // passes at their next front-end chunk, and returns the context's error.
-// It is the uncheckpointed special case of SensitivityStudyCheckpointed,
+// Each benchmark runs the same per-unit body as SensitivityStudyCheckpointed,
 // so every study — journaled or not — retries transient per-pass failures
-// and isolates panics to the failing benchmark.
+// and isolates panics to the failing benchmark; results stay in memory,
+// with no journal encoding on the way.
 func SensitivityStudyContext(ctx context.Context, instructions uint64, jobs int) ([]SensitivityResult, error) {
-	return SensitivityStudyCheckpointed(ctx, instructions, jobs, nil)
+	params := sortedSPECParams()
+	return parallel.Map(ctx, len(params), jobs, func(ctx context.Context, i int) (SensitivityResult, error) {
+		unitDone := ObserveUnit("sensitivity", params[i].Name)
+		r, outcome, err := runSensitivityPass(ctx, params[i], instructions)
+		if unitDone != nil {
+			unitDone(outcome, err)
+		}
+		return r, err
+	})
 }
 
 // ClassifyStudy computes all 36 classifications. With the multi-lane engine

@@ -30,6 +30,24 @@ func SetFrontEndCache(st *tracecache.Store) { frontEndCache.Store(st) }
 // FrontEndCache returns the installed store, or nil when caching is off.
 func FrontEndCache() *tracecache.Store { return frontEndCache.Load() }
 
+// OpenFrontEndCache opens the store at dir (rebuild: regenerate corrupt or
+// mismatched entries) and installs it. The returned release removes it
+// again and reports its counters through logf — the "fe-cache:" line a
+// process that did the cache's work prints on exit.
+func OpenFrontEndCache(dir string, rebuild bool, logf func(format string, args ...any)) (*tracecache.Store, func(), error) {
+	st, err := tracecache.NewStore(dir, rebuild)
+	if err != nil {
+		return nil, nil, err
+	}
+	SetFrontEndCache(st)
+	return st, func() {
+		SetFrontEndCache(nil)
+		c := st.Counters()
+		logf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written",
+			c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten)
+	}, nil
+}
+
 // cachedParamsTag memoizes ParamsFingerprint for the trace-cache key: the
 // tables are compiled in, so the tag is constant for the process lifetime,
 // and hashing them once instead of once per pass keeps key construction off

@@ -87,77 +87,72 @@ func (u sensUnit) result() SensitivityResult {
 // SensitivityStudyCheckpointed is the resilient Figure 11 study: each
 // benchmark pass is retried on transient failure, journaled on completion,
 // and skipped (its journaled curve replayed) when the journal already holds
-// it. j may be nil, which degrades to SensitivityStudyContext plus retry.
-// The journaled values round-trip bit-exactly (the IPC curve is stored as
-// IEEE-754 bit patterns, see checkpoint.F64), so a resumed study is
-// identical to an uninterrupted one — the property the cmd/experiments
-// equivalence test pins down at the report-byte level.
+// it. A nil j is SensitivityStudyContext. The journaled values round-trip
+// bit-exactly (the IPC curve is stored as IEEE-754 bit patterns, see
+// checkpoint.F64), so a resumed study is identical to an uninterrupted one —
+// the property the cmd/experiments equivalence test pins down at the
+// report-byte level.
 func SensitivityStudyCheckpointed(ctx context.Context, instructions uint64, jobs int, j *checkpoint.Journal) ([]SensitivityResult, error) {
+	if j == nil {
+		return SensitivityStudyContext(ctx, instructions, jobs)
+	}
 	params := sortedSPECParams()
-	store := FrontEndCache()
 	return parallel.Map(ctx, len(params), jobs,
 		func(ctx context.Context, i int) (SensitivityResult, error) {
 			key := SensitivityKey(params[i].Name)
 			unitDone := ObserveUnit("sensitivity", params[i].Name)
-			if j != nil {
-				var u sensUnit
-				if ok, err := j.Lookup(key, &u); err != nil {
-					if unitDone != nil {
-						unitDone(UnitGenerated, err)
-					}
-					return SensitivityResult{}, fmt.Errorf("checkpoint %s: %w", key, err)
-				} else if ok {
-					if unitDone != nil {
-						unitDone(UnitResumed, nil)
-					}
-					return u.result(), nil
-				}
-			}
-			var (
-				sizes   []int64
-				ipcs    []float64
-				outcome string
-			)
-			err := parallel.RetryUnit(ctx, key, RetryAttempts, RetryBackoff, func(ctx context.Context, attempt int) error {
-				if ferr := FireUnitFault(key); ferr != nil {
-					return ferr
-				}
-				passDone := ObserveUnit("sensitivity/pass", fmt.Sprintf("%s#%d", params[i].Name, attempt))
-				e := enginePool.Get().(*laneEngine)
-				defer enginePool.Put(e)
-				sizes = e.sizes
-				var (
-					replayed bool
-					err      error
-				)
-				ipcs, replayed, err = e.run(ctx, store, params[i], instructions)
-				outcome = UnitGenerated
-				if replayed {
-					outcome = UnitReplayed
-				}
-				if passDone != nil {
-					passDone(outcome, err)
-				}
-				return err
-			})
-			if err != nil {
-				if unitDone != nil {
-					unitDone(UnitGenerated, err)
-				}
-				return SensitivityResult{}, err
-			}
-			r := assembleSensitivity(params[i].Name, sizes, ipcs)
-			if j != nil {
-				if err := j.Record(key, toSensUnit(r)); err != nil {
-					if unitDone != nil {
-						unitDone(UnitGenerated, err)
-					}
-					return SensitivityResult{}, fmt.Errorf("checkpoint %s: %w", key, err)
+			var u sensUnit
+			ok, err := j.Lookup(key, &u)
+			r, outcome := u.result(), UnitResumed
+			if err == nil && !ok {
+				if r, outcome, err = runSensitivityPass(ctx, params[i], instructions); err == nil {
+					err = j.Record(key, toSensUnit(r))
 				}
 			}
 			if unitDone != nil {
-				unitDone(outcome, nil)
+				unitDone(outcome, err)
 			}
-			return r, nil
+			return r, err
 		})
+}
+
+// runSensitivityPass is the one per-unit body of the study, whatever runs
+// the unit: the benchmark's multi-lane engine pass with transient
+// retry, a pooled engine, the unit fault seam, and a "sensitivity/pass"
+// sub-span per attempt. The outcome is UnitReplayed when the front end
+// came from the trace cache, UnitGenerated otherwise.
+func runSensitivityPass(ctx context.Context, p workload.Params, instructions uint64) (SensitivityResult, string, error) {
+	key := SensitivityKey(p.Name)
+	store := FrontEndCache()
+	var (
+		sizes   []int64
+		ipcs    []float64
+		outcome string
+	)
+	err := parallel.RetryUnit(ctx, key, RetryAttempts, RetryBackoff, func(ctx context.Context, attempt int) error {
+		if ferr := FireUnitFault(key); ferr != nil {
+			return ferr
+		}
+		passDone := ObserveUnit("sensitivity/pass", fmt.Sprintf("%s#%d", p.Name, attempt))
+		e := enginePool.Get().(*laneEngine)
+		defer enginePool.Put(e)
+		sizes = e.sizes
+		var (
+			replayed bool
+			err      error
+		)
+		ipcs, replayed, err = e.run(ctx, store, p, instructions)
+		outcome = UnitGenerated
+		if replayed {
+			outcome = UnitReplayed
+		}
+		if passDone != nil {
+			passDone(outcome, err)
+		}
+		return err
+	})
+	if err != nil {
+		return SensitivityResult{}, UnitGenerated, err
+	}
+	return assembleSensitivity(p.Name, sizes, ipcs), outcome, nil
 }

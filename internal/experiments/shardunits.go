@@ -1,96 +1,72 @@
-// Shard-worker entry points: the pieces of the evaluation a sharded
-// campaign's worker processes execute one unit at a time, plus the journal
-// encodings that cross the process boundary. Everything here reuses the
-// exact retry/engine/assembly path of the in-process study, so a unit's
-// journal bytes are identical whether it ran inline, checkpointed, or on a
-// worker three respawns deep — the byte-equality the shard coordinator
-// verifies on every duplicate result.
+// Campaign-executor entry points: the pieces of the evaluation a campaign
+// job executes one unit at a time — on the service's goroutines or inside a
+// shard worker process — plus the journal encodings that cross the process
+// boundary. Everything here reuses the exact retry/engine/assembly path of
+// the in-process study, so a unit's journal bytes are identical whether it
+// ran inline, checkpointed, or on a worker three respawns deep — the
+// byte-equality the shard coordinator verifies on every duplicate result.
 package experiments
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 
-	"untangle/internal/parallel"
-	"untangle/internal/workload"
+	"untangle/internal/checkpoint"
 )
 
-// SensitivityOrder returns the benchmark names of the Figure 11 study in
-// canonical (sorted) execution order — the order the in-process study fans
-// out and the order a sharded campaign enumerates its sensitivity units.
-func SensitivityOrder() []string {
+// SensitivityKeys returns the journal keys of the Figure 11 study's units
+// in canonical (sorted) execution order — the order the in-process study
+// fans out and a campaign enumerates its sensitivity phase.
+func SensitivityKeys() []string {
 	params := sortedSPECParams()
-	names := make([]string, len(params))
+	keys := make([]string, len(params))
 	for i, p := range params {
-		names[i] = p.Name
+		keys[i] = SensitivityKey(p.Name)
 	}
-	return names
+	return keys
 }
 
-// RunSensitivityUnit executes one benchmark's sensitivity pass — transient
-// retry, engine reuse, observability sub-spans, everything the
-// checkpointed study does per unit — and returns the unit's journal
-// encoding. Shard workers call this for "sens/<name>" assignments; the
-// returned bytes are what SensitivityStudyCheckpointed would have recorded
-// for the same unit.
-func RunSensitivityUnit(ctx context.Context, name string, instructions uint64) (json.RawMessage, error) {
-	var params *workload.Params
+// StudyFromJournal assembles the Figure 11 study from a campaign journal in
+// canonical benchmark order. A benchmark the journal lacks — dead-lettered,
+// or cut off by an interrupt — leaves a zero row, so the figure renders
+// degraded rather than failing.
+func StudyFromJournal(j *checkpoint.Journal) ([]SensitivityResult, error) {
+	keys := SensitivityKeys()
+	study := make([]SensitivityResult, len(keys))
+	for i, key := range keys {
+		var u sensUnit
+		ok, err := j.Lookup(key, &u)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint %s: %w", key, err)
+		}
+		if ok {
+			study[i] = u.result()
+		}
+	}
+	return study, nil
+}
+
+// RunSensitivityUnit executes the unit with journal key "sens/<name>" —
+// the study's per-unit body, see runSensitivityPass — and returns the
+// unit's journal encoding and outcome (UnitReplayed or UnitGenerated). The
+// campaign executors call it; the bytes are what
+// SensitivityStudyCheckpointed records for the same unit.
+func RunSensitivityUnit(ctx context.Context, key string, instructions uint64) (json.RawMessage, string, error) {
+	name, ok := strings.CutPrefix(key, "sens/")
 	for _, p := range sortedSPECParams() {
-		if p.Name == name {
-			pp := p
-			params = &pp
-			break
+		if !ok || p.Name != name {
+			continue
 		}
-	}
-	if params == nil {
-		return nil, fmt.Errorf("experiments: unknown sensitivity benchmark %q", name)
-	}
-	store := FrontEndCache()
-	var (
-		sizes []int64
-		ipcs  []float64
-	)
-	err := parallel.RetryUnit(ctx, SensitivityKey(name), RetryAttempts, RetryBackoff, func(ctx context.Context, attempt int) error {
-		if ferr := FireUnitFault(SensitivityKey(name)); ferr != nil {
-			return ferr
+		r, outcome, err := runSensitivityPass(ctx, p, instructions)
+		if err != nil {
+			return nil, outcome, err
 		}
-		passDone := ObserveUnit("sensitivity/pass", fmt.Sprintf("%s#%d", name, attempt))
-		e := enginePool.Get().(*laneEngine)
-		defer enginePool.Put(e)
-		sizes = e.sizes
-		var (
-			replayed bool
-			err      error
-		)
-		ipcs, replayed, err = e.run(ctx, store, *params, instructions)
-		if passDone != nil {
-			outcome := UnitGenerated
-			if replayed {
-				outcome = UnitReplayed
-			}
-			passDone(outcome, err)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
+		raw, err := json.Marshal(toSensUnit(r))
+		return raw, outcome, err
 	}
-	raw, err := json.Marshal(toSensUnit(assembleSensitivity(name, sizes, ipcs)))
-	if err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
-// DecodeSensitivityUnit reverses the journal encoding of one benchmark's
-// pass (the bytes RunSensitivityUnit and the checkpointed study produce).
-func DecodeSensitivityUnit(raw json.RawMessage) (SensitivityResult, error) {
-	var u sensUnit
-	if err := json.Unmarshal(raw, &u); err != nil {
-		return SensitivityResult{}, fmt.Errorf("experiments: decode sensitivity unit: %w", err)
-	}
-	return u.result(), nil
+	return nil, UnitGenerated, fmt.Errorf("experiments: unknown sensitivity unit %q", key)
 }
 
 // EncodeStudy packs an assembled study for broadcast to shard workers (mix

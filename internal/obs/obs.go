@@ -177,9 +177,10 @@ func (t *Tracer) Flush() error {
 
 // HeartbeatPath returns the conventional heartbeat location for a
 // checkpoint journal: a sidecar next to the journal file, so the two travel
-// together and an operator inspecting a run directory finds both.
+// together and an operator inspecting a run directory finds both. A nil or
+// in-memory journal has no heartbeat ("").
 func HeartbeatPath(j *checkpoint.Journal) string {
-	if j == nil {
+	if j == nil || j.Path() == "" {
 		return ""
 	}
 	return j.Path() + ".heartbeat"

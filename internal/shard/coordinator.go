@@ -8,6 +8,9 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"untangle/internal/campaign"
+	"untangle/internal/parallel"
 )
 
 // Proc is one spawned worker as the coordinator sees it: a pair of byte
@@ -35,16 +38,10 @@ type Options struct {
 	// Workers is the number of worker processes (shards). Minimum 1.
 	Workers int
 
-	// Window caps units in flight per worker. The default 2 keeps every
-	// worker's next unit queued behind its current one — enough to hide
-	// assignment latency without letting a dying worker strand a long
-	// backlog. This is the coordinator's backpressure bound: at most
-	// Workers×Window units are outstanding.
-	Window int
-
 	// Lease is how long a worker may stay silent (no result, no heartbeat)
-	// before it is declared dead and its units reassigned. Zero disables
-	// liveness monitoring — death is then detected only by stream EOF.
+	// while it runs a unit before it is declared dead and the unit run
+	// again. Zero disables liveness monitoring — death is then detected
+	// only by stream EOF.
 	Lease time.Duration
 
 	// MaxRespawns bounds replacement workers across the coordinator's
@@ -53,15 +50,9 @@ type Options struct {
 	MaxRespawns int
 
 	// Recover harvests a dead worker's per-shard journal
-	// (checkpoint.ReadUnits) so units it completed-but-never-streamed are
-	// not recomputed. May be nil (everything in flight is recomputed).
+	// (checkpoint.ReadUnits) so a unit it completed-but-never-streamed is
+	// not recomputed. May be nil (the unit in flight is recomputed).
 	Recover func(shard int) (map[string]json.RawMessage, error)
-
-	// OnAssign and OnResult observe unit flow (observability spans,
-	// progress counting, main-journal recording). Called from the Run
-	// goroutine, never concurrently.
-	OnAssign func(key string, shard int)
-	OnResult func(key string, shard int, value json.RawMessage, resumed bool)
 
 	// Logf reports worker lifecycle events (death, recovery, respawn).
 	// Default: discard.
@@ -75,51 +66,61 @@ type Stats struct {
 	Assigned   int // assignment messages sent
 	Completed  int // distinct units completed
 	Recovered  int // units harvested from dead workers' journals
-	Requeued   int // in-flight units reassigned after a death
+	Requeued   int // in-flight units run again after a death
 	Duplicates int // byte-identical duplicate results discarded
 }
 
-// Coordinator partitions unit keys across worker processes and collects
-// their results. It is not safe for concurrent use — drive it from one
-// goroutine (Broadcast and Run between phases, then Shutdown).
+// Coordinator executes units on worker processes, one unit per worker at a
+// time. It schedules nothing: its caller — the campaign service, whose
+// Exec it is, or Run — decides which unit runs when, and Exec only finds an
+// idle live worker for it, waits for the result, and recovers from the
+// worker's death. Exec and Stats are safe for concurrent use; Broadcast
+// belongs between phases, when no unit is in flight, and Shutdown after
+// the last Exec.
 type Coordinator struct {
 	spawn Spawn
 	opts  Options
 
+	// free holds the idle shard indices. A slot taken from it is owned by
+	// one Exec until released, which is what keeps a worker to one unit.
+	free chan int
+
+	mu       sync.Mutex // guards everything below
 	workers  []*workerState
-	events   chan event
 	contexts []message // broadcasts, replayed to respawned workers
 	respawns int
 
-	// results accumulates every completed unit across Run calls, both to
-	// return and to verify that duplicates (recovery races) are
-	// byte-identical.
+	// results holds every completed unit, to verify that duplicates
+	// (recovery races) are byte-identical.
 	results map[string]json.RawMessage
-
-	mu    sync.Mutex // guards stats (read by Stats from any goroutine)
-	stats Stats
+	stats   Stats
 }
 
 type workerState struct {
 	shard int
 	proc  *Proc
-	// sendq decouples the coordinator's event loop from the worker's stdin:
-	// a wedged worker that stops reading must never block Run (a
-	// synchronous send there would also stall the lease ticker that is
-	// supposed to detect exactly that worker). A dedicated sender goroutine
-	// drains the queue; the coordinator only ever enqueues, and a full
-	// queue is treated as worker death.
-	sendq    chan message
-	inflight []string // FIFO: assigned, no result yet
-	lastSeen time.Time
-	dead     bool
+	// sendq decouples callers from the worker's stdin: a wedged worker that
+	// stops reading must never block Exec (a synchronous send would also
+	// stall the lease check that is supposed to detect exactly that
+	// worker). A dedicated sender goroutine drains the queue; callers only
+	// ever enqueue, and a full queue is treated as worker death.
+	sendq chan message
+	// events carries the reader goroutine's messages; quit, closed when the
+	// worker is buried or shut down, releases a reader blocked on it.
+	events chan event
+	quit   chan struct{}
+	// inflight is the unit assigned and not yet answered; owned by the
+	// slot's holder. A unit outlives its Exec only when that Exec's context
+	// ended; the next holder waits for it before assigning another.
+	inflight string
+	dead     bool // guarded by Coordinator.mu
 }
 
 // enqueue hands a message to the worker's sender goroutine without ever
 // blocking. The queue is sized so it can only fill when the worker has
 // stopped draining its stdin for a long time — the caller treats false as
-// worker death. Must not be called after handleDeath closed the queue
-// (every call site checks dead first).
+// worker death. Callers check dead (under the coordinator's lock) or own
+// the worker's slot, so the queue is never closed under them.
 func (w *workerState) enqueue(m message) bool {
 	select {
 	case w.sendq <- m:
@@ -132,19 +133,15 @@ func (w *workerState) enqueue(m message) bool {
 // event is one item from a worker's reader goroutine. A nil err carries a
 // protocol message; a non-nil err (io.EOF included) means the stream ended.
 type event struct {
-	w   *workerState
 	msg message
 	err error
 }
 
-// New spawns the workers and returns a coordinator ready for Broadcast and
-// Run. On error, any workers already spawned are killed.
+// New spawns the workers and returns a coordinator ready for Broadcast,
+// Exec and Run. On error, any workers already spawned are killed.
 func New(spawn Spawn, opts Options) (*Coordinator, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("shard: Workers = %d, need at least 1", opts.Workers)
-	}
-	if opts.Window <= 0 {
-		opts.Window = 2
 	}
 	if opts.MaxRespawns == 0 {
 		opts.MaxRespawns = opts.Workers
@@ -155,21 +152,24 @@ func New(spawn Spawn, opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		spawn:   spawn,
 		opts:    opts,
-		events:  make(chan event, 256),
+		free:    make(chan int, opts.Workers),
 		results: make(map[string]json.RawMessage),
 	}
 	for i := 0; i < opts.Workers; i++ {
-		w, err := c.startWorker(i)
+		w, err := c.startWorker(i, nil)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
 		c.workers = append(c.workers, w)
+		c.free <- i
 	}
 	return c, nil
 }
 
-func (c *Coordinator) startWorker(shard int) (*workerState, error) {
+// startWorker spawns the process for a shard index and replays the
+// campaign context broadcast so far to it.
+func (c *Coordinator) startWorker(shard int, contexts []message) (*workerState, error) {
 	proc, err := c.spawn(shard)
 	if err != nil {
 		return nil, fmt.Errorf("shard: spawn worker %d: %w", shard, err)
@@ -177,24 +177,27 @@ func (c *Coordinator) startWorker(shard int) (*workerState, error) {
 	w := &workerState{
 		shard: shard,
 		proc:  proc,
-		// Window assignments + context replays + shutdown all fit with
-		// room to spare; see enqueue.
-		sendq:    make(chan message, c.opts.Window+len(c.contexts)+16),
-		lastSeen: time.Now(),
+		// One assignment + context replays + shutdown all fit with room to
+		// spare; see enqueue.
+		sendq: make(chan message, len(contexts)+16),
+		// A unit's answer plus the heartbeats of an idle stretch; beyond
+		// that, heartbeats are dropped (see the reader).
+		events: make(chan event, 16),
+		quit:   make(chan struct{}),
 	}
 	c.mu.Lock()
 	c.stats.Spawned++
 	c.mu.Unlock()
 	// Sender: owns the worker's stdin. Exits when the queue is closed
-	// (handleDeath/Shutdown) or a write fails, closing stdin on the way out
-	// so the worker also sees EOF.
+	// (bury/Shutdown) or a write fails, closing stdin on the way out so the
+	// worker also sees EOF.
 	go func() {
 		out := newStream(proc.In)
 		for m := range w.sendq {
 			if err := out.send(m); err != nil {
 				// The reader goroutine will surface the death (its end of
 				// the pipes fails too); just drain so enqueuers never
-				// block, until handleDeath closes the queue.
+				// block, until the queue is closed.
 				for range w.sendq {
 				}
 				break
@@ -202,42 +205,40 @@ func (c *Coordinator) startWorker(shard int) (*workerState, error) {
 		}
 		proc.In.Close()
 	}()
+	// Reader: drains the worker's stdout to EOF, even after quit, so the
+	// worker never wedges on a full pipe while finishing its last unit.
 	go func() {
+		deliver := func(ev event) {
+			select {
+			case w.events <- ev:
+			case <-w.quit:
+			}
+		}
 		sc := reader(proc.Out)
 		for sc.Scan() {
 			m, err := decode(sc.Bytes())
-			if err != nil {
-				c.events <- event{w: w, err: err}
+			switch {
+			case err != nil:
+				deliver(event{err: err})
 				return
-			}
-			if m.Kind == kindHeartbeat {
-				// Heartbeats are advisory and must never stall this
-				// reader: between Run calls nothing drains the event
-				// channel, and a reader blocked here would stop draining
-				// the worker's pipe until the worker itself wedged on a
-				// full pipe mid-send. Drop them when the channel is full.
+			case m.Kind == kindHeartbeat:
+				// Advisory: dropped while nobody is waiting on the worker.
 				select {
-				case c.events <- event{w: w, msg: m}:
+				case w.events <- event{msg: m}:
 				default:
 				}
-				continue
+			default:
+				deliver(event{msg: m})
 			}
-			c.events <- event{w: w, msg: m}
 		}
 		err := sc.Err()
 		if err == nil {
 			err = io.EOF
 		}
-		c.events <- event{w: w, err: err}
+		deliver(event{err: err})
 	}()
-	// Replay campaign context so a respawned worker has everything its
-	// predecessor was sent. The queue was sized to hold all of it.
-	for _, m := range c.contexts {
-		if !w.enqueue(m) {
-			proc.Kill()
-			proc.Wait()
-			return nil, fmt.Errorf("shard: replay context to worker %d: queue full", shard)
-		}
+	for _, m := range contexts {
+		w.sendq <- m // sized to hold them all: never blocks
 	}
 	return w, nil
 }
@@ -246,281 +247,278 @@ func (c *Coordinator) startWorker(shard int) (*workerState, error) {
 // study) to every live worker and stores it for replay to respawns.
 func (c *Coordinator) Broadcast(name string, value json.RawMessage) error {
 	m := message{Kind: kindContext, Name: name, Value: value}
+	var full []int
+	c.mu.Lock()
 	c.contexts = append(c.contexts, m)
 	for _, w := range c.workers {
-		if w.dead {
-			continue
+		if !w.dead && !w.enqueue(m) {
+			full = append(full, w.shard)
 		}
-		if !w.enqueue(m) {
-			// The worker will be declared dead when Run observes its
-			// stream end or lease expiry; don't fail the whole campaign.
-			c.opts.Logf("shard: broadcast %q to worker %d: queue full", name, w.shard)
-		}
+	}
+	c.mu.Unlock()
+	for _, shard := range full {
+		// The worker will be declared dead when its next unit sees the
+		// stream end or the lease expire; don't fail the campaign.
+		c.opts.Logf("shard: broadcast %q to worker %d: queue full", name, shard)
 	}
 	return nil
 }
 
-// Run executes the given unit keys across the workers and returns every
-// key's result. Workers stay alive afterwards for further Run calls.
-// Results already collected in a previous Run (or recovered from a journal)
-// are returned without re-execution.
-func (c *Coordinator) Run(ctx context.Context, keys []string) (map[string]json.RawMessage, error) {
-	want := make(map[string]bool, len(keys))
-	pending := make([]string, 0, len(keys))
-	for _, k := range keys {
-		want[k] = true
-		if _, done := c.results[k]; !done {
-			pending = append(pending, k)
-		}
+// Exec runs one unit on an idle live worker and returns its journal value.
+// A worker that dies — before or while running the unit — is harvested:
+// the unit is returned from its shard journal if it got there, and run
+// again on a respawned worker otherwise; once the respawn budget is spent,
+// Exec fails. A unit the worker replayed from its own journal (or that was
+// harvested from one) reports the "resumed" outcome to the campaign
+// service (campaign.ReportOutcome).
+func (c *Coordinator) Exec(ctx context.Context, key string) (json.RawMessage, error) {
+	var slot int
+	select {
+	case slot = <-c.free:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	remaining := len(pending)
+	defer func() { c.free <- slot }()
+	for {
+		w, err := c.ready(slot)
+		if err != nil {
+			return nil, err
+		}
+		var m message
+		died := false
+		if w.inflight == "" {
+			w.inflight = key
+			if died = !w.enqueue(message{Kind: kindAssign, Key: key}); died {
+				c.opts.Logf("shard: assign %s to worker %d: queue full, declaring dead", key, w.shard)
+			} else {
+				c.mu.Lock()
+				c.stats.Assigned++
+				c.mu.Unlock()
+			}
+		}
+		if !died {
+			if m, died, err = c.await(ctx, w); err != nil {
+				return nil, err // ctx ended; the unit stays in flight on w
+			}
+		}
+		if died {
+			unit := w.inflight
+			raw, ok, err := c.bury(w)
+			if err != nil {
+				return nil, err
+			}
+			if ok && unit == key {
+				campaign.ReportOutcome(ctx, "resumed")
+				return raw, nil
+			}
+			continue // respawn and (re)assign key
+		}
+		w.inflight = ""
+		if m.Key != key {
+			// A unit a canceled Exec left behind on this worker finished;
+			// keep its result for the byte checks, then run ours.
+			if m.Kind == kindResult {
+				if err := c.accept(m.Key, m.Value, w.shard); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
+		if m.Kind == kindError {
+			return nil, fmt.Errorf("shard: worker %d unit %s: %s", w.shard, key, m.Error)
+		}
+		if m.Resumed {
+			campaign.ReportOutcome(ctx, "resumed")
+		}
+		return m.Value, c.accept(key, m.Value, w.shard)
+	}
+}
 
-	// Leases measure silence while the campaign is actively running, so
-	// each Run starts every live worker fresh — heartbeats arriving between
-	// phases may have been dropped (see the reader goroutine), and that
-	// must not read as death.
-	for _, w := range c.workers {
-		if !w.dead {
-			w.lastSeen = time.Now()
+// ready returns the slot's live worker, respawning a dead one while the
+// budget lasts. A death that happened while the worker sat idle is noticed
+// here, before a unit is handed to it.
+func (c *Coordinator) ready(slot int) (*workerState, error) {
+	c.mu.Lock()
+	w := c.workers[slot]
+	c.mu.Unlock()
+	// Events of an idle stretch are heartbeats, or the worker's death.
+	for idle := w.inflight == ""; idle; {
+		select {
+		case ev := <-w.events:
+			if ev.err != nil {
+				c.opts.Logf("shard: worker %d exited while idle", w.shard)
+				if _, _, err := c.bury(w); err != nil {
+					return nil, err
+				}
+				idle = false
+			}
+		default:
+			idle = false
 		}
 	}
+	c.mu.Lock()
+	w = c.workers[slot]
+	dead, spent := w.dead, c.respawns >= c.opts.MaxRespawns
+	if dead && !spent {
+		c.respawns++
+	}
+	used, contexts := c.respawns, c.contexts
+	c.mu.Unlock()
+	switch {
+	case !dead:
+		return w, nil
+	case spent:
+		return nil, fmt.Errorf("shard: worker %d dead and the respawn budget (%d) exhausted", slot, c.opts.MaxRespawns)
+	}
+	c.opts.Logf("shard: respawning worker %d (%d/%d respawns used)", slot, used, c.opts.MaxRespawns)
+	nw, err := c.startWorker(slot, contexts)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.workers[slot] = nw
+	c.mu.Unlock()
+	return nw, nil
+}
+
+// await waits for the answer to w's unit in flight: a result or a unit
+// error (m), the worker's death (died), or the end of ctx (err). Leases
+// measure silence from the moment the wait starts.
+func (c *Coordinator) await(ctx context.Context, w *workerState) (m message, died bool, err error) {
 	var leaseTick <-chan time.Time
 	if c.opts.Lease > 0 {
 		t := time.NewTicker(c.opts.Lease / 2)
 		defer t.Stop()
 		leaseTick = t.C
 	}
-
-	for remaining > 0 {
-		// Hand out pending units before blocking, each to the least-loaded
-		// live worker, so a phase with fewer units than Workers×Window
-		// still runs on every worker instead of queueing on the first.
-		for len(pending) > 0 {
-			w := c.leastLoaded()
-			if w == nil {
-				break // every live worker's window is full
-			}
-			key := pending[0]
-			if !w.enqueue(message{Kind: kindAssign, Key: key}) {
-				c.opts.Logf("shard: assign %s to worker %d: queue full, declaring dead", key, w.shard)
-				requeued, err := c.handleDeath(w, want)
-				if err != nil {
-					return nil, err
-				}
-				pending = append(pending, requeued...)
-				continue
-			}
-			pending = pending[1:]
-			w.inflight = append(w.inflight, key)
-			c.mu.Lock()
-			c.stats.Assigned++
-			c.mu.Unlock()
-			if c.opts.OnAssign != nil {
-				c.opts.OnAssign(key, w.shard)
-			}
-		}
-		// Recovery during handleDeath may have completed units.
-		if remaining = countRemaining(want, c.results); remaining == 0 {
-			break
-		}
-		if err := c.liveOrLost(pending); err != nil {
-			return nil, err
-		}
-
+	lastSeen := time.Now()
+	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return message{}, false, ctx.Err()
 		case <-leaseTick:
-			for _, w := range c.workers {
-				if w.dead || time.Since(w.lastSeen) <= c.opts.Lease {
-					continue
-				}
-				c.opts.Logf("shard: worker %d silent for %s, declaring dead", w.shard, time.Since(w.lastSeen).Round(time.Millisecond))
-				w.proc.Kill()
-				requeued, err := c.handleDeath(w, want)
-				if err != nil {
-					return nil, err
-				}
-				pending = append(pending, requeued...)
+			if silent := time.Since(lastSeen); silent > c.opts.Lease {
+				c.opts.Logf("shard: worker %d silent for %s, declaring dead", w.shard, silent.Round(time.Millisecond))
+				return message{}, true, nil
 			}
-		case ev := <-c.events:
-			w := ev.w
-			if w.dead {
-				break // stale event from a killed worker's reader
+		case ev := <-w.events:
+			switch {
+			case ev.err == io.EOF:
+				c.opts.Logf("shard: worker %d exited unexpectedly", w.shard)
+				return message{}, true, nil
+			case ev.err != nil:
+				c.opts.Logf("shard: worker %d stream: %v", w.shard, ev.err)
+				return message{}, true, nil
 			}
-			if ev.err != nil {
-				if ev.err != io.EOF {
-					c.opts.Logf("shard: worker %d stream: %v", w.shard, ev.err)
-				} else {
-					c.opts.Logf("shard: worker %d exited unexpectedly", w.shard)
-				}
-				requeued, err := c.handleDeath(w, want)
-				if err != nil {
-					return nil, err
-				}
-				pending = append(pending, requeued...)
-				break
-			}
-			w.lastSeen = time.Now()
+			lastSeen = time.Now()
 			switch ev.msg.Kind {
 			case kindHeartbeat:
-				// lastSeen update above is the whole point.
-			case kindResult:
-				w.inflight = removeKey(w.inflight, ev.msg.Key)
-				if err := c.accept(ev.msg.Key, ev.msg.Value, w.shard, ev.msg.Resumed); err != nil {
-					return nil, err
-				}
-			case kindError:
-				return nil, fmt.Errorf("shard: worker %d unit %s: %s", w.shard, ev.msg.Key, ev.msg.Error)
+			case kindResult, kindError:
+				return ev.msg, false, nil
 			default:
-				return nil, fmt.Errorf("shard: worker %d sent unexpected %q", w.shard, ev.msg.Kind)
+				return message{}, false, fmt.Errorf("shard: worker %d sent unexpected %q", w.shard, ev.msg.Kind)
 			}
 		}
-		remaining = countRemaining(want, c.results)
 	}
-
-	out := make(map[string]json.RawMessage, len(keys))
-	for _, k := range keys {
-		out[k] = c.results[k]
-	}
-	return out, nil
-}
-
-// leastLoaded returns the live worker with the fewest units in flight and
-// room in its window, the lowest shard index on ties; nil when every live
-// worker's window is full.
-func (c *Coordinator) leastLoaded() *workerState {
-	var best *workerState
-	for _, w := range c.workers {
-		if w.dead || len(w.inflight) >= c.opts.Window {
-			continue
-		}
-		if best == nil || len(w.inflight) < len(best.inflight) {
-			best = w
-		}
-	}
-	return best
-}
-
-// liveOrLost fails the campaign when units remain but no worker can run
-// them.
-func (c *Coordinator) liveOrLost(pending []string) error {
-	for _, w := range c.workers {
-		if !w.dead {
-			return nil
-		}
-	}
-	return fmt.Errorf("shard: all %d workers dead with %d units unassigned (respawn budget %d exhausted)",
-		len(c.workers), len(pending), c.opts.MaxRespawns)
 }
 
 // accept records a completed unit, verifying that a duplicate (a unit that
 // ran on a presumed-dead worker and again on its replacement) is
 // byte-identical — anything else means the campaign is nondeterministic and
 // its outputs can't be trusted.
-func (c *Coordinator) accept(key string, value json.RawMessage, shard int, resumed bool) error {
+func (c *Coordinator) accept(key string, value json.RawMessage, shard int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if prev, ok := c.results[key]; ok {
 		if !bytes.Equal(prev, value) {
 			return fmt.Errorf("shard: unit %s produced different bytes on re-execution (worker %d) — nondeterministic unit or fingerprint drift", key, shard)
 		}
-		c.mu.Lock()
 		c.stats.Duplicates++
-		c.mu.Unlock()
 		return nil
 	}
 	c.results[key] = value
-	c.mu.Lock()
 	c.stats.Completed++
-	c.mu.Unlock()
-	if c.opts.OnResult != nil {
-		c.opts.OnResult(key, shard, value, resumed)
-	}
 	return nil
 }
 
-// handleDeath marks w dead, harvests its journal, and requeues what could
-// not be recovered. It respawns a replacement on the same shard index if
-// the budget allows; the replacement's journal replay makes recovered-here
-// units cheap even if they get reassigned to it. Returns the keys to
-// requeue.
-func (c *Coordinator) handleDeath(w *workerState, want map[string]bool) ([]string, error) {
-	if w.dead {
-		return nil, nil
+// bury declares w dead, stops its process and harvests its shard journal:
+// units it completed and fsynced but never streamed survive its death. It
+// reports whether the unit in flight was among them (raw, true); otherwise
+// that unit counts as requeued. The slot's next ready respawns the worker.
+func (c *Coordinator) bury(w *workerState) (json.RawMessage, bool, error) {
+	c.mu.Lock()
+	if w.dead { // Shutdown got there first
+		c.mu.Unlock()
+		return nil, false, nil
 	}
 	w.dead = true
 	close(w.sendq) // release the sender goroutine
-	w.proc.Kill()
-	w.proc.Wait()
-	c.mu.Lock()
+	close(w.quit)  // and a reader blocked on events
 	c.stats.Died++
 	c.mu.Unlock()
+	w.proc.Kill()
+	w.proc.Wait()
 
-	// Harvest the shard journal: units the worker completed and fsynced
-	// but never streamed survive its death.
+	unit := w.inflight
+	w.inflight = ""
 	var recovered map[string]json.RawMessage
 	if c.opts.Recover != nil {
 		var err error
-		recovered, err = c.opts.Recover(w.shard)
-		if err != nil {
-			return nil, fmt.Errorf("shard: recover worker %d journal: %w", w.shard, err)
+		if recovered, err = c.opts.Recover(w.shard); err != nil {
+			return nil, false, fmt.Errorf("shard: recover worker %d journal: %w", w.shard, err)
 		}
 	}
-	var requeue []string
-	for _, key := range w.inflight {
-		if raw, ok := recovered[key]; ok {
-			c.mu.Lock()
-			c.stats.Recovered++
-			c.mu.Unlock()
-			c.opts.Logf("shard: worker %d: unit %s recovered from journal", w.shard, key)
-			if err := c.accept(key, raw, w.shard, true); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		c.mu.Lock()
-		c.stats.Requeued++
-		c.mu.Unlock()
-		requeue = append(requeue, key)
-	}
-	// The journal may also hold units from keys not currently in flight
-	// (earlier phases, or streamed results we already have): verify them
-	// against what we collected — a mismatch is the same determinism
+	// The journal also holds units the worker streamed earlier: verify them
+	// against what was collected — a mismatch is the same determinism
 	// violation accept guards against.
+	c.mu.Lock()
 	for key, raw := range recovered {
 		if prev, ok := c.results[key]; ok && !bytes.Equal(prev, raw) {
-			return nil, fmt.Errorf("shard: worker %d journal disagrees with streamed result for %s", w.shard, key)
-		} else if !ok && want[key] {
-			c.mu.Lock()
-			c.stats.Recovered++
 			c.mu.Unlock()
-			if err := c.accept(key, raw, w.shard, true); err != nil {
-				return nil, err
-			}
+			return nil, false, fmt.Errorf("shard: worker %d journal disagrees with streamed result for %s", w.shard, key)
 		}
 	}
-	w.inflight = nil
-
-	if c.respawns < c.opts.MaxRespawns {
-		c.respawns++
-		c.opts.Logf("shard: respawning worker %d (%d/%d respawns used)", w.shard, c.respawns, c.opts.MaxRespawns)
-		nw, err := c.startWorker(w.shard)
-		if err != nil {
-			return nil, err
-		}
-		// Replace in place so shard indices stay stable.
-		for i, cur := range c.workers {
-			if cur == w {
-				c.workers[i] = nw
-			}
-		}
+	raw, ok := recovered[unit]
+	switch {
+	case unit == "":
+	case ok:
+		c.stats.Recovered++
+	default:
+		c.stats.Requeued++
 	}
-	return requeue, nil
+	c.mu.Unlock()
+	if !ok {
+		return nil, false, nil
+	}
+	c.opts.Logf("shard: worker %d: unit %s recovered from journal", w.shard, unit)
+	return raw, true, c.accept(unit, raw, w.shard)
 }
 
-// Shutdown tells every live worker to exit and waits for them. Safe after
+// Run executes the given unit keys across the workers and returns every
+// key's result; the workers stay alive for further calls. It is a fan-out
+// of Workers goroutines over Exec — the campaign service does the same
+// with its own pool — and adds no scheduling of its own.
+func (c *Coordinator) Run(ctx context.Context, keys []string) (map[string]json.RawMessage, error) {
+	vals, err := parallel.Map(ctx, len(keys), c.opts.Workers, func(ctx context.Context, i int) (json.RawMessage, error) {
+		return c.Exec(ctx, keys[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]json.RawMessage, len(keys))
+	for i, k := range keys {
+		out[k] = vals[i]
+	}
+	return out, nil
+}
+
+// Shutdown tells every live worker to exit and waits for them; a worker
+// still running a unit finishes it (and journals it) first. Safe after
 // partial construction and after worker deaths.
 func (c *Coordinator) Shutdown() error {
 	var firstErr error
+	var live []*workerState
+	c.mu.Lock()
 	for _, w := range c.workers {
 		if w == nil || w.dead {
 			continue
@@ -531,10 +529,15 @@ func (c *Coordinator) Shutdown() error {
 		// Closing the queue makes the sender flush the shutdown message and
 		// then close the worker's stdin — either is enough for a clean exit.
 		close(w.sendq)
+		close(w.quit)
+		w.dead = true
+		live = append(live, w)
+	}
+	c.mu.Unlock()
+	for _, w := range live {
 		if err := w.proc.Wait(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard: worker %d: %w", w.shard, err)
 		}
-		w.dead = true
 	}
 	return firstErr
 }
@@ -544,23 +547,4 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-func removeKey(keys []string, key string) []string {
-	for i, k := range keys {
-		if k == key {
-			return append(keys[:i], keys[i+1:]...)
-		}
-	}
-	return keys
-}
-
-func countRemaining(want map[string]bool, results map[string]json.RawMessage) int {
-	n := 0
-	for k := range want {
-		if _, ok := results[k]; !ok {
-			n++
-		}
-	}
-	return n
 }

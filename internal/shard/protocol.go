@@ -1,17 +1,17 @@
-// Package shard distributes a campaign's unit graph across worker
-// processes: a coordinator partitions the units (sensitivity benchmark
-// passes, mix runs — any key the caller can execute) over N workers, each
-// worker journals completed units to its own crash-safe checkpoint file and
-// streams the results back, and the coordinator merges everything in
-// canonical unit order so the sharded campaign's outputs are byte-identical
-// to the sequential run's.
+// Package shard executes a campaign's units on worker processes. The
+// coordinator is a per-unit executor: campaign.Service, the repository's
+// only unit scheduler, plugs Coordinator.Exec in as a job's Exec, and each
+// call runs one unit (a sensitivity benchmark pass, a mix run — any key the
+// worker can execute) on an idle worker. Each worker journals completed
+// units to its own crash-safe checkpoint file and streams the results
+// back; the campaign assembles its outputs from its main journal in
+// canonical unit order, so a sharded campaign's outputs are byte-identical
+// to the in-process run's.
 //
-// The package deliberately sits between internal/parallel (goroutines in
-// one process, bounded by -jobs) and a future distributed campaign service:
-// the same coordinator logic works over any pair of byte streams, so the
+// The same coordinator logic works over any pair of byte streams, so the
 // unit tests drive it over in-memory pipes while the commands drive it over
-// the stdin/stdout of re-executed worker processes
-// (`cmd/experiments -shard-worker`). See EXPERIMENTS.md "Sharded campaigns"
+// the stdin/stdout of re-executed worker processes (process.go,
+// `cmd/experiments -shard-worker`). See EXPERIMENTS.md "Sharded campaigns"
 // for the operational contract and docs/PERFORMANCE.md for measurements.
 //
 // # Protocol
@@ -37,14 +37,15 @@
 // # Failure model
 //
 // A worker that stops heartbeating (death, wedge, kill -9) is declared dead
-// after a lease timeout; the coordinator then recovers whatever the dead
-// worker journaled but never streamed (checkpoint.ReadUnits on its shard
-// journal), requeues the rest of its in-flight units, and respawns a
-// replacement if the respawn budget allows. Because units are deterministic
-// functions of the fingerprinted configuration, a unit that runs twice —
-// journaled by a worker presumed dead, then re-executed by its replacement —
-// produces byte-identical values, and the coordinator verifies exactly that
-// instead of trusting it.
+// after a lease timeout, and one whose stream ends is dead at once, even if
+// it died idle between units. The coordinator then recovers whatever the
+// dead worker journaled but never streamed (checkpoint.ReadUnits on its
+// shard journal), runs its unit in flight again if the journal lacks it,
+// and respawns a replacement if the respawn budget allows. Because units
+// are deterministic functions of the fingerprinted configuration, a unit
+// that runs twice — journaled by a worker presumed dead, then re-executed
+// by its replacement — produces byte-identical values, and the coordinator
+// verifies exactly that instead of trusting it.
 package shard
 
 import (

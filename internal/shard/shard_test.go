@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"untangle/internal/campaign"
 	"untangle/internal/checkpoint"
 )
 
@@ -34,9 +36,42 @@ type harness struct {
 	// heartbeat suppression). May be nil.
 	tweak func(shard, incarnation int, cfg *WorkerConfig)
 
+	// tap, when set, sees every protocol line the coordinator writes to
+	// (toWorker) or reads from a worker. May be nil.
+	tap func(shard int, toWorker bool, line []byte)
+
 	mu      sync.Mutex
 	spawns  map[int]int
 	closers map[[2]int]func() // (shard, incarnation) → sever output stream
+}
+
+// lineTap is an io.Writer that hands each complete line to fn.
+type lineTap struct {
+	buf []byte
+	fn  func(line []byte)
+}
+
+func (t *lineTap) Write(p []byte) (int, error) {
+	t.buf = append(t.buf, p...)
+	for {
+		i := bytes.IndexByte(t.buf, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		t.fn(t.buf[:i])
+		t.buf = t.buf[i+1:]
+	}
+}
+
+// tapWriter mirrors every write to the protocol stream into a lineTap.
+type tapWriter struct {
+	io.WriteCloser
+	tap *lineTap
+}
+
+func (w tapWriter) Write(p []byte) (int, error) {
+	w.tap.Write(p)
+	return w.WriteCloser.Write(p)
 }
 
 func (h *harness) journalPath(shard int) string {
@@ -97,11 +132,17 @@ func (h *harness) spawn(shard int) (*Proc, error) {
 		done <- err
 	}()
 
+	var in io.WriteCloser = inW
+	var out io.Reader = outR
+	if h.tap != nil {
+		in = tapWriter{inW, &lineTap{fn: func(line []byte) { h.tap(shard, true, line) }}}
+		out = io.TeeReader(outR, &lineTap{fn: func(line []byte) { h.tap(shard, false, line) }})
+	}
 	var waitOnce sync.Once
 	var waitErr error
 	return &Proc{
-		In:  inW,
-		Out: outR,
+		In:  in,
+		Out: out,
 		Kill: func() {
 			cancel()
 			inR.CloseWithError(io.ErrClosedPipe)
@@ -234,27 +275,36 @@ func TestWorkerDeathRecoversJournaledUnit(t *testing.T) {
 	}
 }
 
-// The backpressure bound: with Window W and N workers, at most N×W units
-// are assigned-but-incomplete at any instant.
-func TestBackpressureWindow(t *testing.T) {
+// The coordinator keeps at most one unit in flight per worker: an
+// assignment goes out only after the worker answered the previous one.
+// Measured on the wire, from the coordinator's side of the pipes.
+func TestOneUnitInFlightPerWorker(t *testing.T) {
 	h := newHarness(t, func(_ context.Context, _, _ int, key string) (json.RawMessage, error) {
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 		return valueFor(key), nil
 	})
-	const workers, window = 2, 2
-	outstanding, maxOutstanding := 0, 0
-	c, err := New(h.spawn, Options{
-		Workers: workers,
-		Window:  window,
-		OnAssign: func(string, int) {
-			outstanding++
-			if outstanding > maxOutstanding {
-				maxOutstanding = outstanding
+	var mu sync.Mutex
+	inflight := map[int]int{}
+	maxInflight, assigns := 0, 0
+	h.tap = func(shard int, toWorker bool, line []byte) {
+		m, err := decode(line)
+		if err != nil {
+			t.Errorf("shard %d: %v", shard, err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case toWorker && m.Kind == kindAssign:
+			assigns++
+			if inflight[shard]++; inflight[shard] > maxInflight {
+				maxInflight = inflight[shard]
 			}
-		},
-		OnResult: func(string, int, json.RawMessage, bool) { outstanding-- },
-		Logf:     t.Logf,
-	})
+		case !toWorker && (m.Kind == kindResult || m.Kind == kindError):
+			inflight[shard]--
+		}
+	}
+	c, err := New(h.spawn, Options{Workers: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,37 +312,93 @@ func TestBackpressureWindow(t *testing.T) {
 	if _, err := c.Run(context.Background(), keys(20)); err != nil {
 		t.Fatal(err)
 	}
-	if maxOutstanding > workers*window {
-		t.Errorf("max outstanding = %d, want <= %d", maxOutstanding, workers*window)
+	mu.Lock()
+	defer mu.Unlock()
+	if maxInflight != 1 {
+		t.Errorf("max units in flight on one worker = %d, want 1", maxInflight)
 	}
-	if maxOutstanding == 0 {
-		t.Error("OnAssign never fired")
+	if assigns != 20 {
+		t.Errorf("assignments = %d, want 20", assigns)
 	}
 }
 
-// A phase with fewer units than Workers×Window must still spread across the
-// workers: filling one worker's window first would run both units one after
-// the other on shard 0 while shard 1 idles.
-func TestShortPhaseSpreadsAcrossWorkers(t *testing.T) {
-	h := newHarness(t, func(_ context.Context, _, _ int, key string) (json.RawMessage, error) {
+// The coordinator is the campaign service's executor: a 2-unit phase on a
+// 2-worker service runs on both shards rather than queueing on the first.
+func TestServicePhaseSpreadsAcrossShards(t *testing.T) {
+	var ranOn sync.Map // key → shard
+	h := newHarness(t, func(_ context.Context, shard, _ int, key string) (json.RawMessage, error) {
+		ranOn.Store(key, shard)
 		return valueFor(key), nil
 	})
-	shards := map[int]bool{}
-	c, err := New(h.spawn, Options{
-		Workers:  2,
-		Window:   2,
-		OnAssign: func(_ string, shard int) { shards[shard] = true },
-		Logf:     t.Logf,
-	})
+	c, err := New(h.spawn, Options{Workers: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if _, err := c.Run(context.Background(), keys(2)); err != nil {
+	svc := campaign.New(campaign.Options{Workers: 2})
+	defer svc.Drain(context.Background())
+	job, err := svc.Submit(campaign.JobSpec{
+		ID:      "phase",
+		Journal: checkpoint.Memory(h.fp),
+		Phases:  []campaign.PhaseSpec{{Name: "ph", Keys: keys(2)}},
+		Exec:    c.Exec,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	shards := map[int]bool{}
+	ranOn.Range(func(_, v any) bool { shards[v.(int)] = true; return true })
 	if len(shards) != 2 {
-		t.Errorf("2 units on 2 workers were assigned to shards %v, want both shards", shards)
+		t.Errorf("2 units on 2 workers ran on shards %v, want both shards", shards)
+	}
+	if st := job.Status(); st.Done != 2 {
+		t.Errorf("job status = %+v", st)
+	}
+}
+
+// A worker that dies while idle — between phases — is noticed by the next
+// Exec before any unit is handed to it: it is respawned and the unit runs
+// on the replacement, with nothing requeued.
+func TestIdleWorkerDeathDetectedOnNextExec(t *testing.T) {
+	h := newHarness(t, func(_ context.Context, _, _ int, key string) (json.RawMessage, error) {
+		return valueFor(key), nil
+	})
+	h.tweak = func(_, _ int, cfg *WorkerConfig) { cfg.HeartbeatEvery = 0 }
+	c, err := New(h.spawn, Options{Workers: 1, Recover: h.recover, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	ctx := context.Background()
+	if _, err := c.Run(ctx, keys(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	h.kill(0, 1)
+	c.mu.Lock()
+	w := c.workers[0]
+	c.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(w.events) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the idle worker's death never reached the coordinator")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	raw, err := c.Exec(ctx, "next-phase/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(valueFor("next-phase/0")) {
+		t.Errorf("got %s", raw)
+	}
+	st := c.Stats()
+	if st.Died != 1 || st.Spawned != 2 || st.Requeued != 0 || st.Assigned != 3 {
+		t.Errorf("stats = %+v, want one death, one respawn, nothing requeued, 3 assignments", st)
 	}
 }
 
@@ -416,35 +522,57 @@ func TestWorkerReplaysOwnJournal(t *testing.T) {
 	}
 	pre.Close()
 
-	resumed := map[string]bool{}
-	c, err := New(h.spawn, Options{Workers: 1, Recover: h.recover,
-		OnResult: func(key string, _ int, _ json.RawMessage, r bool) { resumed[key] = r },
-		Logf:     t.Logf})
+	c, err := New(h.spawn, Options{Workers: 1, Recover: h.recover, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
+
+	// Through the campaign service, the replayed units settle "resumed".
+	var mu sync.Mutex
+	outcomes := map[string]string{}
+	svc := campaign.New(campaign.Options{Workers: 1})
+	defer svc.Drain(context.Background())
+	main := checkpoint.Memory(h.fp)
 	ks := keys(5)
-	results, err := c.Run(context.Background(), ks)
+	job, err := svc.Submit(campaign.JobSpec{
+		ID:      "replay",
+		Journal: main,
+		Phases:  []campaign.PhaseSpec{{Name: "ph", Keys: ks}},
+		Exec:    c.Exec,
+		Observe: func(_, key string) func(string, error) {
+			return func(outcome string, _ error) {
+				mu.Lock()
+				outcomes[key] = outcome
+				mu.Unlock()
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range ks {
-		if string(results[k]) != string(valueFor(k)) {
-			t.Errorf("%s: got %s", k, results[k])
+		var raw json.RawMessage
+		if ok, err := main.Lookup(k, &raw); !ok || err != nil || string(raw) != string(valueFor(k)) {
+			t.Errorf("%s: got %s (ok %v, err %v)", k, raw, ok, err)
 		}
 	}
 	if got := execs.Load(); got != 2 {
 		t.Errorf("execs = %d, want 2 (three replayed)", got)
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	for _, k := range []string{"unit/0", "unit/1", "unit/2"} {
-		if !resumed[k] {
-			t.Errorf("%s not flagged resumed", k)
+		if outcomes[k] != "resumed" {
+			t.Errorf("%s settled %q, want resumed", k, outcomes[k])
 		}
 	}
 	for _, k := range []string{"unit/3", "unit/4"} {
-		if resumed[k] {
-			t.Errorf("%s wrongly flagged resumed", k)
+		if outcomes[k] != "" {
+			t.Errorf("%s settled %q, want generated", k, outcomes[k])
 		}
 	}
 }
@@ -476,12 +604,12 @@ func TestUnitErrorFailsFast(t *testing.T) {
 // never silently pick a side.
 func TestDivergentDuplicateRejected(t *testing.T) {
 	c := &Coordinator{results: map[string]json.RawMessage{"mix/1": json.RawMessage(`{"v":1}`)}}
-	if err := c.accept("mix/1", json.RawMessage(`{"v":2}`), 0, false); err == nil {
+	if err := c.accept("mix/1", json.RawMessage(`{"v":2}`), 0); err == nil {
 		t.Fatal("divergent duplicate accepted")
 	} else if !strings.Contains(err.Error(), "mix/1") {
 		t.Errorf("error does not name the unit: %v", err)
 	}
-	if err := c.accept("mix/1", json.RawMessage(`{"v":1}`), 0, false); err != nil {
+	if err := c.accept("mix/1", json.RawMessage(`{"v":1}`), 0); err != nil {
 		t.Errorf("identical duplicate rejected: %v", err)
 	}
 	if c.Stats().Duplicates != 1 {

@@ -17,10 +17,11 @@ type WorkerConfig struct {
 	// Shard is this worker's index, for log lines.
 	Shard int
 
-	// Journal is the worker's own checkpoint file. Every completed unit is
-	// recorded here *before* its result is streamed back, so a worker that
-	// dies between the two leaves the result recoverable, and a re-assigned
-	// unit replays from the journal instead of recomputing.
+	// Journal is the worker's own checkpoint file (required). Every
+	// completed unit is recorded here *before* its result is streamed back,
+	// so a worker that dies between the two leaves the result recoverable,
+	// and a re-assigned unit replays from the journal instead of
+	// recomputing.
 	Journal *checkpoint.Journal
 
 	// Exec runs one unit and returns its journal-encoded value. The worker
@@ -50,11 +51,11 @@ type WorkerConfig struct {
 
 // RunWorker consumes assignments from in and streams results to out until
 // the coordinator sends shutdown or closes the stream. A unit execution
-// error is reported to the coordinator and ends the worker — the
-// coordinator decides whether the campaign survives.
+// error is reported to the coordinator, which decides whether the campaign
+// survives; the worker takes the next assignment.
 func RunWorker(ctx context.Context, in io.Reader, out io.Writer, cfg WorkerConfig) error {
-	if cfg.Exec == nil {
-		return fmt.Errorf("shard: worker %d has no Exec", cfg.Shard)
+	if cfg.Exec == nil || cfg.Journal == nil {
+		return fmt.Errorf("shard: worker %d needs an Exec and a Journal", cfg.Shard)
 	}
 	w := newStream(out)
 
@@ -127,24 +128,20 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer, cfg WorkerConfi
 // runUnit executes (or replays) one assigned unit and returns the protocol
 // message to stream back.
 func runUnit(ctx context.Context, cfg WorkerConfig, key string) message {
-	if cfg.Journal != nil {
-		var raw json.RawMessage
-		ok, err := cfg.Journal.Lookup(key, &raw)
-		if err != nil {
-			return message{Kind: kindError, Key: key, Error: err.Error()}
-		}
-		if ok {
-			return message{Kind: kindResult, Key: key, Value: raw, Resumed: true}
-		}
-	}
-	value, err := cfg.Exec(ctx, key)
+	var raw json.RawMessage
+	ok, err := cfg.Journal.Lookup(key, &raw)
 	if err != nil {
 		return message{Kind: kindError, Key: key, Error: err.Error()}
 	}
-	if cfg.Journal != nil {
-		if err := cfg.Journal.Record(key, value); err != nil {
-			return message{Kind: kindError, Key: key, Error: err.Error()}
-		}
+	if ok {
+		return message{Kind: kindResult, Key: key, Value: raw, Resumed: true}
+	}
+	value, err := cfg.Exec(ctx, key)
+	if err == nil {
+		err = cfg.Journal.Record(key, value)
+	}
+	if err != nil {
+		return message{Kind: kindError, Key: key, Error: err.Error()}
 	}
 	if cfg.PostRecord != nil {
 		cfg.PostRecord(key)

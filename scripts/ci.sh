@@ -4,14 +4,17 @@
 #   tier 1  build + vet + gofmt + the fast (-short) test suite — what
 #           every change must keep green (see ROADMAP.md)
 #   tier 2  the race detector over the concurrency-bearing packages: the
-#           worker pool, the shard coordinator, the campaign service's
-#           bounded priority queue, the fault-injection harness, the
-#           checkpoint journal, the front-end trace cache, the
-#           observability layer, the experiment engine's resilience
-#           layer, the fused-mix-engine equivalence (clean runs and a
-#           mid-mix kill-and-resume), and the cmd-level kill-and-resume,
-#           sharded worker-kill-and-merge, dead-letter-and-replay,
-#           serve-mode drain-and-restart, warm-cache, and
+#           worker pool, the campaign service (the only unit scheduler:
+#           every campaign of cmd/experiments and cmd/sensitivity runs as
+#           a job on it) with its bounded priority queue, the shard
+#           coordinator (the service's per-unit executor on worker
+#           processes), the fault-injection harness, the checkpoint
+#           journal, the front-end trace cache, the observability layer,
+#           the experiment engine's resilience layer, the fused-mix-engine
+#           equivalence (clean runs and a mid-mix kill-and-resume), and the
+#           cmd-level kill-and-resume, fail-fast, sharded
+#           worker-kill-and-merge, dead-letter-and-replay, serve-mode
+#           submit/drain-and-restart, warm-cache, and
 #           observability-equivalence tests; then each fuzz target for a
 #           bounded 10 seconds
 #
@@ -51,20 +54,25 @@ go test -race -short \
     ./internal/obs/... \
     ./internal/campaign/...
 
-echo "==> go test -race (kill-and-resume + trace cache + observability equivalence)"
-go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestWarmFrontEndCache' \
+echo "==> go test -race (kill-and-resume + fail-fast + trace cache + observability equivalence)"
+# TestFailedRunPreservesPreviousOutputs is the fail-fast proof of the one
+# campaign path: without -dlq, a persistently failing unit fails the job,
+# cancels the rest, and leaves the previous outputs untouched.
+go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestWarmCacheUnitsReportReplayed|TestFailedRunPreservesPreviousOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestWarmFrontEndCache' \
     ./internal/experiments/ ./cmd/experiments/
 
 echo "==> go test -race (sharded worker-kill-and-merge equivalence)"
 go test -race -run 'TestShardedCampaignEquivalence|TestShardedStudyEquivalence' \
     ./cmd/experiments/ ./cmd/sensitivity/
 
-echo "==> go test -race (dead-letter-and-replay + serve drain-and-restart)"
+echo "==> go test -race (dead-letter-and-replay + serve submit and drain-and-restart)"
 # The tentpole robustness guarantees: a poisoned campaign completes
 # degraded with the unit dead-lettered and -replay restores byte-identical
-# outputs; a resident service drained mid-campaign commits a valid partial
-# and a restarted service resumes to byte-identical outputs.
-go test -race -run 'TestDeadLetterCampaignEquivalence|TestDeadLetterPanickingUnit|TestServeDrainRestartEquivalence' \
+# outputs; a served campaign matches a direct run byte for byte, bad
+# submissions are refused, and a resident service drained mid-campaign
+# commits a valid partial and a restarted service resumes to
+# byte-identical outputs.
+go test -race -run 'TestDeadLetterCampaignEquivalence|TestDeadLetterPanickingUnit|TestServeCampaignMatchesDirectRun|TestServeRejectsBadSubmissions|TestServeDrainRestartEquivalence' \
     ./cmd/experiments/
 
 echo "==> go test -race (mix-fusion equivalence: clean + mid-mix kill)"
