@@ -108,8 +108,9 @@ func TestObservabilityDoesNotPerturbOutputs(t *testing.T) {
 }
 
 // Sensitivity units whose front end replays from a warm fe-cache settle
-// "replayed" on every in-process path — direct, and the -dlq policy — so
-// they stay out of the unit-latency histograms and the ETA rate.
+// "replayed" on every path — direct, the -dlq policy, and -shards, where
+// the outcome crosses the shard protocol — so they stay out of the
+// unit-latency histograms and the ETA rate.
 func TestWarmCacheUnitsReportReplayed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three small campaigns")
@@ -125,9 +126,13 @@ func TestWarmCacheUnitsReportReplayed(t *testing.T) {
 	}
 	runCampaignFiles(t, context.Background(), campaignCfg()) // fills the cache
 
-	for _, dlq := range []bool{false, true} {
+	for _, v := range []struct {
+		dlq    bool
+		shards int
+	}{{false, 0}, {true, 0}, {false, 2}} {
 		cfg := campaignCfg()
-		cfg.dlq = dlq
+		cfg.dlq = v.dlq
+		cfg.shards = v.shards
 		var mu sync.Mutex
 		outcomes := map[string]string{}
 		cfg.observe = func(phase, key string) func(string, error) {
@@ -142,11 +147,11 @@ func TestWarmCacheUnitsReportReplayed(t *testing.T) {
 		runCampaignFiles(t, context.Background(), cfg)
 		mu.Lock()
 		if len(outcomes) != 36 {
-			t.Errorf("dlq=%v: observed %d sensitivity units, want 36", dlq, len(outcomes))
+			t.Errorf("dlq=%v shards=%d: observed %d sensitivity units, want 36", v.dlq, v.shards, len(outcomes))
 		}
 		for key, outcome := range outcomes {
 			if outcome != experiments.UnitReplayed {
-				t.Errorf("dlq=%v: warm unit %s settled %q, want %q", dlq, key, outcome, experiments.UnitReplayed)
+				t.Errorf("dlq=%v shards=%d: warm unit %s settled %q, want %q", v.dlq, v.shards, key, outcome, experiments.UnitReplayed)
 			}
 		}
 		mu.Unlock()

@@ -121,11 +121,19 @@ type outcomeKey struct{}
 // settles with — experiments.UnitReplayed for a unit served from the
 // front-end trace cache, "resumed" for one a shard worker replayed from its
 // own journal — so observers keep fast units out of their rate estimates.
-// Outside a service Exec it is a no-op.
+// Outside a service Exec (or a CaptureOutcome context) it is a no-op.
 func ReportOutcome(ctx context.Context, outcome string) {
 	if p, ok := ctx.Value(outcomeKey{}).(*string); ok {
 		*p = outcome
 	}
+}
+
+// CaptureOutcome returns ctx with a fresh outcome slot that ReportOutcome
+// fills, and the slot: the service runs every Exec under one, and a shard
+// worker uses it to send its unit's outcome back to the coordinator.
+func CaptureOutcome(ctx context.Context) (context.Context, *string) {
+	p := new(string)
+	return context.WithValue(ctx, outcomeKey{}, p), p
 }
 
 // Unit outcomes reported to JobSpec.Observe beyond the experiments ones.
@@ -447,8 +455,8 @@ func (s *Service) runUnit(t *task) {
 		return
 	}
 	t.done = job.observe(t.phase, t.key)
-	outcome := ""
-	raw, err := execGuarded(context.WithValue(job.ctx, outcomeKey{}, &outcome), job, t.key)
+	uctx, outcome := CaptureOutcome(job.ctx)
+	raw, err := execGuarded(uctx, job, t.key)
 	switch {
 	case err == nil:
 		if recErr := job.spec.Journal.Record(t.key, raw); recErr != nil {
@@ -461,7 +469,7 @@ func (s *Service) runUnit(t *task) {
 		if job.spec.PostRecord != nil {
 			job.spec.PostRecord(t.key)
 		}
-		job.settle(t, outcome, nil)
+		job.settle(t, *outcome, nil)
 	case job.ctx.Err() != nil, errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		job.settle(t, outcomeAbandoned, err)
 	case job.spec.FailFast:

@@ -167,6 +167,31 @@ func RunMixContext(ctx context.Context, mix workload.Mix, opts Options) (*MixRes
 	return runMixOracle(ctx, mix, opts)
 }
 
+// mixSimConfig is the simulator configuration one scheme runs a mix under
+// with opts: the oracle's, each fused lane's, and (with the sinks cleared)
+// the fused front end's.
+func mixSimConfig(opts Options, kind partition.Kind, scale float64) sim.Config {
+	scheme := partition.DefaultScheme(kind)
+	scheme.Annotated = !opts.DisableAnnotations
+	cfg := sim.Scaled(scheme, scale)
+	cfg.OptimizeMaintain = !opts.WorstCaseAccounting
+	cfg.Budget = opts.Budget
+	if opts.WayPartitioned {
+		cfg.WayPartitioned = true
+		cfg.Sizes = cfg.WaySizes()
+	}
+	if opts.SimSeed != 0 {
+		cfg.Seed = opts.SimSeed
+	}
+	if opts.TracerFor != nil {
+		cfg.Tracer = opts.TracerFor(kind)
+	}
+	if opts.MetricsFor != nil {
+		cfg.Metrics = opts.MetricsFor(kind)
+	}
+	return cfg
+}
+
 // runMixOracle is the reference path: every scheme generates and simulates
 // its own front-end from scratch.
 func runMixOracle(ctx context.Context, mix workload.Mix, opts Options) (*MixResult, error) {
@@ -174,24 +199,7 @@ func runMixOracle(ctx context.Context, mix workload.Mix, opts Options) (*MixResu
 	kinds := opts.kinds()
 	results, err := parallel.Map(ctx, len(kinds), opts.Jobs, func(_ context.Context, i int) (*sim.Result, error) {
 		kind := kinds[i]
-		scheme := partition.DefaultScheme(kind)
-		scheme.Annotated = !opts.DisableAnnotations
-		cfg := sim.Scaled(scheme, res.Scale)
-		cfg.OptimizeMaintain = !opts.WorstCaseAccounting
-		cfg.Budget = opts.Budget
-		if opts.WayPartitioned {
-			cfg.WayPartitioned = true
-			cfg.Sizes = cfg.WaySizes()
-		}
-		if opts.SimSeed != 0 {
-			cfg.Seed = opts.SimSeed
-		}
-		if opts.TracerFor != nil {
-			cfg.Tracer = opts.TracerFor(kind)
-		}
-		if opts.MetricsFor != nil {
-			cfg.Metrics = opts.MetricsFor(kind)
-		}
+		cfg := mixSimConfig(opts, kind, res.Scale)
 		specs, err := BuildDomains(mix, res.Scale, opts.Secret)
 		if err != nil {
 			return nil, err

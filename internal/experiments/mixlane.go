@@ -6,23 +6,24 @@
 // monitor windows, partition controller, accountant. Everything upstream
 // is byte-identical across them — the generators (same parameters and
 // seeds), the address-space offsets, the private L1s, and even the
-// monitor's eligibility gate (annotation filter + the monitor's own
-// L1-sized filter cache, both pure functions of the op stream because
-// Scheme.Annotated is uniform across the four kinds). The engine therefore
-// runs each domain's front-end once — workload generator + private L1,
-// including the Seed+=0xA5A5 pressure variant — tees the post-L1 stream
-// through isa.Chunks into an in-memory tape of rich tracecache events
-// (hit/miss resolution, write bit, monitor and public-progress gates, L1
+// monitor's eligibility gate and shadow arrays (annotation filter + the
+// monitor's own L1-sized filter cache, all pure functions of the op stream
+// because Scheme.Annotated is uniform across the four kinds). The engine
+// therefore runs each domain's front end once — workload generator +
+// sim.FrontEnd, including the Seed+=0xA5A5 pressure variant — into an
+// in-memory tape of rich tracecache events (hit/miss resolution, write
+// bit, monitor and public-progress gates, shadow hit vectors, L1
 // eviction/writeback counts), and replays the tape into four scheme lanes.
 //
 // Unlike the sensitivity engine's lean cache.Lane replay, a mix lane is a
-// full sim.Sim: the same quantum machine, partition controller, monitor,
-// accountant, and telemetry paths as the live run, fed through the
-// sim.ReplaySource seam (DomainSpec.Replay) so cross-domain interleaving,
-// dynamic resizes, and leakage accounting reproduce the per-scheme oracle
-// bitwise — runMixOracle is retained, and TestMixFusionMatchesOracle
-// requires IPCs, leakage, Table 6 rows, and telemetry buffers to match
-// exactly, cold and fe-cache-warm.
+// full sim.Sim fed through its only input seam, sim.ReplaySource
+// (DomainSpec.Replay). The per-scheme oracle (runMixOracle) feeds the same
+// simulator through the live source sim.New builds over the same
+// sim.FrontEnd, so the two paths share the gates and the per-domain loop
+// by construction; TestMixFusionMatchesOracle still requires IPCs,
+// leakage, Table 6 rows, and telemetry buffers to match exactly, cold and
+// fe-cache-warm, which pins the tape's chunking, the pressure-tail
+// bookkeeping and the warm decode.
 //
 // With a front-end cache attached (SetFrontEndCache; -fe-cache on
 // cmd/experiments), each domain's tape is persisted as a rich .fetrace
@@ -45,7 +46,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"untangle/internal/cache"
 	"untangle/internal/isa"
 	"untangle/internal/monitor"
 	"untangle/internal/parallel"
@@ -126,81 +126,6 @@ func mixStreamKey(pair workload.Pair, idx int, scale float64, secret uint64, ann
 	}
 }
 
-// mixCheckpoint is the front-end's per-chunk control point: context
-// cancellation plus the engine fault-injection hook, the same cadence as
-// the sensitivity engine's checkpoint so kill-and-resume tests can land a
-// fault inside a mix front-end pass.
-func mixCheckpoint(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if h := engineChunkHook.Load(); h != nil {
-		if err := (*h)(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mixFrontEnd is one domain's live front-end: the measured stream, the
-// endless pressure stream (both via isa.Chunks), and the two private
-// caches whose outcomes the events record — the real L1 and the monitor's
-// own filter cache, simulated here once because its state is a pure
-// function of the public access sequence (Principle 1) and therefore
-// lane-independent.
-type mixFrontEnd struct {
-	ctx       context.Context
-	measured  *isa.Chunks // nil once drained
-	pressure  *isa.Chunks
-	l1        *cache.Cache
-	monL1     *cache.Cache
-	rec       *monitor.Monitor // shadow-array recorder; see resolve
-	offset    uint64
-	annotated bool
-	budget    *atomic.Int64
-}
-
-// resolve turns one op into the rich event the scheme lanes replay. Every
-// decision a lane would otherwise make upstream of its LLC is folded into
-// the kind and flags, in exactly sim.runDomainUntil's order and with its
-// gates.
-func (fe *mixFrontEnd) resolve(op isa.Op) feEvent {
-	ev := feEvent{NonMem: op.NonMem}
-	if !op.SecretProgress() || !fe.annotated {
-		ev.Flags |= tracecache.FlagPublic
-	}
-	if op.IsMem() {
-		addr := op.Addr + fe.offset
-		write := op.IsWrite()
-		if write {
-			ev.Flags |= tracecache.FlagWrite
-		}
-		before := fe.l1.Stats()
-		if fe.l1.Access(addr, write) {
-			ev.Kind = tracecache.KindL1Hit
-		} else {
-			ev.Kind = tracecache.KindL1Miss
-			ev.Addr = addr
-			after := fe.l1.Stats()
-			if after.Evictions != before.Evictions {
-				ev.Flags |= tracecache.FlagL1Evict
-			}
-			if after.Writebacks != before.Writebacks {
-				ev.Flags |= tracecache.FlagL1Writeback
-			}
-		}
-		if (!op.SecretUse() || !fe.annotated) && !fe.monL1.Access(addr, write) {
-			ev.Flags |= tracecache.FlagMonObserve
-			ev.Addr = addr
-			// The shadow-array resolution is as scheme-independent as the
-			// gate itself: record the per-size hit vector once so dynamic
-			// lanes replay it instead of re-simulating nine shadow caches.
-			ev.MonMask = fe.rec.HitMask(addr, write)
-		}
-	}
-	return ev
-}
-
 // mixTape is one domain's shared event tape. Chunks are immutable once
 // published; a live tape (fe != nil) extends lazily under mu when the
 // leading lane outruns what exists, a sealed tape (decoded from the cache)
@@ -212,9 +137,17 @@ type mixTape struct {
 	total        int
 	measured     int
 	haveMeasured bool
-	fe           *mixFrontEnd
 	err          error
 	cold         bool // generated this run (candidate for persisting)
+
+	// A live tape's generator: the domain's front end, the measured stream
+	// (nil once drained) and the endless pressure stream, both via
+	// isa.Chunks.
+	ctx      context.Context
+	fe       *sim.FrontEnd
+	stream   *isa.Chunks
+	pressure *isa.Chunks
+	budget   *atomic.Int64
 }
 
 // fail seals the tape with an error; every lane's source sees it drained.
@@ -225,36 +158,32 @@ func (t *mixTape) fail(err error) {
 
 // produce extends the tape by one chunk (caller holds mu): the next batch
 // of the measured stream, or — once it drains, recording the boundary —
-// the pressure stream.
+// the pressure stream, resolved through the domain's front end.
 func (t *mixTape) produce() {
-	fe := t.fe
-	if err := mixCheckpoint(fe.ctx); err != nil {
+	if err := engineCheckpoint(t.ctx); err != nil {
 		t.fail(err)
 		return
 	}
 	var ops []isa.Op
-	if fe.measured != nil {
-		ops = fe.measured.Next()
+	if t.stream != nil {
+		ops = t.stream.Next()
 		if len(ops) == 0 {
-			fe.measured = nil
+			t.stream = nil
 			t.measured = t.total
 			t.haveMeasured = true
 			return
 		}
 	} else {
-		ops = fe.pressure.Next()
+		ops = t.pressure.Next()
 		if len(ops) == 0 {
 			t.fail(errors.New("experiments: mix pressure stream dried"))
 			return
 		}
 	}
-	chunk := make([]feEvent, len(ops))
-	for i, op := range ops {
-		chunk[i] = fe.resolve(op)
-	}
+	chunk := t.fe.Resolve(ops, make([]feEvent, len(ops)))
 	t.chunks = append(t.chunks, chunk)
 	t.total += len(chunk)
-	if fe.budget.Add(int64(len(chunk))) > mixReplayEventBudget {
+	if t.budget.Add(int64(len(chunk))) > mixReplayEventBudget {
 		t.fail(errMixOverBudget)
 	}
 }
@@ -327,30 +256,6 @@ func (s *mixSource) refresh() bool {
 	return s.pos < s.total || (s.haveMeasured && !s.sentEnd && s.pos == s.measured)
 }
 
-// mixDomain is the per-domain front-end description shared by every lane.
-type mixDomain struct {
-	spec sim.DomainSpec // Stream/Pressure drive the front-end; Name/CPU the lanes
-	key  tracecache.Key
-}
-
-// mixMonitorConfig is the monitor configuration every dynamic lane of this
-// mix uses — scheme-independent by construction (sim.Scaled varies only
-// SchemeConfig across kinds), which is what lets one recorder serve them
-// all. Window/Buckets are irrelevant to HitMask but keep New happy.
-func mixMonitorConfig(opts Options, scale float64) monitor.Config {
-	geom := sim.Scaled(partition.DefaultScheme(partition.Static), scale)
-	sizes := geom.Sizes
-	if opts.WayPartitioned {
-		sizes = geom.WaySizes()
-	}
-	return monitor.Config{
-		Sizes:      sizes,
-		Ways:       geom.LLCWays,
-		Window:     geom.MonitorWindow,
-		SampleLog2: geom.MonitorSampleLog2,
-	}
-}
-
 // annotateMonMasks replays a decoded tape's observed accesses through a
 // fresh recorder, restoring the in-memory MonMask annotation the cache
 // never stores. One shadow pass per warm domain, instead of one per
@@ -386,12 +291,9 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	if err != nil {
 		return nil, false, err
 	}
-	domains := make([]mixDomain, len(specs))
-	for i, spec := range specs {
-		domains[i] = mixDomain{
-			spec: spec,
-			key:  mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways),
-		}
+	keys := make([]tracecache.Key, len(specs))
+	for i := range specs {
+		keys[i] = mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways)
 	}
 
 	// With telemetry or metrics sinks attached, a discarded attempt has
@@ -399,9 +301,9 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	// surfaced as a retryable error instead of restarting in place.
 	canRestart := opts.TracerFor == nil && opts.MetricsFor == nil
 
-	forceCold := make([]bool, len(domains))
+	forceCold := make([]bool, len(keys))
 	for attempt := 0; ; attempt++ {
-		res, retry, ok, err := runMixFusedOnce(ctx, mix, opts, domains, forceCold, st, specs, scale)
+		res, retry, ok, err := runMixFusedOnce(ctx, mix, opts, keys, forceCold, st, specs, scale)
 		if err != nil || !ok || !retry {
 			return res, ok, err
 		}
@@ -422,40 +324,43 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 // runMixFusedOnce runs one fused attempt. retry=true asks the caller to
 // regenerate (underrun entries already removed, forceCold updated);
 // ok=false routes to the oracle.
-func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domains []mixDomain, forceCold []bool, st *tracecache.Store, specs []sim.DomainSpec, scale float64) (*MixResult, bool, bool, error) {
+func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys []tracecache.Key, forceCold []bool, st *tracecache.Store, specs []sim.DomainSpec, scale float64) (*MixResult, bool, bool, error) {
 	budget := &atomic.Int64{}
-	monCfg := mixMonitorConfig(opts, scale)
-	tapes := make([]*mixTape, len(domains))
-	for i := range domains {
-		t, ok, err := openMixTape(ctx, st, domains[i].key, budget, forceCold[i], scale)
+	// One front end serves every lane, so it resolves under a dynamic
+	// scheme's configuration: the L1 geometry, annotation switch, and
+	// monitor gate and recorder are scheme-independent (sim.Scaled varies
+	// only SchemeConfig across kinds), and static lanes ignore
+	// FlagMonObserve. Telemetry belongs to the lanes.
+	feOpts := opts
+	feOpts.TracerFor, feOpts.MetricsFor = nil, nil
+	feCfg := mixSimConfig(feOpts, partition.Untangle, scale)
+	tapes := make([]*mixTape, len(keys))
+	for i := range keys {
+		t, ok, err := openMixTape(ctx, st, keys[i], budget, forceCold[i], scale)
 		if err != nil {
 			return nil, false, false, err
 		}
 		if !ok {
 			return nil, false, false, nil // over budget: oracle
 		}
-		rec, err := monitor.New(monCfg)
-		if err != nil {
-			return nil, false, false, err
-		}
 		if t == nil {
-			t = &mixTape{cold: true, fe: &mixFrontEnd{
-				ctx:       ctx,
-				measured:  isa.NewChunks(specs[i].Stream, laneChunk),
-				pressure:  isa.NewChunks(specs[i].Pressure, laneChunk),
-				rec:       rec,
-				offset:    sim.DomainAddrOffset(i),
-				annotated: !opts.DisableAnnotations,
-				budget:    budget,
-			}}
-			geom := cache.Config{SizeBytes: domains[i].key.L1Bytes, Ways: domains[i].key.L1Ways}
-			if t.fe.l1, err = cache.New(geom); err != nil {
+			fe, err := sim.NewFrontEnd(feCfg, i)
+			if err != nil {
 				return nil, false, false, err
 			}
-			if t.fe.monL1, err = cache.New(geom); err != nil {
-				return nil, false, false, err
+			t = &mixTape{
+				cold:     true,
+				ctx:      ctx,
+				fe:       fe,
+				stream:   isa.NewChunks(specs[i].Stream, laneChunk),
+				pressure: isa.NewChunks(specs[i].Pressure, laneChunk),
+				budget:   budget,
 			}
 		} else {
+			rec, err := monitor.New(feCfg.MonitorConfig())
+			if err != nil {
+				return nil, false, false, err
+			}
 			annotateMonMasks(t, rec)
 		}
 		tapes[i] = t
@@ -465,37 +370,20 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domain
 	kinds := opts.kinds()
 	sources := make([][]*mixSource, len(kinds))
 	for i := range kinds {
-		sources[i] = make([]*mixSource, len(domains))
+		sources[i] = make([]*mixSource, len(tapes))
 		for d, t := range tapes {
 			sources[i][d] = &mixSource{t: t}
 		}
 	}
 	results, err := parallel.Map(ctx, len(kinds), opts.Jobs, func(_ context.Context, i int) (*sim.Result, error) {
 		kind := kinds[i]
-		scheme := partition.DefaultScheme(kind)
-		scheme.Annotated = !opts.DisableAnnotations
-		cfg := sim.Scaled(scheme, res.Scale)
-		cfg.OptimizeMaintain = !opts.WorstCaseAccounting
-		cfg.Budget = opts.Budget
-		if opts.WayPartitioned {
-			cfg.WayPartitioned = true
-			cfg.Sizes = cfg.WaySizes()
-		}
-		if opts.SimSeed != 0 {
-			cfg.Seed = opts.SimSeed
-		}
-		if opts.TracerFor != nil {
-			cfg.Tracer = opts.TracerFor(kind)
-		}
-		if opts.MetricsFor != nil {
-			cfg.Metrics = opts.MetricsFor(kind)
-		}
-		laneSpecs := make([]sim.DomainSpec, len(domains))
-		for d := range domains {
+		cfg := mixSimConfig(opts, kind, res.Scale)
+		laneSpecs := make([]sim.DomainSpec, len(specs))
+		for d := range specs {
 			laneSpecs[d] = sim.DomainSpec{
-				Name:   domains[d].spec.Name,
+				Name:   specs[d].Name,
 				Replay: sources[i][d],
-				CPU:    domains[d].spec.CPU,
+				CPU:    specs[d].CPU,
 			}
 		}
 		s, err := sim.New(cfg, laneSpecs)
@@ -529,7 +417,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domain
 	// An underrun lane idled out on a short cached pressure tail: its
 	// timing no longer matches the oracle. Remove the short entries and
 	// regenerate those domains cold.
-	consumed := make([]int, len(domains))
+	consumed := make([]int, len(tapes))
 	retry := false
 	for d := range tapes {
 		for i := range kinds {
@@ -546,8 +434,8 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domain
 	if retry {
 		for d, t := range tapes {
 			if forceCold[d] && !t.cold && st != nil {
-				unlock := st.Lock(domains[d].key)
-				os.Remove(st.EntryPath(domains[d].key))
+				unlock := st.Lock(keys[d])
+				os.Remove(st.EntryPath(keys[d]))
 				unlock()
 			}
 		}
@@ -560,7 +448,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domain
 			if !t.cold {
 				continue
 			}
-			if err := persistMixTape(st, domains[d].key, t, consumed[d]); err != nil {
+			if err := persistMixTape(st, keys[d], t, consumed[d]); err != nil {
 				return nil, false, false, err
 			}
 		}
@@ -619,7 +507,7 @@ func decodeMixTape(ctx context.Context, r *tracecache.Reader, budget *atomic.Int
 	t := &mixTape{}
 	buf := make([]feEvent, laneChunk)
 	for {
-		if err := mixCheckpoint(ctx); err != nil {
+		if err := engineCheckpoint(ctx); err != nil {
 			return nil, err
 		}
 		n, err := r.Read(buf)

@@ -13,8 +13,10 @@
 // the identical event sequence.
 //
 // The replay is not an approximation of sim.Run — it is a transliteration of
-// the driver's quantum machine for the exact configuration sensitivityPoint
-// builds (Static scheme, one domain, Warmup 0, WarmupInstructions set):
+// the driver's quantum machine (sim.Run's quantum loop around its one
+// per-domain loop, runDomainUntil) for the exact configuration
+// sensitivityPoint builds (Static scheme, one domain, Warmup 0,
+// WarmupInstructions set):
 // per-quantum horizons in cycles, the end-of-quantum warmup check against
 // retired instructions, the finish snapshot before the idle AdvanceTo, and
 // collect's instructions/cycles division, all in the same order with the
@@ -91,8 +93,8 @@ func (l *laneState) endQuantum(warmup uint64, step time.Duration) {
 // replay consumes one chunk of front-end events. The boundary catch-up loop
 // before each event reproduces the driver's "consume ops only while the core
 // is inside the quantum" condition: quanta in which this lane retires
-// nothing still get their boundary (and warmup check), exactly as the driver
-// re-enters runDomainUntil with an advanced horizon.
+// nothing still get their boundary (and warmup check), exactly as sim.Run
+// re-enters its per-domain loop, runDomainUntil, with an advanced horizon.
 func (l *laneState) replay(events []feEvent, warmup uint64, step time.Duration) {
 	core := l.core
 	for _, ev := range events {
@@ -280,11 +282,12 @@ func (e *laneEngine) collect(instructions uint64) []float64 {
 	return ipcs
 }
 
-// checkpoint runs the per-chunk control points shared by the cold and warm
-// paths: context cancellation and the fault-injection hook. Both paths call
-// it once per front-end batch, so cancellation latency and fault placement
-// are the same whether the stream is generated or replayed.
-func (e *laneEngine) checkpoint(ctx context.Context) error {
+// engineCheckpoint runs the per-chunk control points of both engines' cold
+// and warm paths: context cancellation and the fault-injection hook. Every
+// path calls it once per front-end batch, so cancellation latency and fault
+// placement are the same whether the stream is generated or replayed, and
+// kill-and-resume tests can land a fault inside a mix front-end pass too.
+func engineCheckpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -373,7 +376,7 @@ func (e *laneEngine) generateRun(ctx context.Context, st *tracecache.Store, key 
 	totalEvents, missCursor := 0, 0
 	offset := sim.DomainAddrOffset(0)
 	for {
-		if err := e.checkpoint(ctx); err != nil {
+		if err := engineCheckpoint(ctx); err != nil {
 			return nil, err
 		}
 		ops := chunks.Next()
@@ -459,7 +462,7 @@ func (e *laneEngine) replayRun(ctx context.Context, st *tracecache.Store, key tr
 	}
 	buf := e.events[:cap(e.events)]
 	for {
-		if err := e.checkpoint(ctx); err != nil {
+		if err := engineCheckpoint(ctx); err != nil {
 			return nil, err
 		}
 		n, err := r.Read(buf)
@@ -495,7 +498,7 @@ func (e *laneEngine) replayLaneMajor(ctx context.Context, st *tracecache.Store, 
 	events := make([]feEvent, 0, min(n, 1<<20))
 	buf := e.events[:cap(e.events)]
 	for {
-		if err := e.checkpoint(ctx); err != nil {
+		if err := engineCheckpoint(ctx); err != nil {
 			return nil, err
 		}
 		k, err := r.Read(buf)
@@ -521,7 +524,7 @@ func (e *laneEngine) replayLaneMajor(ctx context.Context, st *tracecache.Store, 
 		for i := range e.lanes {
 			bits[i] = make([]uint64, words)
 			for off := 0; off < len(missAddrs); off += span {
-				if err := e.checkpoint(ctx); err != nil {
+				if err := engineCheckpoint(ctx); err != nil {
 					return nil, err
 				}
 				e.lanes[i].probe(missAddrs[off:min(off+span, len(missAddrs))], bits[i], off)
@@ -531,7 +534,7 @@ func (e *laneEngine) replayLaneMajor(ctx context.Context, st *tracecache.Store, 
 	for i := range e.lanes {
 		cursor := 0
 		for off := 0; off < len(events); off += span {
-			if err := e.checkpoint(ctx); err != nil {
+			if err := engineCheckpoint(ctx); err != nil {
 				return nil, err
 			}
 			cursor = e.lanes[i].replayResolved(events[off:min(off+span, len(events))], bits[i], cursor, instructions, e.step)

@@ -135,26 +135,7 @@ func sampleHash(lineAddr uint64) uint64 {
 // record but does not affect the metric: shadow arrays count hits only and
 // track no dirty state (cache.ShadowAccess).
 func (m *Monitor) Observe(addr uint64, write bool) {
-	m.totalObserved++
-	m.curCount++
-	if m.curCount >= m.bucketLen {
-		m.cur = (m.cur + 1) % len(m.ring)
-		for s := range m.ring[m.cur] {
-			m.ring[m.cur][s] = 0
-		}
-		m.curCount = 0
-		m.rotations++
-	}
-	lineAddr := addr / cache.LineBytes
-	if sampleHash(lineAddr)&m.sampleMask != 0 {
-		return
-	}
-	row := m.ring[m.cur]
-	for s, shadow := range m.shadows {
-		if shadow.ShadowAccess(addr) {
-			row[s]++
-		}
-	}
+	m.ObserveMask(m.HitMask(addr, write))
 }
 
 // HitMask simulates the shadow arrays for one observed access and returns

@@ -268,9 +268,10 @@ func (c *Coordinator) Broadcast(name string, value json.RawMessage) error {
 // A worker that dies — before or while running the unit — is harvested:
 // the unit is returned from its shard journal if it got there, and run
 // again on a respawned worker otherwise; once the respawn budget is spent,
-// Exec fails. A unit the worker replayed from its own journal (or that was
-// harvested from one) reports the "resumed" outcome to the campaign
-// service (campaign.ReportOutcome).
+// Exec fails. The outcome the worker streams back with a result (what its
+// Exec reported, or "resumed" for a unit it replayed from its own journal)
+// is forwarded to the campaign service (campaign.ReportOutcome); a unit
+// harvested from a dead worker's journal reports "resumed".
 func (c *Coordinator) Exec(ctx context.Context, key string) (json.RawMessage, error) {
 	var slot int
 	select {
@@ -327,8 +328,8 @@ func (c *Coordinator) Exec(ctx context.Context, key string) (json.RawMessage, er
 		if m.Kind == kindError {
 			return nil, fmt.Errorf("shard: worker %d unit %s: %s", w.shard, key, m.Error)
 		}
-		if m.Resumed {
-			campaign.ReportOutcome(ctx, "resumed")
+		if m.Outcome != "" {
+			campaign.ReportOutcome(ctx, m.Outcome)
 		}
 		return m.Value, c.accept(key, m.Value, w.shard)
 	}

@@ -27,9 +27,12 @@
 // Worker → coordinator:
 //
 //	{"kind":"result","key":"mix/3","value":...}      // unit completed
-//	{"kind":"result","key":"mix/3","value":...,"resumed":true}
-//	                                                 // replayed from the
-//	                                                 // worker's journal
+//	{"kind":"result","key":"mix/3","value":...,"outcome":"replayed"}
+//	                                                 // completed with the
+//	                                                 // outcome its executor
+//	                                                 // reported; "resumed"
+//	                                                 // when replayed from
+//	                                                 // the worker's journal
 //	{"kind":"error","key":"mix/3","error":"..."}     // unit failed (after
 //	                                                 // the worker's retries)
 //	{"kind":"heartbeat"}                             // liveness pulse
@@ -82,10 +85,13 @@ type message struct {
 	// Error is the unit's failure, rendered (error values don't cross
 	// process boundaries).
 	Error string `json:"error,omitempty"`
-	// Resumed marks a result replayed from the worker's own checkpoint
-	// journal rather than executed — the observability layer keeps such
-	// units out of its rate estimates.
-	Resumed bool `json:"resumed,omitempty"`
+	// Outcome is the unit's settled outcome when it is not a plain run:
+	// whatever the worker's Exec reported through campaign.ReportOutcome
+	// (experiments.UnitReplayed for a unit served from the front-end trace
+	// cache), or "resumed" for a result replayed from the worker's own
+	// checkpoint journal. The coordinator forwards it to the campaign
+	// service, so observers keep such units out of their rate estimates.
+	Outcome string `json:"outcome,omitempty"`
 }
 
 // stream wraps one direction of a protocol connection: a line-buffered

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"untangle/internal/campaign"
 	"untangle/internal/checkpoint"
 )
 
@@ -27,7 +28,8 @@ type WorkerConfig struct {
 	// Exec runs one unit and returns its journal-encoded value. The worker
 	// runs units strictly sequentially — the process count is the
 	// parallelism, which keeps each unit's inner execution identical to the
-	// sequential campaign's.
+	// sequential campaign's. An outcome Exec reports through
+	// campaign.ReportOutcome travels back with the result.
 	Exec func(ctx context.Context, key string) (json.RawMessage, error)
 
 	// SetContext receives campaign state broadcast by the coordinator
@@ -134,9 +136,10 @@ func runUnit(ctx context.Context, cfg WorkerConfig, key string) message {
 		return message{Kind: kindError, Key: key, Error: err.Error()}
 	}
 	if ok {
-		return message{Kind: kindResult, Key: key, Value: raw, Resumed: true}
+		return message{Kind: kindResult, Key: key, Value: raw, Outcome: "resumed"}
 	}
-	value, err := cfg.Exec(ctx, key)
+	uctx, outcome := campaign.CaptureOutcome(ctx)
+	value, err := cfg.Exec(uctx, key)
 	if err == nil {
 		err = cfg.Journal.Record(key, value)
 	}
@@ -146,5 +149,5 @@ func runUnit(ctx context.Context, cfg WorkerConfig, key string) message {
 	if cfg.PostRecord != nil {
 		cfg.PostRecord(key)
 	}
-	return message{Kind: kindResult, Key: key, Value: value}
+	return message{Kind: kindResult, Key: key, Value: value, Outcome: *outcome}
 }

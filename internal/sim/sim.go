@@ -224,22 +224,39 @@ func (c Config) WarmRateTables() error {
 	return err
 }
 
-// DomainSpec describes one security domain's workload.
+// MonitorConfig is the utility monitor a dynamic scheme runs under this
+// configuration. Its shadow arrays live in the domain's FrontEnd, which
+// records their hit vectors into the events; an engine that replays events
+// it resolved itself must record them under this configuration.
+func (c Config) MonitorConfig() monitor.Config {
+	return monitor.Config{
+		Sizes:      c.Sizes,
+		Ways:       c.LLCWays,
+		Window:     c.MonitorWindow,
+		SampleLog2: c.MonitorSampleLog2,
+	}
+}
+
+// DomainSpec describes one security domain's workload. Every domain runs
+// from a ReplaySource: either Replay, or the live source New builds from
+// Stream and Pressure over the domain's own FrontEnd.
 type DomainSpec struct {
 	// Name labels the domain in results.
 	Name string
-	// Stream provides the retired instruction stream. The simulator drains
-	// it once for the measured run; when it ends, the domain is finished.
+	// Stream provides the retired instruction stream, the live source's
+	// first input. The simulator drains it once for the measured run; when
+	// it ends, the domain is finished.
 	Stream isa.Stream
-	// Pressure, if non-nil, supplies an endless stream that keeps pressure
-	// on the LLC after Stream finishes ("the finished workload maintains
-	// its pressure on the LLC, but does not update the statistics").
+	// Pressure, if non-nil, supplies a stream that keeps pressure on the
+	// LLC after Stream finishes ("the finished workload maintains its
+	// pressure on the LLC, but does not update the statistics"), the live
+	// source's second input. It is normally endless; a finite one that
+	// drains leaves the domain idling forward, as a nil Pressure does.
 	Pressure isa.Stream
 	// Replay, if non-nil, feeds the domain a pre-resolved post-L1 event
-	// stream instead of Stream: the simulator runs no private L1 of its
-	// own and takes hit/miss resolution, monitor gates, and the pressure
-	// tail from the events (see ReplaySource). Mutually exclusive with
-	// Stream and Pressure.
+	// stream of the caller's (see ReplaySource), e.g. one front-end pass
+	// shared by several back ends. Mutually exclusive with Stream and
+	// Pressure.
 	Replay ReplaySource
 	// CPU parameterizes the timing model for this workload.
 	CPU cpu.Params
@@ -286,29 +303,19 @@ type Result struct {
 type domain struct {
 	spec DomainSpec
 	core *cpu.Core
-	l1   *cache.Cache
 	part *cache.Cache // nil when the scheme is Shared
-	mon  *monitor.Monitor
-	// monL1 is the monitor's own private-cache filter (Section 7: accesses
-	// that would hit in the private caches are filtered out). It is fed
-	// only the accesses the monitor may see, so — unlike the real L1, whose
-	// state secret accesses perturb — the filtering decision is a pure
-	// function of the public access sequence, as Principle 1 requires.
-	monL1  *cache.Cache
-	stream isa.Stream
-	buf    []isa.Op
-	bufLen int
-	bufPos int
+	// mon holds the monitor's window counters; its shadow-array hit
+	// vectors arrive precomputed in the events (ReplaySource).
+	mon *monitor.Monitor
 
-	// Replay-fed domains (DomainSpec.Replay): the event cursor and the
-	// L1 counters accumulated from the event flags in place of a live l1.
+	// The event cursor, and the private-L1 counters accumulated from the
+	// event kinds and flags.
 	replay  ReplaySource
 	rbatch  []tracecache.Event
 	rpos    int
 	l1Stats cache.Stats
 
-	idx    int    // this domain's index
-	offset uint64 // address-space offset
+	idx int // this domain's index
 
 	// progress counters
 	retired       uint64
@@ -459,20 +466,17 @@ func New(cfg Config, specs []DomainSpec) (*Sim, error) {
 		d := &domain{
 			spec:   spec,
 			core:   cpu.New(spec.CPU),
-			stream: spec.Stream,
 			replay: spec.Replay,
 			idx:    i,
-			offset: DomainAddrOffset(i),
 			rng:    cfg.Seed*0x9E3779B97F4A7C15 + uint64(i+1),
 		}
 		if d.replay == nil {
-			d.buf = make([]isa.Op, 4096)
-			// Replay domains carry their L1 resolution in the events; only
-			// live domains simulate one.
-			d.l1, err = cache.New(cache.Config{SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways})
+			fe, err := NewFrontEnd(cfg, i)
 			if err != nil {
 				return nil, err
 			}
+			d.replay = &liveSource{fe: fe, stream: spec.Stream, pressure: spec.Pressure,
+				ops: make([]isa.Op, liveChunk), events: make([]tracecache.Event, liveChunk)}
 		}
 		if cfg.Scheme.Kind != partition.Shared {
 			if s.wayLLC == nil {
@@ -485,26 +489,10 @@ func New(cfg Config, specs []DomainSpec) (*Sim, error) {
 			d.lastGrantedSize = startSize
 		}
 		if cfg.Scheme.Dynamic() {
-			d.mon, err = monitor.New(monitor.Config{
-				Sizes:      cfg.Sizes,
-				Ways:       cfg.LLCWays,
-				Window:     cfg.MonitorWindow,
-				SampleLog2: cfg.MonitorSampleLog2,
-				// Replay events carry precomputed shadow hit vectors
-				// (ReplaySource docs), so replay domains never simulate
-				// the shadow arrays.
-				SkipShadows: d.replay != nil,
-			})
-			if err != nil {
+			monCfg := cfg.MonitorConfig()
+			monCfg.SkipShadows = true
+			if d.mon, err = monitor.New(monCfg); err != nil {
 				return nil, err
-			}
-			// Replay domains carry the monitor's private-cache filter
-			// decision in FlagMonObserve; only live domains simulate it.
-			if d.replay == nil {
-				d.monL1, err = cache.New(cache.Config{SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways})
-				if err != nil {
-					return nil, err
-				}
 			}
 			d.nextAssessAt = cfg.Scheme.ProgressN
 		}
@@ -573,20 +561,16 @@ func (s *Sim) registerMetrics(reg *telemetry.Registry) {
 	}
 	for _, d := range s.domains {
 		d := d
+		// The private-L1 gauges carry cache.Cache.RegisterMetrics' names
+		// over the counters accumulated from the events. The geometry is
+		// fixed, so size_bytes reports the configured L1 size.
 		prefix := fmt.Sprintf("cache.l1.d%d", d.idx)
-		if d.l1 != nil {
-			d.l1.RegisterMetrics(reg, prefix)
-		} else {
-			// Replay domains: same gauge names over the replayed counters,
-			// so dashboards see one schema either way. The geometry is
-			// fixed, so size_bytes reports the configured L1 size.
-			reg.GaugeFunc(prefix+".hits", func() float64 { return float64(d.l1Stats.Hits) })
-			reg.GaugeFunc(prefix+".misses", func() float64 { return float64(d.l1Stats.Misses) })
-			reg.GaugeFunc(prefix+".evictions", func() float64 { return float64(d.l1Stats.Evictions) })
-			reg.GaugeFunc(prefix+".writebacks", func() float64 { return float64(d.l1Stats.Writebacks) })
-			reg.GaugeFunc(prefix+".prefetches", func() float64 { return float64(d.l1Stats.Prefetches) })
-			reg.GaugeFunc(prefix+".size_bytes", func() float64 { return float64(s.cfg.L1Bytes) })
-		}
+		reg.GaugeFunc(prefix+".hits", func() float64 { return float64(d.l1Stats.Hits) })
+		reg.GaugeFunc(prefix+".misses", func() float64 { return float64(d.l1Stats.Misses) })
+		reg.GaugeFunc(prefix+".evictions", func() float64 { return float64(d.l1Stats.Evictions) })
+		reg.GaugeFunc(prefix+".writebacks", func() float64 { return float64(d.l1Stats.Writebacks) })
+		reg.GaugeFunc(prefix+".prefetches", func() float64 { return float64(d.l1Stats.Prefetches) })
+		reg.GaugeFunc(prefix+".size_bytes", func() float64 { return float64(s.cfg.L1Bytes) })
 		if d.part != nil {
 			d.part.RegisterMetrics(reg, fmt.Sprintf("cache.llc.d%d", d.idx))
 		}
@@ -626,63 +610,65 @@ func (s *Sim) llcStats(d *domain) cache.Stats {
 	}
 }
 
-// runDomainUntil advances one domain until its local clock reaches horizon
-// or its stream ends (switching to the pressure stream if provided).
+// runDomainUntil advances one domain until its local clock reaches horizon,
+// consuming its events (ReplaySource): the measured stream, the finish at
+// its end, then the pressure tail while there is one, and idling forward
+// after that.
 func (s *Sim) runDomainUntil(d *domain, horizon time.Duration) {
-	if d.replay != nil {
-		s.runDomainReplayUntil(d, horizon)
-		return
-	}
 	cfg := &s.cfg
 	horizonCycles := d.core.DurationToCycles(horizon)
 	for d.core.Cycles() < horizonCycles {
-		if d.bufPos >= d.bufLen {
-			d.bufLen = d.stream.Fill(d.buf)
-			d.bufPos = 0
-			if d.bufLen == 0 {
+		if d.rpos >= len(d.rbatch) {
+			d.rbatch = d.replay.NextEvents()
+			d.rpos = 0
+			if len(d.rbatch) == 0 {
 				if !d.finished {
 					s.finishDomain(d)
+					continue // the pressure tail, if any, follows
 				}
-				if d.spec.Pressure == nil {
-					// Nothing to keep the pressure up with: idle forward.
-					d.core.AdvanceTo(horizon)
-					return
-				}
-				d.stream = d.spec.Pressure
-				continue
+				d.core.AdvanceTo(horizon)
+				return
 			}
 		}
-		op := d.buf[d.bufPos]
-		d.bufPos++
+		ev := d.rbatch[d.rpos]
+		d.rpos++
 
-		d.core.RetireNonMem(op.NonMem)
-		if op.IsMem() {
-			addr := op.Addr + d.offset
-			if d.l1.Access(addr, op.IsWrite()) {
+		d.core.RetireNonMem(ev.NonMem)
+		instr := uint64(ev.NonMem)
+		if ev.Kind != tracecache.KindNoMem {
+			instr++
+			write := ev.Flags&tracecache.FlagWrite != 0
+			if ev.Kind == tracecache.KindL1Hit {
 				d.core.RetireMem(cpu.L1Hit)
-			} else if s.llcAccess(d, addr, op.IsWrite()) {
-				d.core.RetireMem(cpu.LLCHit)
+				d.l1Stats.Hits++
 			} else {
-				d.core.RetireMem(cpu.Memory)
-				d.dramInQuantum++
-				if cfg.NextLinePrefetch && d.part != nil {
-					d.part.Prefetch(addr + cache.LineBytes)
+				d.l1Stats.Misses++
+				if ev.Flags&tracecache.FlagL1Evict != 0 {
+					d.l1Stats.Evictions++
+				}
+				if ev.Flags&tracecache.FlagL1Writeback != 0 {
+					d.l1Stats.Writebacks++
+				}
+				if s.llcAccess(d, ev.Addr, write) {
+					d.core.RetireMem(cpu.LLCHit)
+				} else {
+					d.core.RetireMem(cpu.Memory)
+					d.dramInQuantum++
+					if cfg.NextLinePrefetch && d.part != nil {
+						d.part.Prefetch(ev.Addr + cache.LineBytes)
+					}
 				}
 			}
-			// Principle 1: secret-dependent accesses are excluded from the
-			// utilization metric (the ablation switch Annotated=false feeds
-			// them anyway), and the private-cache filter is the monitor's
-			// own, so its state never carries secret history.
-			if d.mon != nil && (!op.SecretUse() || !cfg.Scheme.Annotated) {
-				if !d.monL1.Access(addr, op.IsWrite()) {
-					d.mon.Observe(addr, op.IsWrite())
-				}
+			// The front end applied the Principle 1 gate and resolved the
+			// shadow arrays; the monitor only updates its window counters.
+			if d.mon != nil && ev.Flags&tracecache.FlagMonObserve != 0 {
+				d.mon.ObserveMask(ev.MonMask)
 			}
 		}
-		d.retired += op.Instructions()
-		// Principle 2: only public instructions advance execution progress.
-		if !op.SecretProgress() || !cfg.Scheme.Annotated {
-			d.publicRetired += op.Instructions()
+		d.retired += instr
+		// The front end applied the Principle 2 gate.
+		if ev.Flags&tracecache.FlagPublic != 0 {
+			d.publicRetired += instr
 		}
 		// Apply a pending resize the moment its delay elapses.
 		if d.havePending && d.core.Now() >= d.pendingAt {
@@ -701,7 +687,7 @@ func (s *Sim) finishDomain(d *domain) {
 	d.finishTime = d.core.Now()
 	d.finishCore = d.core.Snapshot()
 	d.finishLLC = s.llcStats(d)
-	d.finishL1 = d.l1Snapshot()
+	d.finishL1 = d.l1Stats
 }
 
 // applyResize performs the physical partition resize.
@@ -1004,7 +990,7 @@ func (s *Sim) beginMeasurement() {
 	for _, d := range s.domains {
 		d.base = d.core.Snapshot()
 		d.baseLLC = s.llcStats(d)
-		d.baseL1 = d.l1Snapshot()
+		d.baseL1 = d.l1Stats
 		d.trace = nil
 		d.samples = nil
 		d.ipcSamples = nil
@@ -1119,7 +1105,7 @@ func (s *Sim) collect() *Result {
 	for i, d := range s.domains {
 		end, endLLC, endL1 := d.finishCore, d.finishLLC, d.finishL1
 		if !d.finished {
-			end, endLLC, endL1 = d.core.Snapshot(), s.llcStats(d), d.l1Snapshot()
+			end, endLLC, endL1 = d.core.Snapshot(), s.llcStats(d), d.l1Stats
 		}
 		instr := end.Retired - d.base.Retired
 		cycles := end.Cycles - d.base.Cycles

@@ -69,11 +69,11 @@ type Event struct {
 	Kind   uint8
 	Flags  uint8 // rich entries only; zero in classic entries
 	// MonMask is in-memory annotation only, never persisted: the monitor
-	// shadow-array hit vector (monitor.Monitor.HitMask) the fused mix
-	// engine precomputes for FlagMonObserve events so replay lanes apply
-	// it via ObserveMask instead of re-simulating the shadow arrays.
-	// Writers ignore it; readers return it zero — the engine recomputes
-	// masks from the decoded stream.
+	// shadow-array hit vector (monitor.Monitor.HitMask) the simulator's
+	// front end (sim.FrontEnd) precomputes for FlagMonObserve events so
+	// every domain applies it via ObserveMask instead of re-simulating the
+	// shadow arrays. Writers ignore it; readers return it zero — the fused
+	// mix engine recomputes masks from the decoded stream.
 	MonMask uint16
 }
 
@@ -93,7 +93,7 @@ const (
 // secret-progress gate for the public retired-instruction counter.
 const (
 	FlagWrite       uint8 = 1 << iota // the access is a write
-	FlagMonObserve                    // dynamic lanes call mon.Observe(addr, write)
+	FlagMonObserve                    // dynamic lanes call mon.ObserveMask(MonMask)
 	FlagPublic                        // op counts toward publicRetired
 	FlagL1Evict                       // the access evicted a private-L1 line
 	FlagL1Writeback                   // the eviction wrote a dirty line back

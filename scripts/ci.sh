@@ -2,7 +2,10 @@
 # The repository's verification gate, in two tiers:
 #
 #   tier 1  build + vet + gofmt + the fast (-short) test suite — what
-#           every change must keep green (see ROADMAP.md)
+#           every change must keep green (see ROADMAP.md) — plus vet and
+#           tests of the nested perfbench module (perfbench/go.mod, which
+#           the root ./... never compiles but which imports the sim and
+#           monitor seams the root module exports)
 #   tier 2  the race detector over the concurrency-bearing packages: the
 #           worker pool, the campaign service (the only unit scheduler:
 #           every campaign of cmd/experiments and cmd/sensitivity runs as
@@ -41,6 +44,9 @@ fi
 
 echo "==> go test -short ./..."
 go test -short ./...
+
+echo "==> perfbench module: go vet + go test"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> go test -race (concurrency-bearing packages)"
 go test -race -short \
