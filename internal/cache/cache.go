@@ -5,9 +5,12 @@
 // Partitioning follows the paper's evaluation: the LLC is set-partitioned
 // (following Bespoke/Chunked-cache-style designs [15, 37, 46]), so a domain's
 // partition is an independent region of sets and resizing changes the number
-// of sets a domain owns. Lines are remapped on resize: lines whose new set
-// index still exists are reinserted (respecting associativity), the rest are
-// written back and dropped.
+// of sets a domain owns. Lines are remapped on resize in one bucketed pass:
+// every valid line is hashed to its set in the new geometry, the lines are
+// grouped by new set (a histogram and a scatter, as in radix partitioning),
+// each small group is sorted oldest-first, and each group is reinserted
+// into its set. When a set receives more lines than it has ways, the most
+// recently used lines stay and the dropped dirty ones count as writebacks.
 //
 // Access is the simulator's hottest function (every simulated memory
 // reference passes through an L1, often an LLC partition, and the monitor's
@@ -18,9 +21,11 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"untangle/internal/telemetry"
 )
@@ -93,17 +98,6 @@ func (s *Stats) Sub(base Stats) {
 	s.Evictions -= base.Evictions
 	s.Writebacks -= base.Writebacks
 	s.Prefetches -= base.Prefetches
-}
-
-// line is one cache line in array-of-structs form. Both the resizable Cache
-// and WayPartitioned store their state split (tags packed apart from
-// metadata); line remains the working representation for the transient
-// survivor list a Resize builds.
-type line struct {
-	lineAddr uint64
-	lru      uint64
-	valid    bool
-	dirty    bool
 }
 
 // Cache is a set-associative, true-LRU, write-back cache with a resizable
@@ -420,9 +414,29 @@ func (c *Cache) Flush() {
 }
 
 // Resize changes the number of sets to match newSize, preserving lines
-// whose new set has room (LRU order decides who survives an over-full set).
-// Dirty dropped lines count as writebacks. Resizing to the current size is
-// a no-op so Maintain actions cost nothing.
+// whose new set has room. Resizing to the current size is a no-op so
+// Maintain actions cost nothing.
+//
+// The survivors are reinserted in one pass over the old arrays, with no
+// sort over the whole partition. A histogram counts the valid lines per
+// new set, a scatter groups their (LRU tick, old slot) keys into one
+// bucket per new set, and each bucket is sorted oldest-first. Each set
+// then takes its bucket in order: a line fills the first empty way, or,
+// in a full set, replaces the least recently used occupant if that
+// occupant is strictly older. A line that does not fit is dropped, and
+// each dropped dirty line counts as a writeback. The rule does not depend
+// on the replacement policy; TreePLRU bits start cleared.
+//
+// Within a set, the order of insertion decides which way each line takes.
+// Per-bucket order equals the order of one global LRU sort whenever no
+// bucket holds two equal ticks, because insertions into different sets
+// never interact. Equal ticks arise only from Prefetch, which inserts one
+// tick below the clock. If any bucket holds a tie, the keys are instead
+// laid out in old-slot order and sorted once globally with
+// slices.SortFunc. That is the pdqsort sort.Slice runs (both are generated
+// from one template), so equal ticks keep the relative order a global
+// sort.Slice over the old slots gives them, and that order feeds the same
+// reinsertion loop.
 func (c *Cache) Resize(newSize int64) error {
 	cfg := Config{SizeBytes: newSize, Ways: c.ways}
 	if err := cfg.Validate(); err != nil {
@@ -441,50 +455,118 @@ func (c *Cache) Resize(newSize int64) error {
 	if c.plru != nil {
 		c.plru = make([]uint32, newSets)
 	}
-	// Reinsert surviving lines in LRU order (oldest first) so that when a
-	// new set overflows, the most recently used lines win.
-	survivors := make([]line, 0, len(oldTags))
-	for i, t := range oldTags {
+
+	sc := resizePool.Get().(*resizeScratch)
+	defer resizePool.Put(sc)
+	// Histogram: end[s+1] counts the lines bound for new set s.
+	end := grow(sc.end, newSets+1)
+	clear(end)
+	n := 0
+	for _, t := range oldTags {
 		if t != 0 {
-			survivors = append(survivors, line{
-				lineAddr: t - 1, lru: oldLRU[i], valid: true, dirty: oldDirty[i],
-			})
+			end[c.setIndex(t-1)+1]++
+			n++
 		}
 	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i].lru < survivors[j].lru })
-	for _, l := range survivors {
-		set := c.setIndex(l.lineAddr)
-		base := set * c.ways
+	for s := 1; s <= newSets; s++ {
+		end[s] += end[s-1]
+	}
+	// Scatter: end[s] walks bucket s and finishes at its end, which is
+	// where bucket s+1 begins.
+	keys := grow(sc.keys, n)
+	for i, t := range oldTags {
+		if t != 0 {
+			s := c.setIndex(t - 1)
+			keys[end[s]] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: uint32(s)}
+			end[s]++
+		}
+	}
+	tie := false
+	for s, lo := 0, uint32(0); s < newSets && !tie; s++ {
+		b := keys[lo:end[s]]
+		slices.SortFunc(b, byTick)
+		for i := 1; i < len(b); i++ {
+			if b[i].tick == b[i-1].tick {
+				tie = true
+				break
+			}
+		}
+		lo = end[s]
+	}
+	if tie {
+		k := 0
+		for i, t := range oldTags {
+			if t != 0 {
+				keys[k] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: uint32(c.setIndex(t - 1))}
+				k++
+			}
+		}
+		slices.SortFunc(keys, byTick)
+	}
+	sc.keys, sc.end = keys, end
+
+	for _, k := range keys {
+		base := int(k.set) * c.ways
+		tags, lru, dirty := c.tags[base:base+c.ways], c.lru[base:base+c.ways], c.dirty[base:base+c.ways]
+		tag, isDirty := oldTags[k.slot], oldDirty[k.slot]
 		placed := false
 		slot, oldest := -1, ^uint64(0)
-		for i := 0; i < c.ways; i++ {
-			if c.tags[base+i] == 0 {
-				c.tags[base+i] = l.lineAddr + 1
-				c.lru[base+i] = l.lru
-				c.dirty[base+i] = l.dirty
+		for i, t := range tags {
+			if t == 0 {
+				tags[i], lru[i], dirty[i] = tag, k.tick, isDirty
 				placed = true
 				break
 			}
-			if m := c.lru[base+i]; m < oldest {
-				oldest = m
+			if lru[i] < oldest {
+				oldest = lru[i]
 				slot = i
 			}
 		}
-		if !placed {
-			// Set over-full after shrink: replace the LRU occupant (which
-			// is older because we insert oldest-first). The displaced line
-			// is dropped; count its writeback if dirty.
-			if oldest < l.lru {
-				if c.dirty[base+slot] {
-					c.stats.Writebacks++
-				}
-				c.tags[base+slot] = l.lineAddr + 1
-				c.lru[base+slot] = l.lru
-				c.dirty[base+slot] = l.dirty
-			} else if l.dirty {
+		if placed {
+			continue
+		}
+		// Set over-full after a shrink: replace the LRU occupant only if it
+		// is strictly older (lines arrive oldest-first). The displaced or
+		// refused line is dropped; count its writeback if dirty.
+		if oldest < k.tick {
+			if dirty[slot] {
 				c.stats.Writebacks++
 			}
+			tags[slot], lru[slot], dirty[slot] = tag, k.tick, isDirty
+		} else if isDirty {
+			c.stats.Writebacks++
 		}
 	}
 	return nil
+}
+
+// resizeKey is one surviving line's reinsertion key: its LRU tick, its
+// slot in the pre-resize arrays, and its set in the post-resize geometry.
+// It packs into 16 bytes.
+type resizeKey struct {
+	tick uint64
+	slot uint32
+	set  uint32
+}
+
+func byTick(a, b resizeKey) int { return cmp.Compare(a.tick, b.tick) }
+
+// resizeScratch holds one Resize's transient buffers: the keys (16 B per
+// valid line) and the per-new-set bucket ends (4 B per set). They are
+// pooled so that a resize at a steady partition size allocates only the
+// new tag, LRU and dirty arrays.
+type resizeScratch struct {
+	keys []resizeKey
+	end  []uint32
+}
+
+var resizePool = sync.Pool{New: func() any { return new(resizeScratch) }}
+
+// grow returns buf resized to n elements, reusing its storage when the
+// capacity suffices. Reused elements keep their old values.
+func grow[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
 }

@@ -18,7 +18,8 @@
 #           cmd-level kill-and-resume, fail-fast, sharded
 #           worker-kill-and-merge, dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
-#           observability-equivalence tests; then each fuzz target for a
+#           observability-equivalence tests; then each fuzz target (journal
+#           recovery, lane sidecar, trace round trip, cache resize) for a
 #           bounded 10 seconds
 #
 # Everything is hermetic (no network, no external services); the whole
@@ -93,10 +94,12 @@ go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 echo "==> go test -fuzz (bounded, 10s per target)"
 # Plain go test runs only each fuzz target's seed corpus; this stage
 # mutates beyond it: journal crash recovery, lane-outcome sidecar
-# decoding, and the trace-file round trip.
+# decoding, the trace-file round trip, and the bucketed cache resize
+# against the original sort-based one.
 go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLaneSidecar$' -fuzztime 10s ./internal/tracecache/
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/isa/
+go test -run '^$' -fuzz '^FuzzResize$' -fuzztime 10s ./internal/cache/
 
 echo "==> benchjson gate (committed baselines)"
 # Committed-baseline deltas on sub-second single-iteration benchmarks
