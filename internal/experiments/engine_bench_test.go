@@ -8,13 +8,13 @@ import (
 	"untangle/internal/workload"
 )
 
-// benchEngineInstructions matches the committed Figure 11 benchmark floor
-// (see bench_test.go sensitivityInstructions), so per-benchmark ns here
-// decompose the study-level numbers in BENCH_PR7.json.
+// benchEngineInstructions matches the Figure 11 benchmark floor (see
+// bench_test.go sensitivityInstructions), so per-benchmark ns here
+// decompose the study-level BenchmarkFigure11Sensitivity numbers.
 const benchEngineInstructions = 600_000
 
 // BenchmarkEngineCold is one cold multi-lane pass: generator + private L1 +
-// nine-lane fold, no cache.
+// nine-lane block fold, each lane probing its LLC as it folds; no cache.
 func BenchmarkEngineCold(b *testing.B) {
 	p, err := workload.SPECByName("mcf_0")
 	if err != nil {
@@ -22,6 +22,7 @@ func BenchmarkEngineCold(b *testing.B) {
 	}
 	e := newLaneEngine()
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := e.run(ctx, nil, p, benchEngineInstructions); err != nil {
@@ -31,7 +32,9 @@ func BenchmarkEngineCold(b *testing.B) {
 }
 
 // BenchmarkEngineWarm is one warm pass over a populated trace cache: decode
-// from the page cache plus the lane-major nine-lane fold.
+// from the page cache plus the nine-lane block fold, with every LLC outcome
+// served by the lane-outcome sidecar. Its B/op is the sidecar plus a
+// constant; TestWarmPassMemoryBounded pins that.
 func BenchmarkEngineWarm(b *testing.B) {
 	p, err := workload.SPECByName("mcf_0")
 	if err != nil {
@@ -46,10 +49,33 @@ func BenchmarkEngineWarm(b *testing.B) {
 	if _, _, err := e.run(ctx, st, p, benchEngineInstructions); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := e.run(ctx, st, p, benchEngineInstructions); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSensitivityOracle is the work one engine pass replaces: the
+// nine sensitivityPoint simulations (a full sim.Run each, Static scheme)
+// of the same benchmark and budget. Its ratio to BenchmarkEngineCold is
+// the measured reason the lanes stay a transliteration of the quantum
+// machine rather than nine sim back ends (DESIGN.md).
+func BenchmarkSensitivityOracle(b *testing.B) {
+	p, err := workload.SPECByName("mcf_0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes := sensitivitySizes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, size := range sizes {
+			if _, err := sensitivityPoint(p, size, benchEngineInstructions); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

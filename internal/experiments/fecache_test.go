@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,37 +85,40 @@ func TestTraceCacheWarmColdEquivalence(t *testing.T) {
 // TestTraceCacheWarmColdEquivalenceQuick is the -short variant: one
 // benchmark, cold tee then warm replay, bitwise.
 func TestTraceCacheWarmColdEquivalenceQuick(t *testing.T) {
-	const instructions = 20_000
-	p, err := workload.SPECByName("mcf_0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	e := newLaneEngine()
-	base, _, err := e.run(ctx, nil, p, instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, instructions := range quickBudgets {
+		t.Run(fmt.Sprint(instructions), func(t *testing.T) {
+			p, err := workload.SPECByName("mcf_0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			e := newLaneEngine()
+			base, _, err := e.run(ctx, nil, p, instructions)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	st := newTestStore(t, false)
-	cold, replayed, err := e.run(ctx, st, p, instructions)
-	if err != nil {
-		t.Fatal(err)
+			st := newTestStore(t, false)
+			cold, replayed, err := e.run(ctx, st, p, instructions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed {
+				t.Fatal("first cached pass reported replayed")
+			}
+			warm, replayed, err := e.run(ctx, st, p, instructions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !replayed {
+				t.Fatal("second cached pass did not replay")
+			}
+			requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, cold),
+				assembleSensitivity(p.Name, e.sizes, base))
+			requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
+				assembleSensitivity(p.Name, e.sizes, base))
+		})
 	}
-	if replayed {
-		t.Fatal("first cached pass reported replayed")
-	}
-	warm, replayed, err := e.run(ctx, st, p, instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !replayed {
-		t.Fatal("second cached pass did not replay")
-	}
-	requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, cold),
-		assembleSensitivity(p.Name, e.sizes, base))
-	requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
-		assembleSensitivity(p.Name, e.sizes, base))
 }
 
 // TestTraceCacheLaneOutcomeSidecar pins the sidecar fast path and its
@@ -122,7 +127,93 @@ func TestTraceCacheWarmColdEquivalenceQuick(t *testing.T) {
 // or corrupting it only costs a re-probe of the verified stream — bitwise
 // equal results, sidecar rewritten — never a wrong answer or a failed run.
 func TestTraceCacheLaneOutcomeSidecar(t *testing.T) {
-	const instructions = 20_000
+	for _, instructions := range quickBudgets {
+		t.Run(fmt.Sprint(instructions), func(t *testing.T) {
+			p, err := workload.SPECByName("mcf_0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			e := newLaneEngine()
+			base, _, err := e.run(ctx, nil, p, instructions)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			st := newTestStore(t, false)
+			if _, _, err := e.run(ctx, st, p, instructions); err != nil {
+				t.Fatal(err)
+			}
+			side := st.LaneOutcomePath(e.key(p, instructions))
+			if _, err := os.Stat(side); err != nil {
+				t.Fatalf("cold tee did not write the sidecar: %v", err)
+			}
+
+			warm, replayed, err := e.run(ctx, st, p, instructions)
+			if err != nil || !replayed {
+				t.Fatalf("warm pass: replayed=%v err=%v", replayed, err)
+			}
+			requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
+				assembleSensitivity(p.Name, e.sizes, base))
+			if c := st.Counters(); c.OutcomeHits != 1 || c.OutcomeMisses != 0 {
+				t.Fatalf("sidecar-served warm counters = %+v, want 1 outcome hit", c)
+			}
+
+			// Sidecar gone: the warm pass re-probes the stream and rewrites it.
+			if err := os.Remove(side); err != nil {
+				t.Fatal(err)
+			}
+			warm, replayed, err = e.run(ctx, st, p, instructions)
+			if err != nil || !replayed {
+				t.Fatalf("sidecar-less warm pass: replayed=%v err=%v", replayed, err)
+			}
+			requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
+				assembleSensitivity(p.Name, e.sizes, base))
+			if c := st.Counters(); c.OutcomeMisses != 1 {
+				t.Fatalf("re-probe counters = %+v, want 1 outcome miss", c)
+			}
+			if _, err := os.Stat(side); err != nil {
+				t.Fatalf("re-probe did not rewrite the sidecar: %v", err)
+			}
+
+			// Sidecar corrupt (payload bit flip): rejected by CRC, re-probed, and the
+			// rewritten file serves the next pass.
+			raw, err := os.ReadFile(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-8] ^= 0x01
+			if err := os.WriteFile(side, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			warm, replayed, err = e.run(ctx, st, p, instructions)
+			if err != nil || !replayed {
+				t.Fatalf("corrupt-sidecar warm pass: replayed=%v err=%v", replayed, err)
+			}
+			requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
+				assembleSensitivity(p.Name, e.sizes, base))
+			if c := st.Counters(); c.OutcomeMisses != 2 {
+				t.Fatalf("corrupt-sidecar counters = %+v, want 2 outcome misses", c)
+			}
+			if _, replayed, err := e.run(ctx, st, p, instructions); err != nil || !replayed {
+				t.Fatalf("post-heal pass: replayed=%v err=%v", replayed, err)
+			}
+			if c := st.Counters(); c.OutcomeHits != 2 {
+				t.Fatalf("post-heal counters = %+v, want 2 outcome hits", c)
+			}
+		})
+	}
+}
+
+// TestTraceCacheStaleSidecar: a sidecar with a valid key, geometry and CRC
+// but the wrong miss count — one 64 too high, then one 64 too low — is
+// caught while the warm pass folds the stream, never served. The pass
+// that folded stale bits is discarded, the entry is re-probed (bitwise
+// equal results, one outcome miss), and the rewritten sidecar serves the
+// next pass. The stream spans more than three blocks, so a short count
+// is caught only after earlier blocks have folded from the stale bits.
+func TestTraceCacheStaleSidecar(t *testing.T) {
+	instructions := quickBudgets[len(quickBudgets)-1]
 	p, err := workload.SPECByName("mcf_0")
 	if err != nil {
 		t.Fatal(err)
@@ -133,67 +224,94 @@ func TestTraceCacheLaneOutcomeSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	st := newTestStore(t, false)
 	if _, _, err := e.run(ctx, st, p, instructions); err != nil {
 		t.Fatal(err)
 	}
-	side := st.LaneOutcomePath(e.key(p, instructions))
-	if _, err := os.Stat(side); err != nil {
-		t.Fatalf("cold tee did not write the sidecar: %v", err)
-	}
-
-	warm, replayed, err := e.run(ctx, st, p, instructions)
-	if err != nil || !replayed {
-		t.Fatalf("warm pass: replayed=%v err=%v", replayed, err)
-	}
-	requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
-		assembleSensitivity(p.Name, e.sizes, base))
-	if c := st.Counters(); c.OutcomeHits != 1 || c.OutcomeMisses != 0 {
-		t.Fatalf("sidecar-served warm counters = %+v, want 1 outcome hit", c)
-	}
-
-	// Sidecar gone: the warm pass re-probes the stream and rewrites it.
-	if err := os.Remove(side); err != nil {
-		t.Fatal(err)
-	}
-	warm, replayed, err = e.run(ctx, st, p, instructions)
-	if err != nil || !replayed {
-		t.Fatalf("sidecar-less warm pass: replayed=%v err=%v", replayed, err)
-	}
-	requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
-		assembleSensitivity(p.Name, e.sizes, base))
-	if c := st.Counters(); c.OutcomeMisses != 1 {
-		t.Fatalf("re-probe counters = %+v, want 1 outcome miss", c)
-	}
-	if _, err := os.Stat(side); err != nil {
-		t.Fatalf("re-probe did not rewrite the sidecar: %v", err)
-	}
-
-	// Sidecar corrupt (payload bit flip): rejected by CRC, re-probed, and the
-	// rewritten file serves the next pass.
-	raw, err := os.ReadFile(side)
+	key := e.key(p, instructions)
+	info, err := tracecache.ReadInfo(st.EntryPath(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-8] ^= 0x01
-	if err := os.WriteFile(side, raw, 0o644); err != nil {
+	if info.Events <= 3*laneChunk {
+		t.Fatalf("stream has %d events, want more than three %d-event blocks", info.Events, laneChunk)
+	}
+	bits, misses, ok := st.OpenLaneOutcomesUpTo(key, e.llcWays, e.sizes, info.Events)
+	if !ok {
+		t.Fatal("cold tee wrote no loadable sidecar")
+	}
+
+	for _, stale := range []uint64{misses + 64, misses - 64} {
+		padded := make([][]uint64, len(bits))
+		for i := range bits {
+			padded[i] = append(append([]uint64(nil), bits[i]...), 0)
+		}
+		if err := st.SaveLaneOutcomes(key, e.llcWays, e.sizes, stale, padded); err != nil {
+			t.Fatal(err)
+		}
+		before := st.Counters()
+		warm, replayed, err := e.run(ctx, st, p, instructions)
+		if err != nil || !replayed {
+			t.Fatalf("stale count %d: replayed=%v err=%v", stale, replayed, err)
+		}
+		requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
+			assembleSensitivity(p.Name, e.sizes, base))
+		if c := st.Counters(); c.OutcomeMisses != before.OutcomeMisses+1 || c.OutcomeHits != before.OutcomeHits {
+			t.Fatalf("stale count %d: counters %+v after %+v, want one outcome miss", stale, c, before)
+		}
+		if _, n, ok := st.OpenLaneOutcomesUpTo(key, e.llcWays, e.sizes, info.Events); !ok || n != misses {
+			t.Fatalf("stale count %d: rewritten sidecar holds %d misses (ok=%v), want %d", stale, n, ok, misses)
+		}
+		before = st.Counters()
+		if _, replayed, err := e.run(ctx, st, p, instructions); err != nil || !replayed {
+			t.Fatalf("stale count %d: post-heal pass: replayed=%v err=%v", stale, replayed, err)
+		}
+		if c := st.Counters(); c.OutcomeHits != before.OutcomeHits+1 || c.OutcomeMisses != before.OutcomeMisses {
+			t.Fatalf("stale count %d: post-heal counters %+v after %+v, want one outcome hit", stale, c, before)
+		}
+	}
+}
+
+// TestWarmPassMemoryBounded pins the block fold's memory bound with a
+// deterministic proxy: the bytes one sidecar-served warm pass allocates,
+// less the sidecar (loaded whole, one bit per miss per lane), stay under a
+// fixed bound at two budgets 4x apart. A pass that decoded the whole
+// stream would cost 16 B per event and fail at either budget.
+func TestWarmPassMemoryBounded(t *testing.T) {
+	const bound = 256 << 10
+	p, err := workload.SPECByName("mcf_0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	warm, replayed, err = e.run(ctx, st, p, instructions)
-	if err != nil || !replayed {
-		t.Fatalf("corrupt-sidecar warm pass: replayed=%v err=%v", replayed, err)
-	}
-	requireBitwiseEqual(t, assembleSensitivity(p.Name, e.sizes, warm),
-		assembleSensitivity(p.Name, e.sizes, base))
-	if c := st.Counters(); c.OutcomeMisses != 2 {
-		t.Fatalf("corrupt-sidecar counters = %+v, want 2 outcome misses", c)
-	}
-	if _, replayed, err := e.run(ctx, st, p, instructions); err != nil || !replayed {
-		t.Fatalf("post-heal pass: replayed=%v err=%v", replayed, err)
-	}
-	if c := st.Counters(); c.OutcomeHits != 2 {
-		t.Fatalf("post-heal counters = %+v, want 2 outcome hits", c)
+	ctx := context.Background()
+	for _, instructions := range []uint64{100_000, 400_000} {
+		st := newTestStore(t, false)
+		e := newLaneEngine()
+		for range 2 { // cold tee, then a warm pass that sizes the engine's buffers
+			if _, _, err := e.run(ctx, st, p, instructions); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fi, err := os.Stat(st.LaneOutcomePath(e.key(p, instructions)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, replayed, err := e.run(ctx, st, p, instructions)
+		runtime.ReadMemStats(&after)
+		if err != nil || !replayed {
+			t.Fatalf("%d instructions: replayed=%v err=%v", instructions, replayed, err)
+		}
+		if c := st.Counters(); c.OutcomeHits != 2 {
+			t.Fatalf("%d instructions: counters %+v, want sidecar-served warm passes", instructions, c)
+		}
+		extra := int64(after.TotalAlloc-before.TotalAlloc) - fi.Size()
+		t.Logf("%d instructions: %d B allocated beyond the %d B sidecar", instructions, extra, fi.Size())
+		if extra > bound {
+			t.Errorf("%d instructions: warm pass allocated %d B beyond its %d B sidecar, bound %d B",
+				instructions, extra, fi.Size(), bound)
+		}
 	}
 }
 

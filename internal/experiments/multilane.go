@@ -9,10 +9,18 @@
 // the dirty bits or statistics the full cache also tracks. The engine
 // therefore generates the op stream once, simulates the L1 once, and records
 // a compact event per op (plain run / L1 hit / L1 miss at address); nine
-// lean LLC lanes (cache.Lane) and nine cycle-accounting replays then consume
+// lean LLC lanes (cache.Lane) and nine cycle-accounting folds then consume
 // the identical event sequence.
 //
-// The replay is not an approximation of sim.Run — it is a transliteration of
+// Every pass, cold or warm, has one shape (laneEngine.pass): the front end —
+// the generator and L1 when cold, the trace-cache reader when warm — fills a
+// block of laneChunk events, and each lane in turn folds the whole block,
+// resolving its L1 misses against the lane's LLC into outcome bits. A warm
+// pass with a valid lane-outcome sidecar reads those bits instead of
+// probing; a cold pass's bits are the sidecar. Memory is one block plus the
+// outcome bits, however long the stream.
+//
+// The fold is not an approximation of sim.Run — it is a transliteration of
 // the driver's quantum machine (sim.Run's quantum loop around its one
 // per-domain loop, runDomainUntil) for the exact configuration
 // sensitivityPoint builds (Static scheme, one domain, Warmup 0,
@@ -22,12 +30,17 @@
 // collect's instructions/cycles division, all in the same order with the
 // same floating-point expressions. sensitivityPoint is retained as the
 // oracle, and TestEngineMatchesOracle* require the engine to reproduce its
-// per-size IPCs bitwise.
+// per-size IPCs bitwise. The lanes stay a transliteration rather than nine
+// Static-scheme sim back ends because the back end is the slower machine:
+// nine sensitivityPoint runs of mcf_0 at 600k instructions cost 2.4 times
+// one engine pass, of which the front end they could share is under a
+// tenth (BenchmarkSensitivityOracle, DESIGN.md).
 package experiments
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -42,9 +55,15 @@ import (
 	"untangle/internal/workload"
 )
 
-// laneChunk is the front-end batch size. Stream determinism (isa.Stream's
-// Fill-size independence) makes the value invisible in results; it only
-// trades buffer footprint against per-chunk overhead.
+// laneChunk is the front-end batch size: one generator chunk of a cold
+// pass, one reader batch of a warm one, and the cadence of
+// engineCheckpoint in both. It is also the block a sensitivity pass folds
+// lane by lane: each lane folds a whole chunk before the next lane starts.
+// Stream determinism (isa.Stream's Fill-size independence) and lane
+// independence make the value invisible in results; it only trades buffer
+// footprint against per-chunk overhead. Larger blocks (16 Ki and 64 Ki
+// events) were not measurably faster and raised peak memory
+// (docs/PERFORMANCE.md).
 const laneChunk = 4096
 
 // feEvent kinds: what the shared front-end resolved one op to. The values
@@ -90,12 +109,22 @@ func (l *laneState) endQuantum(warmup uint64, step time.Duration) {
 	l.horizon = l.core.DurationToCycles(l.now)
 }
 
-// replay consumes one chunk of front-end events. The boundary catch-up loop
-// before each event reproduces the driver's "consume ops only while the core
-// is inside the quantum" condition: quanta in which this lane retires
-// nothing still get their boundary (and warmup check), exactly as sim.Run
-// re-enters its per-domain loop, runDomainUntil, with an advanced horizon.
-func (l *laneState) replay(events []feEvent, warmup uint64, step time.Duration) {
+// fold is the lane's one loop: the timing fold over one block of events,
+// the block's first L1 miss at bit cursor of outcomes. A probing fold
+// resolves each miss against the lane's LLC and records a hit in its bit;
+// otherwise it reads the bit a sidecar supplied. LLC outcomes are a pure
+// function of the miss-address order and the lane's geometry — the core,
+// the quantum machine and the timing never feed back into them — so where
+// the bit comes from never changes the charges.
+//
+// The boundary catch-up loop before each event reproduces the driver's
+// "consume ops only while the core is inside the quantum" condition:
+// quanta in which this lane retires nothing still get their boundary (and
+// warmup check), exactly as sim.Run re-enters its per-domain loop,
+// runDomainUntil, with an advanced horizon. The charges — RetireNonMem,
+// then the RetireMem level — follow the driver's order, so the
+// floating-point cycle count is the oracle's bit for bit.
+func (l *laneState) fold(events []feEvent, outcomes []uint64, cursor int, probe bool, warmup uint64, step time.Duration) {
 	core := l.core
 	for _, ev := range events {
 		for core.Cycles() >= l.horizon {
@@ -106,51 +135,16 @@ func (l *laneState) replay(events []feEvent, warmup uint64, step time.Duration) 
 		case feL1Hit:
 			core.RetireMem(cpu.L1Hit)
 		case feL1Miss:
-			if l.llc.Access(ev.Addr) {
-				core.RetireMem(cpu.LLCHit)
+			w, bit := cursor>>6, uint64(1)<<(uint(cursor)&63)
+			var hit bool
+			if probe {
+				if hit = l.llc.Access(ev.Addr); hit {
+					outcomes[w] |= bit
+				}
 			} else {
-				core.RetireMem(cpu.Memory)
+				hit = outcomes[w]&bit != 0
 			}
-		}
-	}
-}
-
-// probe resolves one batch of L1-miss addresses against this lane's LLC,
-// setting outcomes bit base+k for each hit. It is the warm fold's phase A:
-// LLC hit/miss outcomes are a pure function of the miss-address order and
-// the lane's geometry — the core, the quantum machine, and the timing fold
-// never feed back into them — so they can be resolved in a loop that does
-// nothing else, and (the same fact, pushed to disk) memoized in a
-// lane-outcome sidecar so later warm passes skip this phase entirely.
-func (l *laneState) probe(addrs []uint64, outcomes []uint64, base int) {
-	for k, a := range addrs {
-		if l.llc.Access(a) {
-			j := base + k
-			outcomes[j>>6] |= 1 << (j & 63)
-		}
-	}
-}
-
-// replayTee is replay with outcome capture: the identical fold (same
-// boundary checks, same charge order, bit-identical cycle accumulation)
-// recording each LLC Access result at bit cursor of bits, in stream order.
-// The cold tee uses it so the lane-outcome sidecar falls out of the pass it
-// already runs — the capture adds one bit-set per L1 miss, nothing more.
-// Returns the advanced cursor; every lane consumes the same events, so all
-// lanes advance identically.
-func (l *laneState) replayTee(events []feEvent, warmup uint64, step time.Duration, bits []uint64, cursor int) int {
-	core := l.core
-	for _, ev := range events {
-		for core.Cycles() >= l.horizon {
-			l.endQuantum(warmup, step)
-		}
-		core.RetireNonMem(ev.NonMem)
-		switch ev.Kind {
-		case feL1Hit:
-			core.RetireMem(cpu.L1Hit)
-		case feL1Miss:
-			if l.llc.Access(ev.Addr) {
-				bits[cursor>>6] |= 1 << (cursor & 63)
+			if hit {
 				core.RetireMem(cpu.LLCHit)
 			} else {
 				core.RetireMem(cpu.Memory)
@@ -158,36 +152,6 @@ func (l *laneState) replayTee(events []feEvent, warmup uint64, step time.Duratio
 			cursor++
 		}
 	}
-	return cursor
-}
-
-// replayResolved is the warm fold's phase B: the timing replay with every
-// LLC outcome already resolved into the outcomes bitset (cursor indexes the
-// next miss; the returned cursor carries across batches). The charge
-// sequence — boundary checks, RetireNonMem, RetireMem levels — is exactly
-// replay's in the same order, so the accumulated floating-point cycle count
-// is bit-identical; the only difference is that the miss branch reads a bit
-// instead of probing the LLC.
-func (l *laneState) replayResolved(events []feEvent, outcomes []uint64, cursor int, warmup uint64, step time.Duration) int {
-	core := l.core
-	for _, ev := range events {
-		for core.Cycles() >= l.horizon {
-			l.endQuantum(warmup, step)
-		}
-		core.RetireNonMem(ev.NonMem)
-		switch ev.Kind {
-		case feL1Hit:
-			core.RetireMem(cpu.L1Hit)
-		case feL1Miss:
-			if outcomes[cursor>>6]>>(uint(cursor)&63)&1 != 0 {
-				core.RetireMem(cpu.LLCHit)
-			} else {
-				core.RetireMem(cpu.Memory)
-			}
-			cursor++
-		}
-	}
-	return cursor
 }
 
 // finish runs the driver's stream-dry sequence — catch up to the quantum the
@@ -209,9 +173,10 @@ func (l *laneState) finish(warmup uint64, step time.Duration) float64 {
 	return 0
 }
 
-// laneEngine holds the shared front-end (L1 lane, chunk and event buffers)
-// and the nine per-size lanes. Engines are reused across benchmarks via
-// Reset, so a study allocates its tag arrays once per worker, not 324 times.
+// laneEngine holds the shared front-end (L1 lane and the block buffer) and
+// the nine per-size lanes. Engines are reused across benchmarks via
+// resetLanes, so a study allocates its tag arrays once per worker, not 324
+// times.
 type laneEngine struct {
 	sizes   []int64
 	step    time.Duration
@@ -220,7 +185,14 @@ type laneEngine struct {
 	l1Ways  int   // only replayable under the L1 that resolved it
 	llcWays int   // LLC associativity, part of the sidecar geometry check
 	lanes   []laneState
-	events  []feEvent
+
+	// Per-pass state (see pass).
+	block  []feEvent  // the front end's block buffer, laneChunk events
+	bits   [][]uint64 // each lane's LLC outcome bits: the sidecar payload
+	misses int        // L1 misses folded so far this pass
+	probe  bool       // the pass resolves outcomes itself (no sidecar)
+	keep   bool       // a probing pass keeps the whole stream's bits
+	limit  int        // a sidecar pass's outcome count
 }
 
 // newLaneEngine builds an engine with the exact geometry sensitivityPoint's
@@ -236,7 +208,8 @@ func newLaneEngine() *laneEngine {
 		l1Ways:  cfg.L1Ways,
 		llcWays: cfg.LLCWays,
 		lanes:   make([]laneState, len(cfg.Sizes)),
-		events:  make([]feEvent, 0, laneChunk),
+		block:   make([]feEvent, laneChunk),
+		bits:    make([][]uint64, len(cfg.Sizes)),
 	}
 	for i, size := range cfg.Sizes {
 		e.lanes[i].llc = cache.MustNewLane(cache.Config{SizeBytes: size, Ways: cfg.LLCWays})
@@ -259,7 +232,8 @@ func (e *laneEngine) key(p workload.Params, instructions uint64) tracecache.Key 
 // resetLanes puts every lane in the exact state sensitivityPoint's driver
 // starts from: fresh LLC, fresh core, first quantum horizon, measurement
 // armed per the warmup budget (Warmup 0 + WarmupInstructions 0 means the
-// driver begins measurement before the first quantum).
+// driver begins measurement before the first quantum), and restarts the
+// miss cursor.
 func (e *laneEngine) resetLanes(p workload.Params, instructions uint64) {
 	cp := p.CPUParams()
 	for i := range e.lanes {
@@ -271,6 +245,7 @@ func (e *laneEngine) resetLanes(p workload.Params, instructions uint64) {
 		l.warm = instructions == 0
 		l.base = cpu.Snapshot{}
 	}
+	e.misses = 0
 }
 
 // collect finishes every lane and gathers the per-size IPCs.
@@ -299,6 +274,82 @@ func engineCheckpoint(ctx context.Context) error {
 	return nil
 }
 
+// errStaleOutcomes rejects a lane-outcome sidecar whose miss count
+// disagrees with the stream it rides next to.
+var errStaleOutcomes = errors.New("experiments: lane-outcome sidecar disagrees with its stream")
+
+// pass is the engine's one traversal. next fills a block of at most
+// laneChunk events and returns how many, with io.EOF at the end of the
+// stream; engineCheckpoint runs before every block, and foldBlock hands
+// each block to every lane in turn.
+//
+// side, when non-nil, is a sidecar holding limit outcomes per lane, and the
+// pass folds from it without probing; it fails with errStaleOutcomes as
+// soon as the stream's misses would outrun limit, or if they fall short of
+// it at the end, and a failed pass never returns results. Otherwise the
+// pass probes every block, and keep retains the whole stream's outcome
+// bits in e.bits (e.misses of them) for a sidecar.
+func (e *laneEngine) pass(ctx context.Context, p workload.Params, instructions uint64, side [][]uint64, limit uint64, keep bool, next func([]feEvent) (int, error)) ([]float64, error) {
+	e.resetLanes(p, instructions)
+	e.probe, e.keep, e.limit = side == nil, keep, int(limit)
+	if side != nil {
+		e.bits = side
+	}
+	for {
+		if err := engineCheckpoint(ctx); err != nil {
+			return nil, err
+		}
+		n, err := next(e.block)
+		eof := errors.Is(err, io.EOF)
+		if err != nil && !eof {
+			return nil, err
+		}
+		if err := e.foldBlock(e.block[:n], instructions); err != nil {
+			return nil, err
+		}
+		if eof {
+			break
+		}
+	}
+	if !e.probe && e.misses != e.limit {
+		return nil, errStaleOutcomes
+	}
+	return e.collect(instructions), nil
+}
+
+// foldBlock folds block into every lane, one lane at a time, after sizing
+// each lane's outcome bits for the block's misses (a probing pass) or
+// checking that the sidecar still covers them.
+func (e *laneEngine) foldBlock(block []feEvent, instructions uint64) error {
+	misses := 0
+	for i := range block {
+		if block[i].Kind == feL1Miss {
+			misses++
+		}
+	}
+	base := e.misses // bit index of the block's first miss
+	switch {
+	case !e.probe && base+misses > e.limit:
+		return errStaleOutcomes
+	case e.probe && !e.keep:
+		base = 0 // the bits hold this block only
+	}
+	words := (base + misses + 63) / 64
+	for i := range e.lanes {
+		if e.probe {
+			if base == 0 {
+				e.bits[i] = e.bits[i][:0]
+			}
+			for len(e.bits[i]) < words {
+				e.bits[i] = append(e.bits[i], 0)
+			}
+		}
+		e.lanes[i].fold(block, e.bits[i], base, e.probe, instructions, e.step)
+	}
+	e.misses += misses
+	return nil
+}
+
 // run produces the benchmark's IPC at every supported partition size
 // (ascending, matching e.sizes), bitwise equal to calling sensitivityPoint
 // once per size. ctx is checked once per chunk/batch, so cancellation takes
@@ -308,8 +359,8 @@ func engineCheckpoint(ctx context.Context) error {
 // stored event stream (skipping the generator and the private L1 entirely),
 // a miss generates cold and tees the stream to disk. The returned bool
 // reports whether the pass was replayed from cache. Replay is bitwise
-// equivalent to cold generation because each lane's replay is a pure
-// per-event fold and the stored sequence is exactly the cold sequence
+// equivalent to cold generation because the stored sequence is exactly the
+// cold sequence and both run the same pass over it
 // (TestTraceCacheWarmColdEquivalence). A corrupt entry discovered mid-replay
 // fails the pass — unless the store allows rebuilds, in which case the pass
 // restarts cold (resetLanes discards the polluted lane state) and overwrites
@@ -343,16 +394,13 @@ func (e *laneEngine) run(ctx context.Context, st *tracecache.Store, p workload.P
 	return ipcs, false, err
 }
 
-// generateRun is the cold path: one generator + private-L1 front-end pass
-// feeding every lane, optionally teeing the event stream into st under key.
+// generateRun is the cold path: the generator and the private L1 fill the
+// pass's blocks, optionally teeing the event stream into st under key.
 // The tee stages through fsutil.CreateAtomic and publishes only on a fully
-// drained stream, so an aborted pass never leaves a partial entry.
-//
-// A teeing pass also captures every lane's LLC hit/miss bit sequence — a
-// byproduct the fold computes anyway — and publishes it as the lane-outcome
-// sidecar, so the very first warm pass already skips the probe phase.
-// Oversized streams (past replayMemBudget, which the warm path would replay
-// interleaved without a sidecar) skip the sidecar write.
+// drained stream, so an aborted pass never leaves a partial entry. A
+// teeing pass keeps every lane's probe bits and publishes them as the
+// lane-outcome sidecar, so the very first warm pass already skips the
+// probes.
 func (e *laneEngine) generateRun(ctx context.Context, st *tracecache.Store, key tracecache.Key, p workload.Params, instructions uint64) ([]float64, error) {
 	gen, err := workload.NewGenerator(p)
 	if err != nil {
@@ -360,7 +408,6 @@ func (e *laneEngine) generateRun(ctx context.Context, st *tracecache.Store, key 
 	}
 	chunks := isa.NewChunks(isa.NewLimited(gen, 2*instructions), laneChunk)
 	e.l1.Reset()
-	e.resetLanes(p, instructions)
 	var w *tracecache.Writer
 	if st != nil {
 		w, err = st.Create(key)
@@ -369,23 +416,13 @@ func (e *laneEngine) generateRun(ctx context.Context, st *tracecache.Store, key 
 		}
 		defer w.Close() // no-op after Commit; discards the staged file on error
 	}
-	var bits [][]uint64
-	if w != nil {
-		bits = make([][]uint64, len(e.lanes))
-	}
-	totalEvents, missCursor := 0, 0
 	offset := sim.DomainAddrOffset(0)
-	for {
-		if err := engineCheckpoint(ctx); err != nil {
-			return nil, err
-		}
+	ipcs, err := e.pass(ctx, p, instructions, nil, 0, w != nil, func(block []feEvent) (int, error) {
 		ops := chunks.Next()
 		if len(ops) == 0 {
-			break
+			return 0, io.EOF
 		}
-		e.events = e.events[:0]
-		chunkMisses := 0
-		for _, op := range ops {
+		for k, op := range ops {
 			ev := feEvent{NonMem: op.NonMem}
 			if op.IsMem() {
 				addr := op.Addr + offset
@@ -394,158 +431,62 @@ func (e *laneEngine) generateRun(ctx context.Context, st *tracecache.Store, key 
 				} else {
 					ev.Kind = feL1Miss
 					ev.Addr = addr
-					chunkMisses++
 				}
 			}
-			e.events = append(e.events, ev)
+			block[k] = ev
 		}
 		if w != nil {
-			if err := w.WriteEvents(e.events); err != nil {
-				return nil, err
-			}
-			totalEvents += len(e.events)
-			words := (missCursor + chunkMisses + 63) / 64
-			next := missCursor
-			for i := range e.lanes {
-				for len(bits[i]) < words {
-					bits[i] = append(bits[i], 0)
-				}
-				next = e.lanes[i].replayTee(e.events, instructions, e.step, bits[i], missCursor)
-			}
-			missCursor = next
-		} else {
-			for i := range e.lanes {
-				e.lanes[i].replay(e.events, instructions, e.step)
-			}
+			return len(ops), w.WriteEvents(block[:len(ops)])
 		}
+		return len(ops), nil
+	})
+	if err != nil || w == nil {
+		return ipcs, err
 	}
-	if w != nil {
-		if err := w.Commit(); err != nil {
-			return nil, err
-		}
-		if totalEvents <= replayMemBudget {
-			if err := st.SaveLaneOutcomes(key, e.llcWays, e.sizes, uint64(missCursor), bits); err != nil {
-				return nil, err
-			}
-		}
+	if err := w.Commit(); err != nil {
+		return nil, err
 	}
-	return e.collect(instructions), nil
+	if err := st.SaveLaneOutcomes(key, e.llcWays, e.sizes, uint64(e.misses), e.bits); err != nil {
+		return nil, err
+	}
+	return ipcs, nil
 }
 
-// replayMemBudget caps the decoded-event buffer replayRun may hold: streams
-// up to this many events replay lane-major from memory; larger streams fall
-// back to the interleaved chunk loop, whose footprint is one chunk. 32 Mi
-// events x 16 bytes = 512 MiB, far above every study in this repository but
-// a real bound for full-scale (150M-instruction) campaigns.
-const replayMemBudget = 32 << 20
-
-// replayRun is the warm path: the event stream comes from the cache entry,
-// and the generator and private L1 never run.
-//
-// When the whole stream fits replayMemBudget it is decoded once and each
-// lane folds over it in turn (lane-major). The cold path cannot traverse
-// this way — it produces events incrementally and would have to buffer the
-// entire stream — but a warm pass has the stream at hand, and lane-major
-// order keeps a single lane's LLC tag arrays and core state hot in the host
-// CPU's caches instead of cycling nine tag arrays per chunk. The reordering
-// is invisible in results: lanes never interact, and each lane still sees
-// the identical event sequence, so every per-lane fold is bit-for-bit the
-// interleaved one (TestTraceCacheWarmColdEquivalence covers this path).
-//
-// Oversized streams replay in the cold path's interleaved chunk order,
-// re-reading nothing and holding one chunk in memory.
+// replayRun is the warm path: the cache entry fills the pass's blocks, and
+// the generator and private L1 never run. A valid lane-outcome sidecar
+// (written by the cold tee, or by an earlier warm pass's re-probe)
+// supplies every lane's bits, reducing the pass to decode plus timing
+// folds. The sidecar's key, geometry and CRC are checked on load, but its
+// miss count can only be checked against the stream while folding; a
+// sidecar that fails that check discards its pass, and the entry is read
+// once more with probing. Either way, a probing pass rewrites the sidecar.
 func (e *laneEngine) replayRun(ctx context.Context, st *tracecache.Store, key tracecache.Key, r *tracecache.Reader, p workload.Params, instructions uint64) ([]float64, error) {
+	if side, limit, ok := st.OpenLaneOutcomesUpTo(key, e.llcWays, e.sizes, r.Count()); ok {
+		ipcs, err := e.pass(ctx, p, instructions, side, limit, true, r.Read)
+		r.Close()
+		if !errors.Is(err, errStaleOutcomes) {
+			if err == nil {
+				st.NoteLaneOutcomes(true)
+			}
+			return ipcs, err
+		}
+		if r, err = st.Open(key); err != nil {
+			return nil, err
+		}
+		if r == nil {
+			return nil, fmt.Errorf("%w: %s vanished during replay", tracecache.ErrCorrupt, st.EntryPath(key))
+		}
+	}
 	defer r.Close()
-	e.resetLanes(p, instructions)
-	if n := r.Count(); n <= replayMemBudget {
-		return e.replayLaneMajor(ctx, st, key, r, int(n), instructions)
+	st.NoteLaneOutcomes(false)
+	ipcs, err := e.pass(ctx, p, instructions, nil, 0, true, r.Read)
+	if err != nil {
+		return nil, err
 	}
-	buf := e.events[:cap(e.events)]
-	for {
-		if err := engineCheckpoint(ctx); err != nil {
-			return nil, err
-		}
-		n, err := r.Read(buf)
-		for i := range e.lanes {
-			e.lanes[i].replay(buf[:n], instructions, e.step)
-		}
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := st.SaveLaneOutcomes(key, e.llcWays, e.sizes, uint64(e.misses), e.bits); err != nil {
+		return nil, err
 	}
-	return e.collect(instructions), nil
-}
-
-// replayLaneMajor decodes the whole entry once and replays it into one lane
-// at a time, each lane in two phases: probe (LLC outcomes into a bitset)
-// then replayResolved (the timing fold). Corruption surfaces during the
-// decode, before any lane has consumed an event. The per-lane loops stay
-// chunked only to keep the cancellation/fault checkpoint cadence of the
-// interleaved path.
-//
-// The probe phase itself is memoized: a valid lane-outcome sidecar (written
-// by the cold tee, or by the previous warm pass to re-probe) supplies every
-// lane's bitset directly, reducing the pass to decode + timing folds. The
-// sidecar is validated against the entry key, the LLC geometry, and the
-// decoded miss count before use, and its payload CRC has already been
-// checked — a rejected sidecar only costs the re-probe that rewrites it.
-func (e *laneEngine) replayLaneMajor(ctx context.Context, st *tracecache.Store, key tracecache.Key, r *tracecache.Reader, n int, instructions uint64) ([]float64, error) {
-	// The footer count sizes the buffer but is untrusted until the CRC
-	// verifies, so cap the upfront allocation and let append grow past it.
-	events := make([]feEvent, 0, min(n, 1<<20))
-	buf := e.events[:cap(e.events)]
-	for {
-		if err := engineCheckpoint(ctx); err != nil {
-			return nil, err
-		}
-		k, err := r.Read(buf)
-		events = append(events, buf[:k]...)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	missAddrs := make([]uint64, 0, len(events))
-	for i := range events {
-		if events[i].Kind == feL1Miss {
-			missAddrs = append(missAddrs, events[i].Addr)
-		}
-	}
-	const span = 1 << 16
-	bits, fromSidecar := st.OpenLaneOutcomes(key, e.llcWays, e.sizes, uint64(len(missAddrs)))
-	if !fromSidecar {
-		words := (len(missAddrs) + 63) / 64
-		bits = make([][]uint64, len(e.lanes))
-		for i := range e.lanes {
-			bits[i] = make([]uint64, words)
-			for off := 0; off < len(missAddrs); off += span {
-				if err := engineCheckpoint(ctx); err != nil {
-					return nil, err
-				}
-				e.lanes[i].probe(missAddrs[off:min(off+span, len(missAddrs))], bits[i], off)
-			}
-		}
-	}
-	for i := range e.lanes {
-		cursor := 0
-		for off := 0; off < len(events); off += span {
-			if err := engineCheckpoint(ctx); err != nil {
-				return nil, err
-			}
-			cursor = e.lanes[i].replayResolved(events[off:min(off+span, len(events))], bits[i], cursor, instructions, e.step)
-		}
-	}
-	if !fromSidecar {
-		if err := st.SaveLaneOutcomes(key, e.llcWays, e.sizes, uint64(len(missAddrs)), bits); err != nil {
-			return nil, err
-		}
-	}
-	return e.collect(instructions), nil
+	return ipcs, nil
 }
 
 // enginePool recycles engines across study workers: each worker grabs one

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,22 +57,32 @@ func requireBitwiseEqual(t *testing.T, got, want SensitivityResult) {
 	}
 }
 
+// quickBudgets are the -short engine tests' instruction budgets: one whose
+// stream stays inside the first laneChunk-event block, and one whose
+// stream spans more than three blocks (mcf_0 emits about two events per
+// three instructions), so cold, sidecar-served and re-probing passes all
+// cross block boundaries.
+var quickBudgets = []uint64{5_000, 20_000}
+
 // TestEngineMatchesOracleQuick is the always-on (even -short) guard: one
-// benchmark, small budget, engine vs direct simulation, bitwise.
+// benchmark, small budgets, engine vs direct simulation, bitwise.
 func TestEngineMatchesOracleQuick(t *testing.T) {
 	p, err := workload.SPECByName("mcf_0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const instructions = 20_000
-	e := newLaneEngine()
-	ipcs, _, err := e.run(context.Background(), nil, p, instructions)
-	if err != nil {
-		t.Fatal(err)
+	for _, instructions := range quickBudgets {
+		t.Run(fmt.Sprint(instructions), func(t *testing.T) {
+			e := newLaneEngine()
+			ipcs, _, err := e.run(context.Background(), nil, p, instructions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitwiseEqual(t,
+				assembleSensitivity(p.Name, e.sizes, ipcs),
+				oracleStudy(t, []workload.Params{p}, instructions)[0])
+		})
 	}
-	requireBitwiseEqual(t,
-		assembleSensitivity(p.Name, e.sizes, ipcs),
-		oracleStudy(t, []workload.Params{p}, instructions)[0])
 }
 
 // TestEngineMatchesOracleAllBenchmarks is the PR's central acceptance test:

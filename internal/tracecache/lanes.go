@@ -15,8 +15,11 @@ package tracecache
 // corrupt, or mismatched sidecar therefore does not fail the run — the
 // warm pass silently re-probes the verified stream and rewrites the
 // sidecar. Stale data is still never served: every load validates the full
-// event key, the LLC geometry, the miss count, and a CRC-32C over the
-// payload, and anything short of a perfect match is discarded.
+// event key, the LLC geometry, and a CRC-32C over the payload. The miss
+// count is checked by the reader of the bits: OpenLaneOutcomes takes the
+// count up front, while a block-by-block warm pass, which learns the
+// stream's count only as it folds, loads with OpenLaneOutcomesUpTo and
+// rejects the bits once the stream's misses disagree with the sidecar's.
 //
 // File layout (all integers little-endian):
 //
@@ -33,6 +36,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -116,67 +120,107 @@ func (s *Store) SaveLaneOutcomes(key Key, ways int, sizes []int64, misses uint64
 // ok=false (counted on the store), never an error: the caller re-probes
 // the verified event stream, which is always safe.
 func (s *Store) OpenLaneOutcomes(key Key, ways int, sizes []int64, misses uint64) (bits [][]uint64, ok bool) {
-	path := s.LaneOutcomePath(key)
-	words := outcomeWords(misses)
-	fi, err := os.Stat(path)
-	if err != nil {
-		s.outcomeMisses.Add(1)
+	bits, n, ok := s.OpenLaneOutcomesUpTo(key, ways, sizes, misses)
+	ok = ok && n == misses
+	s.NoteLaneOutcomes(ok)
+	if !ok {
 		return nil, false
 	}
-	// The expected size bounds the read: header JSON is small, payload is
-	// fixed by the geometry. A wildly different size is damage; don't read it.
-	if expect := int64(12 + len(sizes)*words*8 + 4); fi.Size() < expect || fi.Size() > expect+4096 {
-		s.outcomeMisses.Add(1)
-		return nil, false
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		s.outcomeMisses.Add(1)
-		return nil, false
-	}
-	bits = decodeLaneOutcomes(raw, key, ways, sizes, misses)
-	if bits == nil {
-		s.outcomeMisses.Add(1)
-		return nil, false
-	}
-	s.bytesRead.Add(int64(len(raw)))
-	s.outcomeHits.Add(1)
 	return bits, true
 }
 
-// decodeLaneOutcomes parses and validates a sidecar; nil means reject.
-func decodeLaneOutcomes(raw []byte, key Key, ways int, sizes []int64, misses uint64) [][]uint64 {
-	if len(raw) < 12 || [8]byte(raw[0:8]) != lanesMagic {
-		return nil
+// OpenLaneOutcomesUpTo is OpenLaneOutcomes for a caller that learns the
+// stream's miss count only while folding it: it accepts any sidecar of
+// the right key and geometry holding at most maxMisses outcomes per lane,
+// and returns that count. The caller must reject the bits once its running
+// miss cursor would pass the count, or if the count differs at end of
+// stream. Only the caller knows the verdict, so this leaves the outcome
+// counters alone; report it with NoteLaneOutcomes.
+//
+// The payload streams straight into the bitsets, so a load allocates the
+// bitsets and a constant, never a second copy of the file.
+func (s *Store) OpenLaneOutcomesUpTo(key Key, ways int, sizes []int64, maxMisses uint64) (bits [][]uint64, misses uint64, ok bool) {
+	f, err := os.Open(s.LaneOutcomePath(key))
+	if err != nil {
+		return nil, 0, false
 	}
-	hLen := int(binary.LittleEndian.Uint32(raw[8:12]))
-	if hLen <= 0 || 12+hLen > len(raw) {
-		return nil
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, false
+	}
+	bits, misses = readLaneOutcomes(f, fi.Size(), key, ways, sizes, maxMisses)
+	if bits == nil {
+		return nil, 0, false
+	}
+	s.bytesRead.Add(fi.Size())
+	return bits, misses, true
+}
+
+// NoteLaneOutcomes counts one warm pass as served by a sidecar (hit) or
+// re-probed (miss).
+func (s *Store) NoteLaneOutcomes(hit bool) {
+	if hit {
+		s.outcomeHits.Add(1)
+	} else {
+		s.outcomeMisses.Add(1)
+	}
+}
+
+// maxLanesHeader bounds the JSON header a sidecar may declare; real
+// headers are a few hundred bytes.
+const maxLanesHeader = 4096
+
+// readLaneOutcomes parses and validates a sidecar of size bytes from r,
+// accepting any miss count up to maxMisses; nil bits means reject. The
+// declared geometry must account for exactly size bytes before anything
+// is allocated for the payload, so a damaged header cannot demand a huge
+// buffer.
+func readLaneOutcomes(r io.Reader, size int64, key Key, ways int, sizes []int64, maxMisses uint64) ([][]uint64, uint64) {
+	var pre [12]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil || [8]byte(pre[0:8]) != lanesMagic {
+		return nil, 0
+	}
+	hLen := int64(binary.LittleEndian.Uint32(pre[8:12]))
+	if hLen <= 0 || hLen > maxLanesHeader || 12+hLen > size {
+		return nil, 0
+	}
+	doc := make([]byte, hLen)
+	if _, err := io.ReadFull(r, doc); err != nil {
+		return nil, 0
 	}
 	var h lanesHeader
-	if err := json.Unmarshal(raw[12:12+hLen], &h); err != nil {
-		return nil
+	if err := json.Unmarshal(doc, &h); err != nil {
+		return nil, 0
 	}
 	if h.Version != FormatVersion || h.Key != key || h.Ways != ways ||
-		!slices.Equal(h.Sizes, sizes) || h.Misses != misses {
-		return nil
+		!slices.Equal(h.Sizes, sizes) || h.Misses > maxMisses || h.Misses > uint64(size)*8 {
+		return nil, 0
 	}
-	words := outcomeWords(misses)
-	payload := raw[12+hLen:]
-	if len(payload) != len(sizes)*words*8+4 {
-		return nil
-	}
-	body := payload[:len(payload)-4]
-	if crc32.Update(0, castagnoli, body) != binary.LittleEndian.Uint32(payload[len(payload)-4:]) {
-		return nil
+	words := outcomeWords(h.Misses)
+	if size != 12+hLen+int64(len(sizes)*words*8)+4 {
+		return nil, 0
 	}
 	bits := make([][]uint64, len(sizes))
+	buf := make([]byte, 4096)
+	crc := uint32(0)
 	for i := range bits {
 		lane := make([]uint64, words)
-		for j := range lane {
-			lane[j] = binary.LittleEndian.Uint64(body[(i*words+j)*8:])
+		for j := 0; j < words; {
+			chunk := buf[:min(len(buf), (words-j)*8)]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return nil, 0
+			}
+			crc = crc32.Update(crc, castagnoli, chunk)
+			for k := 0; k < len(chunk); k += 8 {
+				lane[j] = binary.LittleEndian.Uint64(chunk[k:])
+				j++
+			}
 		}
 		bits[i] = lane
 	}
-	return bits
+	if _, err := io.ReadFull(r, pre[:4]); err != nil || crc != binary.LittleEndian.Uint32(pre[:4]) {
+		return nil, 0
+	}
+	return bits, h.Misses
 }

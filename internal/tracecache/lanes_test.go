@@ -1,6 +1,7 @@
 package tracecache
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"testing"
@@ -41,6 +42,14 @@ func TestLaneOutcomesRoundTrip(t *testing.T) {
 		got, ok := st.OpenLaneOutcomes(key, 16, sizes, misses)
 		if !ok {
 			t.Fatalf("misses=%d: no hit on just-written sidecar", misses)
+		}
+		// The up-to variant accepts any count within its limit and
+		// reports it, rejects one past it, and counts neither.
+		if _, n, ok := st.OpenLaneOutcomesUpTo(key, 16, sizes, misses+100); !ok || n != misses {
+			t.Fatalf("misses=%d: up-to load = (%d, %v), want (%d, true)", misses, n, ok, misses)
+		}
+		if _, _, ok := st.OpenLaneOutcomesUpTo(key, 16, sizes, misses-1); misses > 0 && ok {
+			t.Fatalf("misses=%d: up-to load accepted a limit below the count", misses)
 		}
 		for i := range bits {
 			for j := range bits[i] {
@@ -230,9 +239,10 @@ func TestLaneSidecarMixKeyedCorruptionRecomputed(t *testing.T) {
 }
 
 // FuzzLaneSidecar hardens the sidecar decoder against arbitrary on-disk
-// bytes: decodeLaneOutcomes must never panic, and anything it accepts must
-// have exactly the requested geometry — the engine indexes the returned
-// bitsets without further checks.
+// bytes: readLaneOutcomes must never panic, and anything it accepts must
+// hold at most the requested miss count and exactly the geometry of the
+// count it reports — the engine indexes the returned bitsets by that
+// count without further checks.
 func FuzzLaneSidecar(f *testing.F) {
 	st, err := NewStore(f.TempDir(), false)
 	if err != nil {
@@ -259,18 +269,20 @@ func FuzzLaneSidecar(f *testing.F) {
 	mut2[8] = 0xff // absurd header length
 	f.Add(mut2)
 
-	words := outcomeWords(misses)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		bits := decodeLaneOutcomes(raw, key, 16, sizes, misses)
+		bits, n := readLaneOutcomes(bytes.NewReader(raw), int64(len(raw)), key, 16, sizes, misses)
 		if bits == nil {
 			return
+		}
+		if n > misses {
+			t.Fatalf("accepted %d misses, limit %d", n, misses)
 		}
 		if len(bits) != len(sizes) {
 			t.Fatalf("accepted %d lanes, want %d", len(bits), len(sizes))
 		}
 		for i, lane := range bits {
-			if len(lane) != words {
-				t.Fatalf("lane %d has %d words, want %d", i, len(lane), words)
+			if len(lane) != outcomeWords(n) {
+				t.Fatalf("lane %d has %d words, want %d", i, len(lane), outcomeWords(n))
 			}
 		}
 	})

@@ -65,7 +65,7 @@ echo "==> go test -race (kill-and-resume + fail-fast + trace cache + observabili
 # TestFailedRunPreservesPreviousOutputs is the fail-fast proof of the one
 # campaign path: without -dlq, a persistently failing unit fails the job,
 # cancels the rest, and leaves the previous outputs untouched.
-go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestWarmCacheUnitsReportReplayed|TestFailedRunPreservesPreviousOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestWarmFrontEndCache' \
+go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestWarmCacheUnitsReportReplayed|TestFailedRunPreservesPreviousOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestTraceCacheStaleSidecar|TestWarmFrontEndCache' \
     ./internal/experiments/ ./cmd/experiments/
 
 echo "==> go test -race (sharded worker-kill-and-merge equivalence)"
