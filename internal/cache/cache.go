@@ -12,12 +12,16 @@
 // into its set. When a set receives more lines than it has ways, the most
 // recently used lines stay and the dropped dirty ones count as writebacks.
 //
-// Access is the simulator's hottest function (every simulated memory
-// reference passes through an L1, often an LLC partition, and the monitor's
-// shadow arrays), so its state is laid out for the scan, not the object
-// model: tags live in a packed []uint64 scanned 8-per-cache-line, LRU/dirty
-// metadata is only touched on the way that hits, and the set index uses a
-// precomputed Lemire reciprocal instead of a hardware divide.
+// The package also holds the utility monitor's shadow-tag arrays
+// (ShadowSet, in shadow.go): tag-only, recency-ordered arrays with none of
+// Cache's statistics, LRU ticks or dirty bits.
+//
+// Access is the simulator's hottest Cache method (every simulated memory
+// reference passes through an L1, and often an LLC partition), so its
+// state is laid out for the scan, not the object model: tags live in a
+// packed []uint64 scanned 8-per-cache-line, LRU/dirty metadata is only
+// touched on the way that hits, and the set index uses a precomputed
+// Lemire reciprocal instead of a hardware divide.
 package cache
 
 import (
@@ -210,14 +214,18 @@ func fastmod(x, mHi, mLo, d uint64) uint64 {
 	return bHi + carry
 }
 
+// setHash mixes the upper bits of a line address into its set index, so
+// strided patterns spread across sets the way physical indexing does. The
+// mix must be consistent across resizes only in that it is a pure function
+// of the line address.
+func setHash(lineAddr uint64) uint64 {
+	h := lineAddr * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
 // setIndex maps a line address to its set.
 func (c *Cache) setIndex(lineAddr uint64) int {
-	// Mix the upper bits into the index so strided patterns spread across
-	// sets the way physical indexing does. The mix must be consistent across
-	// resizes only in that it is a pure function of the line address.
-	h := lineAddr * 0x9E3779B97F4A7C15
-	h ^= h >> 32
-	return int(fastmod(h, c.modHi, c.modLo, uint64(c.sets)))
+	return int(fastmod(setHash(lineAddr), c.modHi, c.modLo, uint64(c.sets)))
 }
 
 // Access performs a load or store of the line containing addr. It returns
@@ -266,49 +274,6 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.tags[base+slot] = tag
 	c.lru[base+slot] = c.tick
 	c.dirty[base+slot] = write
-	if c.policy == TreePLRU {
-		c.plruTouch(set, slot, c.ways)
-	}
-	return false
-}
-
-// ShadowAccess is Access for monitor shadow-tag arrays: the same lookup,
-// LRU bookkeeping, and replacement decisions — the hit/miss sequence and
-// resident-line evolution are identical to Access's — but no statistics or
-// dirty-line tracking, which shadow arrays never read (they have no lower
-// level to write back to). The behavioural alignment is what keeps
-// monitors fed through recorded hit masks (monitor.HitMask/ObserveMask)
-// bitwise-equal to live ones.
-func (c *Cache) ShadowAccess(addr uint64) bool {
-	lineAddr := addr / LineBytes
-	set := c.setIndex(lineAddr)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	tag := lineAddr + 1
-	c.tick++
-	hit, empty := -1, -1
-	for i, t := range tags {
-		if t == tag {
-			hit = i
-			break
-		}
-		if t == 0 && empty < 0 {
-			empty = i
-		}
-	}
-	if hit >= 0 {
-		c.lru[base+hit] = c.tick
-		if c.policy == TreePLRU {
-			c.plruTouch(set, hit, c.ways)
-		}
-		return true
-	}
-	slot := empty
-	if slot < 0 {
-		slot = c.victimFor(set, base)
-	}
-	c.tags[base+slot] = tag
-	c.lru[base+slot] = c.tick
 	if c.policy == TreePLRU {
 		c.plruTouch(set, slot, c.ways)
 	}

@@ -34,12 +34,13 @@ type Config struct {
 	Window uint64
 	// SampleLog2 is the set-sampling factor: only lines whose address hash
 	// falls in a 1/2^SampleLog2 sample are simulated, and each shadow array
-	// is scaled down by the same factor. 0 disables sampling.
+	// is scaled down by the same factor, to no fewer than four sets. 0
+	// disables sampling.
 	SampleLog2 uint
 	// Buckets subdivides the window for aging; the window slides in
 	// Window/Buckets increments. Defaults to 8.
 	Buckets int
-	// SkipShadows builds the monitor without its shadow-tag arrays, for
+	// SkipShadows builds the monitor without its cache.ShadowSet, for
 	// domains fed exclusively through ObserveMask (replay lanes whose hit
 	// vectors a recorder precomputed). Observe and HitMask must not be
 	// called on such a monitor.
@@ -57,7 +58,7 @@ func DefaultSizes() []int64 {
 // Monitor tracks, per candidate size, the hits the domain would see.
 type Monitor struct {
 	cfg     Config
-	shadows []*cache.Cache
+	shadows *cache.ShadowSet
 	// ring of hit counters: ring[b][s] counts sampled hits for size s in
 	// bucket b. bucketLen is the number of observed (unsampled) accesses
 	// per bucket.
@@ -96,18 +97,11 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{cfg: cfg}
 	m.sampleMask = (uint64(1) << cfg.SampleLog2) - 1
 	if !cfg.SkipShadows {
-		for _, size := range cfg.Sizes {
-			shadowSize := size >> cfg.SampleLog2
-			minSize := int64(cfg.Ways * cache.LineBytes * 4) // keep >= 4 sets
-			if shadowSize < minSize {
-				shadowSize = minSize
-			}
-			c, err := cache.New(cache.Config{SizeBytes: shadowSize, Ways: cfg.Ways})
-			if err != nil {
-				return nil, fmt.Errorf("monitor: shadow for size %d: %w", size, err)
-			}
-			m.shadows = append(m.shadows, c)
+		shadows, err := cache.NewShadowSet(cfg.Sizes, cfg.Ways, cfg.SampleLog2)
+		if err != nil {
+			return nil, fmt.Errorf("monitor: %w", err)
 		}
+		m.shadows = shadows
 	}
 	m.ring = make([][]uint64, cfg.Buckets)
 	for i := range m.ring {
@@ -132,33 +126,27 @@ func sampleHash(lineAddr uint64) uint64 {
 // Observe records one retired public memory access, in program order.
 // Callers must not pass secret-annotated accesses; that exclusion is what
 // removes Edge 1 of Figure 2. The write bit is part of the retired-access
-// record but does not affect the metric: shadow arrays count hits only and
-// track no dirty state (cache.ShadowAccess).
+// record but does not affect the metric: the shadow arrays
+// (cache.ShadowSet) keep tags only and count hits, with no dirty state.
 func (m *Monitor) Observe(addr uint64, write bool) {
 	m.ObserveMask(m.HitMask(addr, write))
 }
 
 // HitMask simulates the shadow arrays for one observed access and returns
-// the per-size hit vector (bit s set = the size-s shadow hit) without
-// touching the window counters. Because the shadow state — like every
-// monitor quantity — is a pure function of the observed public access
-// sequence, a recorder can compute each access's mask once and feed it to
-// any number of monitors via ObserveMask; Observe(a, w) is exactly
-// ObserveMask(HitMask(a, w)). Unsampled accesses return 0, which
-// ObserveMask cannot distinguish from an all-miss sampled access — the two
-// have identical window effects.
+// the per-size hit vector (bit s set = the size-s shadow hit, as
+// cache.ShadowSet.Access computes it) without touching the window
+// counters. Because the shadow state — like every monitor quantity — is a
+// pure function of the observed public access sequence, a recorder can
+// compute each access's mask once and feed it to any number of monitors
+// via ObserveMask; Observe(a, w) is exactly ObserveMask(HitMask(a, w)).
+// Unsampled accesses return 0, which ObserveMask cannot distinguish from
+// an all-miss sampled access — the two have identical window effects.
 func (m *Monitor) HitMask(addr uint64, write bool) uint16 {
 	lineAddr := addr / cache.LineBytes
 	if sampleHash(lineAddr)&m.sampleMask != 0 {
 		return 0
 	}
-	var mask uint16
-	for s, shadow := range m.shadows {
-		if shadow.ShadowAccess(addr) {
-			mask |= 1 << s
-		}
-	}
-	return mask
+	return m.shadows.Access(addr)
 }
 
 // ObserveMask records one retired public memory access whose shadow

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -226,13 +227,89 @@ func TestShadowGeometryRespectsMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range m.shadows {
-		if sh.Sets() < 4 {
-			t.Errorf("shadow has %d sets, want >= 4", sh.Sets())
-		}
-		if sh.Ways() != 16 {
-			t.Errorf("shadow ways = %d, want 16", sh.Ways())
+	for i := range cfg.Sizes {
+		if sets := m.shadows.Sets(i); sets < 4 {
+			t.Errorf("shadow %d has %d sets, want >= 4", i, sets)
 		}
 	}
-	_ = cache.LineBytes
+	if ways := m.shadows.Ways(); ways != 16 {
+		t.Errorf("shadow ways = %d, want 16", ways)
+	}
 }
+
+// unsampledConfig is the monitor of the bench-scale simulations
+// (sim.Config.Scale below 0.005): every access simulated, so the shadow
+// arrays are full-size, 8 MB for the largest candidate.
+func unsampledConfig() Config {
+	cfg := testConfig()
+	cfg.SampleLog2 = 0
+	return cfg
+}
+
+// shadowLines is the number of lines the shadow arrays of cfg model.
+func shadowLines(cfg Config) int64 {
+	var n int64
+	for _, size := range cfg.Sizes {
+		n += size / cache.LineBytes
+	}
+	return n
+}
+
+func TestHitMaskAllocs(t *testing.T) {
+	m, err := New(unsampledConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	if n := testing.AllocsPerRun(1000, func() { m.HitMask(uint64(r.Int63n(16<<20)), false) }); n != 0 {
+		t.Errorf("HitMask: %v allocs per access, want 0", n)
+	}
+}
+
+// TestMonitorShadowBytes pins the shadow arrays' footprint: tags only, at
+// most 8 bytes per modelled line plus a fixed overhead. (Full caches with
+// LRU ticks and dirty bits cost 17.)
+func TestMonitorShadowBytes(t *testing.T) {
+	cfg := unsampledConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	const overhead = 16 << 10
+	lines := shadowLines(cfg)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*lines+overhead); got > limit {
+		t.Errorf("New allocated %d B for %d shadow lines (%.2f B/line), want <= %d", got, lines, float64(got)/float64(lines), limit)
+	}
+}
+
+// BenchmarkHitMask measures one observed access on the unsampled monitor
+// over a working set twice the largest shadow array, so most probes miss
+// the host's caches, as they do in a bench-scale mix.
+func BenchmarkHitMask(b *testing.B) {
+	m, err := New(unsampledConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const workingSet = 16 << 20
+	x := uint64(1)
+	next := func() uint64 { // xorshift64: cheap next to a probe
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x & (workingSet - 1)
+	}
+	for i := 0; i < 1<<20; i++ { // warm: fill every set
+		m.HitMask(next(), false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hitMaskSink = m.HitMask(next(), false)
+	}
+}
+
+var hitMaskSink uint16

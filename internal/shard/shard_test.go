@@ -446,7 +446,21 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 func TestBroadcastReplaysToRespawnedWorker(t *testing.T) {
 	h := newHarness(t, nil)
 	var contexts sync.Map // shard*100+incarnation → value
+	// Worker 1 holds its first unit until worker 0's respawned incarnation
+	// has received the replayed broadcast. Otherwise worker 1 could finish
+	// every unit before a unit is handed to slot 0 again, and the respawn
+	// under test would never happen.
+	respawned := make(chan struct{})
+	var held atomic.Bool
+	var replayed sync.Once
 	h.exec = func(ctx context.Context, shard, incarnation int, key string) (json.RawMessage, error) {
+		if shard == 1 && held.CompareAndSwap(false, true) {
+			select {
+			case <-respawned:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
 		v, ok := contexts.Load(shard*100 + incarnation)
 		if !ok {
 			return nil, fmt.Errorf("worker %d/%d executing %s without campaign context", shard, incarnation, key)
@@ -462,6 +476,9 @@ func TestBroadcastReplaysToRespawnedWorker(t *testing.T) {
 				return err
 			}
 			contexts.Store(shard*100+incarnation, s)
+			if shard == 0 && incarnation == 2 {
+				replayed.Do(func() { close(respawned) })
+			}
 			return nil
 		}
 		if incarnation == 1 {

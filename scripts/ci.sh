@@ -19,8 +19,8 @@
 #           worker-kill-and-merge, dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
 #           observability-equivalence tests; then each fuzz target (journal
-#           recovery, lane sidecar, trace round trip, cache resize) for a
-#           bounded 10 seconds
+#           recovery, lane sidecar, trace round trip, cache resize, monitor
+#           shadow set) for a bounded 10 seconds
 #
 # Everything is hermetic (no network, no external services); the whole
 # script runs in a few minutes on a laptop. CI=full additionally runs the
@@ -94,12 +94,14 @@ go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 echo "==> go test -fuzz (bounded, 10s per target)"
 # Plain go test runs only each fuzz target's seed corpus; this stage
 # mutates beyond it: journal crash recovery, lane-outcome sidecar
-# decoding, the trace-file round trip, and the bucketed cache resize
-# against the original sort-based one.
+# decoding, the trace-file round trip, the bucketed cache resize against
+# the original sort-based one, and the monitor's recency-ordered shadow
+# set against the original per-size tick-LRU caches.
 go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLaneSidecar$' -fuzztime 10s ./internal/tracecache/
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/isa/
 go test -run '^$' -fuzz '^FuzzResize$' -fuzztime 10s ./internal/cache/
+go test -run '^$' -fuzz '^FuzzShadowSet$' -fuzztime 10s ./internal/cache/
 
 echo "==> benchjson gate (committed baselines)"
 # Committed-baseline deltas on sub-second single-iteration benchmarks
