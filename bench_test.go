@@ -1,69 +1,37 @@
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Section 9 and Appendix B), plus ablation benchmarks for the
-// design choices DESIGN.md calls out. Each benchmark runs the corresponding
-// experiment and reports the headline quantities via b.ReportMetric, so
+// Smoke benchmarks for the paper's remaining evaluation figures (Figures
+// 12-17, the active attacker, the adaptation motivation, the R'max table)
+// and for the ablations DESIGN.md calls out. Each runs its experiment at
+// benchScale and reports the headline quantities via b.ReportMetric:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x .
 //
-// regenerates the whole evaluation. The UNTANGLE_BENCH_SCALE environment
-// variable (default 0.002) trades fidelity for time; the numbers recorded in
-// EXPERIMENTS.md use 0.01.
+// runs each once, which is how scripts/ci.sh keeps them from rotting. They
+// are not the repository's timing system: perfbench/run.sh times whole
+// campaigns end to end (BENCHMARK.json), and cmd/experiments -scale prints
+// the paper's figures at any fidelity (EXPERIMENTS.md uses 0.01).
 package untangle_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
-	"untangle/internal/campaign"
-	"untangle/internal/checkpoint"
 	"untangle/internal/covert"
 	"untangle/internal/experiments"
-	"untangle/internal/obs"
 	"untangle/internal/parallel"
 	"untangle/internal/partition"
 	"untangle/internal/stats"
-	"untangle/internal/telemetry"
-	"untangle/internal/tracecache"
 	"untangle/internal/workload"
 )
 
-func benchScale() float64 {
-	if v := os.Getenv("UNTANGLE_BENCH_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 && f <= 1 {
-			return f
-		}
-	}
-	return 0.002
-}
-
-// benchJobs sizes the experiment engine's worker pool for the benchmarks:
-// UNTANGLE_BENCH_JOBS overrides, default 0 (= GOMAXPROCS). Set 1 to measure
-// the legacy sequential engine; results are identical either way.
-func benchJobs() int {
-	if v := os.Getenv("UNTANGLE_BENCH_JOBS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return 0
-}
-
-func sensitivityInstructions() uint64 {
-	// Scale the steady-state sensitivity runs with the bench scale, with a
-	// floor that keeps the classification meaningful.
-	n := uint64(150_000_000 * benchScale())
-	if n < 600_000 {
-		n = 600_000
-	}
-	return n
-}
+// benchScale is the simulated fraction of the paper's instruction budgets,
+// and benchJobs the worker-pool size (0 = GOMAXPROCS; results are identical
+// for every value).
+const (
+	benchScale = 0.002
+	benchJobs  = 0
+)
 
 // reportMixMetrics attaches the Figure 10-style headline metrics.
 func reportMixMetrics(b *testing.B, res *experiments.MixResult) {
@@ -89,80 +57,19 @@ func reportMixMetrics(b *testing.B, res *experiments.MixResult) {
 	b.ReportMetric(mf, "maintain-frac")
 }
 
-func benchmarkMixOpts(b *testing.B, mixID int, opts experiments.Options) {
+// benchmarkMix runs one mix under every scheme.
+func benchmarkMix(b *testing.B, mixID int) {
 	mix, err := workload.MixByID(mixID)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
 	var res *experiments.MixResult
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.RunMix(mix, opts)
+		res, err = experiments.RunMix(mix, experiments.Options{Scale: benchScale, Jobs: benchJobs})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportMixMetrics(b, res)
-}
-
-func benchmarkMix(b *testing.B, mixID int) {
-	benchmarkMixOpts(b, mixID, experiments.Options{Scale: benchScale(), Jobs: benchJobs()})
-}
-
-// Figure 10: the four highlighted mixes.
-
-func BenchmarkFigure10Mix1(b *testing.B) { benchmarkMix(b, 1) }
-func BenchmarkFigure10Mix2(b *testing.B) { benchmarkMix(b, 2) }
-func BenchmarkFigure10Mix3(b *testing.B) { benchmarkMix(b, 3) }
-func BenchmarkFigure10Mix4(b *testing.B) { benchmarkMix(b, 4) }
-
-// Mix 1 on the per-scheme oracle path the fused engine replaced: each of
-// the four schemes re-runs the full front end. The ns/op ratio against
-// BenchmarkFigure10Mix1 is the fusion speedup docs/PERFORMANCE.md records.
-func BenchmarkFigure10Mix1Oracle(b *testing.B) {
-	benchmarkMixOpts(b, 1, experiments.Options{
-		Scale:         benchScale(),
-		Jobs:          benchJobs(),
-		DisableFusion: true,
-	})
-}
-
-// Mix 1 with a warm front-end trace cache: the fused engine replays every
-// domain's post-L1 stream (measured run and pressure tail) from disk, so
-// the timed region is the four scheme lanes only. The cache is populated
-// outside the timer; warm-speedup-x compares against that one untimed cold
-// fused pass.
-func BenchmarkFigure10Mix1Warm(b *testing.B) {
-	st, err := tracecache.NewStore(b.TempDir(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coldStart := time.Now()
-	if _, err := experiments.WarmMixFrontEnds(context.Background(), st, []int{1}, benchScale(), 0, benchJobs()); err != nil {
-		b.Fatal(err)
-	}
-	cold := time.Since(coldStart)
-	experiments.SetFrontEndCache(st)
-	defer experiments.SetFrontEndCache(nil)
-
-	mix, err := workload.MixByID(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var res *experiments.MixResult
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.RunMix(mix, experiments.Options{Scale: benchScale(), Jobs: benchJobs()})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	warm := b.Elapsed() / time.Duration(b.N)
-	b.ReportMetric(cold.Seconds()/warm.Seconds(), "warm-speedup-x")
-	c := st.Counters()
-	b.ReportMetric(float64(c.Hits), "cache-hits")
-	b.ReportMetric(float64(c.BytesRead)/float64(b.N), "bytes-read/op")
 	reportMixMetrics(b, res)
 }
 
@@ -173,115 +80,19 @@ func BenchmarkFigures12to17(b *testing.B) {
 	}
 }
 
-// Figure 11: the LLC-sensitivity study over all 36 benchmarks.
-func BenchmarkFigure11Sensitivity(b *testing.B) {
-	var study []experiments.SensitivityResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		study, err = experiments.SensitivityStudy(sensitivityInstructions(), benchJobs())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	sensitive := 0
-	for _, r := range study {
-		if r.Sensitive {
-			sensitive++
-		}
-	}
-	b.ReportMetric(float64(sensitive), "llc-sensitive")
-	b.ReportMetric(float64(len(study)), "benchmarks")
-}
-
-// Figure 11 with a warm front-end trace cache: the study replays every
-// benchmark's post-L1 event stream from disk instead of re-running the
-// generator and private L1. The cache is populated outside the timer; the
-// timed region is the warm study only, so the ns/op ratio against
-// BenchmarkFigure11Sensitivity is the replay speedup docs/PERFORMANCE.md
-// records (also reported here directly as warm-speedup-x against one
-// untimed cold pass).
-func BenchmarkFigure11SensitivityWarm(b *testing.B) {
-	ins := sensitivityInstructions()
-	st, err := tracecache.NewStore(b.TempDir(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coldStart := time.Now()
-	if _, err := experiments.WarmFrontEndCache(context.Background(), st, nil, ins, benchJobs()); err != nil {
-		b.Fatal(err)
-	}
-	cold := time.Since(coldStart)
-	experiments.SetFrontEndCache(st)
-	defer experiments.SetFrontEndCache(nil)
-
-	b.ResetTimer()
-	var study []experiments.SensitivityResult
-	for i := 0; i < b.N; i++ {
-		study, err = experiments.SensitivityStudy(ins, benchJobs())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	warm := b.Elapsed() / time.Duration(b.N)
-	b.ReportMetric(cold.Seconds()/warm.Seconds(), "warm-speedup-x")
-	b.ReportMetric(float64(len(study)), "benchmarks")
-	c := st.Counters()
-	b.ReportMetric(float64(c.Hits), "cache-hits")
-	b.ReportMetric(float64(c.BytesRead)/float64(b.N), "bytes-read/op")
-}
-
-// Table 6: average and total leakage for Mixes 1-4 under Time and Untangle.
-// The four mixes fan out onto the worker pool; rows come back in mix order.
-func BenchmarkTable6Leakage(b *testing.B) {
-	var rows []experiments.Table6Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = parallel.Map(context.Background(), 4, benchJobs(),
-			func(ctx context.Context, i int) (experiments.Table6Row, error) {
-				mix, err := workload.MixByID(i + 1)
-				if err != nil {
-					return experiments.Table6Row{}, err
-				}
-				res, err := experiments.RunMixContext(ctx, mix, experiments.Options{
-					Scale: benchScale(),
-					Kinds: []partition.Kind{partition.Static, partition.TimeBased, partition.Untangle},
-					Jobs:  1,
-				})
-				if err != nil {
-					return experiments.Table6Row{}, err
-				}
-				return res.Table6()
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var reduction, timeTotal, unTotal float64
-	for _, r := range rows {
-		reduction += r.ReductionPerAssessment
-		timeTotal += r.TimeAvgTotal
-		unTotal += r.UntangleAvgTotal
-	}
-	n := float64(len(rows))
-	b.ReportMetric(100*reduction/n, "reduction-%")
-	b.ReportMetric(timeTotal/n, "time-total-bits")
-	b.ReportMetric(unTotal/n, "untangle-total-bits")
-}
-
 // Section 9, active attacker: Untangle without the Maintain optimization.
 func BenchmarkActiveAttacker(b *testing.B) {
 	var rates []float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		rates, err = parallel.Map(context.Background(), 4, benchJobs(),
+		rates, err = parallel.Map(context.Background(), 4, benchJobs,
 			func(ctx context.Context, i int) (float64, error) {
 				mix, err := workload.MixByID(i + 1)
 				if err != nil {
 					return 0, err
 				}
 				res, err := experiments.RunMixContext(ctx, mix, experiments.Options{
-					Scale:               benchScale(),
+					Scale:               benchScale,
 					Kinds:               []partition.Kind{partition.Untangle},
 					WorstCaseAccounting: true,
 					Jobs:                1,
@@ -308,7 +119,7 @@ func BenchmarkAdaptationBurstyWorkload(b *testing.B) {
 	var results []experiments.AdaptationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		results, err = experiments.Adaptation(benchScale(), uint64(550_000_000*benchScale()))
+		results, err = experiments.Adaptation(benchScale, uint64(550_000_000*benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,7 +187,7 @@ func BenchmarkAblationCooldownEndToEnd(b *testing.B) {
 	}
 	var points []experiments.CooldownPoint
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.CooldownSweep(mix, benchScale(), []float64{1, 4, 16})
+		points, err = experiments.CooldownSweep(mix, benchScale, []float64{1, 4, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -426,7 +237,7 @@ func BenchmarkAblationPartitionGranularity(b *testing.B) {
 			var res *experiments.MixResult
 			for i := 0; i < b.N; i++ {
 				res, err = experiments.RunMix(mix, experiments.Options{
-					Scale:          benchScale(),
+					Scale:          benchScale,
 					Kinds:          []partition.Kind{partition.Static, partition.TimeBased, partition.Untangle},
 					WayPartitioned: way,
 				})
@@ -443,190 +254,6 @@ func BenchmarkAblationPartitionGranularity(b *testing.B) {
 			b.ReportMetric(stats.Mean(leak), "bits/assess")
 		})
 	}
-}
-
-// Guard: the telemetry instrumentation must be effectively free when
-// disabled. "disabled" is the default nil-tracer path — every emit site
-// costs one nil check and nothing else — and its overhead should stay
-// under 2% of an uninstrumented run (the micro-benchmarks in
-// internal/telemetry put the check at ~1ns). "nop-sink" additionally
-// constructs and emits every event into a discarding sink, bounding the
-// fully-enabled instrumentation cost from above. A single scheme runs at
-// a time so goroutine scheduling noise does not swamp the comparison.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	mix, err := workload.MixByID(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(opts experiments.Options) time.Duration {
-		start := time.Now()
-		if _, err := experiments.RunMix(mix, opts); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	kinds := []partition.Kind{partition.Untangle}
-	base := experiments.Options{Scale: benchScale(), Kinds: kinds}
-	instr := experiments.Options{
-		Scale: benchScale(),
-		Kinds: kinds,
-		TracerFor: func(k partition.Kind) *telemetry.Tracer {
-			return telemetry.New(telemetry.NopSink{}, nil, k.String())
-		},
-		MetricsFor: func(partition.Kind) *telemetry.Registry { return telemetry.NewRegistry() },
-	}
-	// Interleave the two variants so thermal / scheduling drift hits both.
-	var disabled, nop time.Duration
-	run(base) // warm caches before measuring
-	for i := 0; i < b.N; i++ {
-		disabled += run(base)
-		nop += run(instr)
-	}
-	b.ReportMetric(disabled.Seconds()/float64(b.N), "s/run-disabled")
-	b.ReportMetric(nop.Seconds()/float64(b.N), "s/run-nop-sink")
-	b.ReportMetric(100*(nop.Seconds()-disabled.Seconds())/disabled.Seconds(), "overhead-%")
-}
-
-// Guard: -checkpoint must not tax the campaign it protects. The journal
-// appends one fsynced JSONL line per completed unit — 36 for the Figure 11
-// study — so its cost is a fixed number of small writes regardless of
-// scale, and must stay under 2% of the study itself. Each iteration opens
-// a fresh journal (resuming from a populated one would skip the work and
-// measure nothing).
-func BenchmarkCheckpointJournalOverhead(b *testing.B) {
-	dir := b.TempDir()
-	ins := sensitivityInstructions()
-	study := func(j *checkpoint.Journal) time.Duration {
-		start := time.Now()
-		if _, err := experiments.SensitivityStudyCheckpointed(context.Background(), ins, benchJobs(), j); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	study(nil) // warm caches before measuring
-	var plain, journaled time.Duration
-	for i := 0; i < b.N; i++ {
-		plain += study(nil)
-		j, err := checkpoint.Open(filepath.Join(dir, fmt.Sprintf("bench-%d.ckpt", i)), checkpoint.Fingerprint{
-			Instructions: ins,
-			Units:        "bench",
-			ParamsTag:    experiments.ParamsFingerprint(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		journaled += study(j)
-		if err := j.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(plain.Seconds()/float64(b.N), "s/run-plain")
-	b.ReportMetric(journaled.Seconds()/float64(b.N), "s/run-journaled")
-	b.ReportMetric(100*(journaled.Seconds()-plain.Seconds())/plain.Seconds(), "overhead-%")
-}
-
-// Guard: routing a campaign through the resident service (-dlq / -serve)
-// must not tax it. Both variants run the journaled Figure 11 study; the
-// "queued" one pushes its 36 units through the bounded priority queue onto
-// the service's worker pool — submit, dequeue, classify, settle — instead
-// of calling the study directly. The machinery handles a few dozen units
-// per campaign, so its cost is fixed and must stay under 2% of the study.
-// Variants interleave so thermal / scheduling drift hits both.
-func BenchmarkCampaignQueueOverhead(b *testing.B) {
-	dir := b.TempDir()
-	ins := sensitivityInstructions()
-	open := func(name string) *checkpoint.Journal {
-		j, err := checkpoint.Open(filepath.Join(dir, name), checkpoint.Fingerprint{
-			Instructions: ins,
-			Units:        "bench",
-			ParamsTag:    experiments.ParamsFingerprint(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return j
-	}
-	direct := func(name string) time.Duration {
-		j := open(name)
-		defer j.Close()
-		start := time.Now()
-		if _, err := experiments.SensitivityStudyCheckpointed(context.Background(), ins, benchJobs(), j); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	keys := experiments.SensitivityKeys()
-	queued := func(name string) time.Duration {
-		j := open(name)
-		defer j.Close()
-		svc := campaign.New(campaign.Options{Workers: benchJobs()})
-		defer svc.Drain(context.Background())
-		start := time.Now()
-		job, err := svc.Submit(campaign.JobSpec{
-			ID:     name,
-			Phases: []campaign.PhaseSpec{{Name: "sensitivity", Keys: keys}},
-			Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
-				raw, _, err := experiments.RunSensitivityUnit(ctx, key, ins)
-				return raw, err
-			},
-			Journal: j,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := job.Wait(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	direct("warm.ckpt") // warm caches before measuring
-	var plain, svcd time.Duration
-	for i := 0; i < b.N; i++ {
-		plain += direct(fmt.Sprintf("direct-%d.ckpt", i))
-		svcd += queued(fmt.Sprintf("queued-%d.ckpt", i))
-	}
-	b.ReportMetric(plain.Seconds()/float64(b.N), "s/run-direct")
-	b.ReportMetric(svcd.Seconds()/float64(b.N), "s/run-queued")
-	b.ReportMetric(100*(svcd.Seconds()-plain.Seconds())/plain.Seconds(), "overhead-%")
-}
-
-// Guard: the operational observability layer (internal/obs) must be
-// effectively free when disabled and under 2% when fully enabled.
-// "disabled" is the default: no unit observer installed, so every
-// experiments.ObserveUnit site costs one atomic load. "enabled" installs a
-// complete obs.Campaign — span tracer into a discarding writer, progress
-// tracking, unit-latency histograms, pool gauges — the same wiring the
-// -http/-obs-trace flags produce, minus the HTTP listener (which does no
-// per-unit work). The Figure 11 study is the workload: 36 units plus their
-// engine-pass sub-spans per run.
-func BenchmarkObsOverhead(b *testing.B) {
-	ins := sensitivityInstructions()
-	study := func() time.Duration {
-		start := time.Now()
-		if _, err := experiments.SensitivityStudyCheckpointed(context.Background(), ins, benchJobs(), nil); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	observed := func() time.Duration {
-		campaign := obs.NewCampaign("bench", obs.NewTracer(io.Discard), obs.NewProgress(), telemetry.NewRegistry())
-		campaign.Phase("sensitivity", 36)
-		experiments.SetUnitObserver(campaign.Unit)
-		defer func() {
-			experiments.SetUnitObserver(nil)
-			campaign.End(nil)
-		}()
-		return study()
-	}
-	study() // warm caches before measuring
-	var disabled, enabled time.Duration
-	for i := 0; i < b.N; i++ {
-		disabled += study()
-		enabled += observed()
-	}
-	b.ReportMetric(disabled.Seconds()/float64(b.N), "s/run-disabled")
-	b.ReportMetric(enabled.Seconds()/float64(b.N), "s/run-observed")
-	b.ReportMetric(100*(enabled.Seconds()-disabled.Seconds())/disabled.Seconds(), "overhead-%")
 }
 
 // Ablation: annotations off (Edge 1 of Figure 2 restored). Performance is
@@ -647,7 +274,7 @@ func BenchmarkAblationAnnotations(b *testing.B) {
 			var res *experiments.MixResult
 			for i := 0; i < b.N; i++ {
 				res, err = experiments.RunMix(mix, experiments.Options{
-					Scale:              benchScale(),
+					Scale:              benchScale,
 					Kinds:              []partition.Kind{partition.Static, partition.Untangle},
 					DisableAnnotations: !annotated,
 				})

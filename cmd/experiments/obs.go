@@ -19,7 +19,8 @@ import (
 // startObs and torn down by its stop. Every field may be nil — each surface
 // (HTTP server, span trace, live progress line, heartbeat) enables
 // independently — and a nil *obsState means observability is fully off,
-// costing the campaign nothing (see BenchmarkObsOverhead).
+// costing the campaign nothing (experiments.ObserveUnit then allocates
+// nothing: TestObserveUnitUnobservedAllocs).
 //
 // None of this touches the campaign's outputs: -out and -telemetry are
 // byte-identical with and without observability enabled

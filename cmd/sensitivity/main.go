@@ -165,10 +165,6 @@ func main() {
 	var study []experiments.SensitivityResult
 	var err error
 	switch {
-	case *bench != "" && *classifyOnly:
-		var r experiments.SensitivityResult
-		r, err = experiments.Classify(*bench, *instructions)
-		study = []experiments.SensitivityResult{r}
 	case *bench != "":
 		var r experiments.SensitivityResult
 		r, err = experiments.Sensitivity(*bench, *instructions)

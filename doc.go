@@ -20,8 +20,8 @@
 //	stats       geomean and quartile helpers
 //
 // Executables live under cmd/ (untangle-sim, sensitivity, rmax,
-// experiments); runnable examples under examples/. The benchmark harness in
-// bench_test.go regenerates every table and figure of the evaluation; see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-versus-measured results.
+// experiments); runnable examples under examples/. cmd/experiments prints
+// every table and figure of the evaluation at any -scale, and perfbench/
+// times its campaigns end to end; see DESIGN.md for the experiment index
+// and EXPERIMENTS.md for paper-versus-measured results.
 package untangle

@@ -237,3 +237,31 @@ func BenchmarkResizeShrink(b *testing.B) { benchmarkResize(b, 4<<20, 2<<20) }
 
 // BenchmarkResizeGrow doubles a full 2 MB 16-way partition.
 func BenchmarkResizeGrow(b *testing.B) { benchmarkResize(b, 2<<20, 4<<20) }
+
+// TestAccessAllocs pins the three probe paths the simulator runs per event
+// at zero allocations: the sensitivity lanes' Lane.Access, the L1s' and
+// LLC's Cache.Access, and the monitor's ShadowSet.Access.
+func TestAccessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	lane := MustNewLane(Config{SizeBytes: 2 << 20, Ways: 16})
+	c := MustNew(Config{SizeBytes: 32 << 10, Ways: 8})
+	shadows, err := NewShadowSet(monitorSizes, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, probe := range []struct {
+		name string
+		f    func()
+	}{
+		{"Lane.Access", func() { lane.Access(uint64(r.Int63n(16 << 20))) }},
+		{"Cache.Access", func() { c.Access(uint64(r.Int63n(1<<20)), r.Intn(4) == 0) }},
+		{"ShadowSet.Access", func() { shadows.Access(uint64(r.Int63n(16 << 20))) }},
+	} {
+		if n := testing.AllocsPerRun(1000, probe.f); n != 0 {
+			t.Errorf("%s: %v allocs per access, want 0", probe.name, n)
+		}
+	}
+}

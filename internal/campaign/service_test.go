@@ -717,3 +717,47 @@ func TestServiceRunStopsAtCancel(t *testing.T) {
 		t.Errorf("ran %v, journaled %d; want only mix/1", ran, j.Len())
 	}
 }
+
+// TestServiceUnitAllocs pins what one unit costs on its way through the
+// service — queue push and pop, execution, journaling, settling — and
+// requires that cost not to grow with the job: the allocations a job of n
+// units makes beyond an empty job, divided by n, are the same whole
+// number at 4 units as at 64. The remainder the division drops is not
+// per-unit work: what an empty job skips besides its units, the in-memory
+// journal's index growing by a few allocations per doubling, and an
+// occasional extra allocation when the feeder and the worker interleave
+// differently.
+func TestServiceUnitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	const want = 10 // okExec's own encoding included
+	svc := New(Options{Workers: 1})
+	defer drainAll(t, svc)
+	jobs := 0
+	jobAllocs := func(units int) float64 {
+		keys := make([]string, units)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("unit/%d", i)
+		}
+		return testing.AllocsPerRun(20, func() {
+			jobs++
+			if err := svc.Run(context.Background(), JobSpec{
+				ID:      fmt.Sprintf("job-%d", jobs),
+				Phases:  []PhaseSpec{{Name: "p", Keys: keys}},
+				Exec:    okExec,
+				Journal: checkpoint.Memory(checkpoint.Fingerprint{}),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	empty := jobAllocs(0)
+	for _, units := range []int{4, 64} {
+		total := jobAllocs(units)
+		if per := int(total-empty) / units; per != want {
+			t.Errorf("job of %d units: %v allocs (empty job %v), %d per unit, want %d",
+				units, total, empty, per, want)
+		}
+	}
+}

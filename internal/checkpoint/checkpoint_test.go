@@ -326,3 +326,44 @@ func TestMemoryJournal(t *testing.T) {
 		t.Errorf("Close: %v", err)
 	}
 }
+
+// TestRecordAllocs pins a durable append's allocations (the value's and
+// the line's JSON encoding among them) and requires them not to grow with
+// the journal: recording one unit into a journal of 10 records costs
+// exactly what it costs into one of 1,000.
+func TestRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	const want = 6
+	value := []F64{1.5, 2.5}
+	for _, size := range []int{10, 1000} {
+		j, err := Open(filepath.Join(t.TempDir(), "allocs.ckpt"), testFP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < size; i++ {
+			if err := j.Record(fmt.Sprintf("pre/%d", i), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 100
+		keys := make([]string, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range keys {
+			keys[i] = fmt.Sprintf("unit/%d", i)
+		}
+		next := 0
+		n := testing.AllocsPerRun(runs, func() {
+			if err := j.Record(keys[next], value); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Errorf("Record into a journal of %d: %v allocs, want %d", size, n, want)
+		}
+	}
+}

@@ -8,9 +8,9 @@ import (
 	"untangle/internal/workload"
 )
 
-// benchEngineInstructions matches the Figure 11 benchmark floor (see
-// bench_test.go sensitivityInstructions), so per-benchmark ns here
-// decompose the study-level BenchmarkFigure11Sensitivity numbers.
+// benchEngineInstructions matches the Figure 11 study floor at bench scale
+// (perfbench's sens-cold and replay-warm workloads), so per-benchmark ns
+// here decompose those campaigns' study numbers.
 const benchEngineInstructions = 600_000
 
 // BenchmarkEngineCold is one cold multi-lane pass: generator + private L1 +

@@ -4,7 +4,7 @@
 // quick tests, the benchmark suite, and full-fidelity runs.
 //
 //	Figure 10, 12-17  ->  RunMix / MixResult
-//	Figure 11         ->  SensitivityStudy
+//	Figure 11         ->  SensitivityStudyContext
 //	Table 6           ->  Table6 (over RunMix results)
 //	Section 9 active-attacker paragraph -> RunMix with WorstCaseAccounting
 package experiments
@@ -544,17 +544,6 @@ func Sensitivity(name string, instructions uint64) (SensitivityResult, error) {
 	return assembleSensitivity(name, e.sizes, ipcs), nil
 }
 
-// Classify computes a benchmark's adequate LLC size and Sensitive flag. It
-// used to short-circuit the curve with a descending walk that skipped sizes
-// below the first inadequate one; the multi-lane engine made that walk
-// obsolete — all nine sizes now cost one front-end pass together, which is
-// cheaper than even two sequential points of the old path — so Classify is
-// the full curve and its result carries every size, exactly like
-// Sensitivity.
-func Classify(name string, instructions uint64) (SensitivityResult, error) {
-	return Sensitivity(name, instructions)
-}
-
 // sortedSPECParams returns the benchmark table sorted by name — the Figure
 // 11 order — so the study indexes parameters directly instead of paying a
 // linear SPECByName lookup per benchmark.
@@ -564,18 +553,13 @@ func sortedSPECParams() []workload.Params {
 	return params
 }
 
-// SensitivityStudy runs Sensitivity for all 36 benchmarks on the multi-lane
-// engine: 36 benchmark-level tasks fan out onto the worker pool (each task
-// is one front-end pass feeding all nine sizes), instead of the 324
-// point-level tasks of the pre-engine study. Results are collected by
-// benchmark index, so they are identical for every jobs value.
-func SensitivityStudy(instructions uint64, jobs int) ([]SensitivityResult, error) {
-	return SensitivityStudyContext(context.Background(), instructions, jobs)
-}
-
-// SensitivityStudyContext is SensitivityStudy with cancellation: canceling
-// ctx stops benchmarks that have not started, interrupts in-flight engine
-// passes at their next front-end chunk, and returns the context's error.
+// SensitivityStudyContext runs Sensitivity for all 36 benchmarks on the
+// multi-lane engine: 36 benchmark-level tasks fan out onto the worker pool
+// (each task is one front-end pass feeding all nine sizes), and results are
+// collected by benchmark index, so they are identical for every jobs value.
+// Canceling ctx stops benchmarks that have not started, interrupts
+// in-flight engine passes at their next front-end chunk, and returns the
+// context's error.
 // Each benchmark runs the same per-unit body as SensitivityStudyCheckpointed,
 // so every study — journaled or not — retries transient per-pass failures
 // and isolates panics to the failing benchmark; results stay in memory,
@@ -590,19 +574,6 @@ func SensitivityStudyContext(ctx context.Context, instructions uint64, jobs int)
 		}
 		return r, err
 	})
-}
-
-// ClassifyStudy computes all 36 classifications. With the multi-lane engine
-// the full curve and the classification cost the same single pass, so this
-// is SensitivityStudy under its historical name (kept because callers that
-// only need Adequate/Sensitive shouldn't care how the curve is produced).
-func ClassifyStudy(instructions uint64, jobs int) ([]SensitivityResult, error) {
-	return SensitivityStudyContext(context.Background(), instructions, jobs)
-}
-
-// ClassifyStudyContext is ClassifyStudy with cancellation.
-func ClassifyStudyContext(ctx context.Context, instructions uint64, jobs int) ([]SensitivityResult, error) {
-	return SensitivityStudyContext(ctx, instructions, jobs)
 }
 
 // TotalLLCDemand sums the adequate LLC sizes of a mix's SPEC members given a

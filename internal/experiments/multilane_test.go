@@ -155,19 +155,29 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
-// TestClassifyMatchesSensitivity pins the API change: Classify now returns
-// the identical full curve (it is the same engine pass).
+// TestClassifyMatchesSensitivity pins the classification that
+// cmd/sensitivity -classify-only prints against the curve it is read from:
+// Adequate is the smallest size whose normalized IPC reaches 0.9 (the
+// largest size if none does), and Sensitive means Adequate exceeds 2 MB.
 func TestClassifyMatchesSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two engine passes; skipped in -short mode")
 	}
-	full, err := Sensitivity("xz_1", 100_000)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"xz_1", "mcf_0"} {
+		r, err := Sensitivity(name, 100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.Sizes[len(r.Sizes)-1]
+		for i, v := range r.NormIPC {
+			if v >= 0.9 {
+				want = r.Sizes[i]
+				break
+			}
+		}
+		if r.Adequate != want || r.Sensitive != (want > 2<<20) {
+			t.Errorf("%s: adequate %d sensitive %v, want %d %v from curve %v",
+				name, r.Adequate, r.Sensitive, want, want > 2<<20, r.NormIPC)
+		}
 	}
-	cls, err := Classify("xz_1", 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitwiseEqual(t, cls, full)
 }

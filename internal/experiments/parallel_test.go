@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -70,11 +71,11 @@ func TestSensitivityStudyParallelMatchesSequential(t *testing.T) {
 	// Low fidelity: the property under test is jobs-independence, not the
 	// classification itself, and it must hold at any instruction count.
 	const instructions = 100_000
-	seq, err := SensitivityStudy(instructions, 1)
+	seq, err := SensitivityStudyContext(context.Background(), instructions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SensitivityStudy(instructions, 4)
+	par, err := SensitivityStudyContext(context.Background(), instructions, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,24 +108,3 @@ func studiesEqual(a, b []SensitivityResult) bool {
 	}
 	return true
 }
-
-func TestClassifyStudyParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("36-benchmark classify study; skipped in -short mode")
-	}
-	const instructions = 100_000
-	seq, err := ClassifyStudy(instructions, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ClassifyStudy(instructions, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !studiesEqual(par, seq) {
-		t.Error("parallel classify study differs from sequential")
-	}
-}
-
-// Classify ≡ Sensitivity (same multi-lane pass, full curve) is pinned
-// bitwise by TestClassifyMatchesSensitivity in multilane_test.go.

@@ -89,13 +89,19 @@ func (d Dist) Clone() Dist {
 	return c
 }
 
-// Entropy returns H(X) = -sum p(x) log2 p(x) (Equation 2.1), in bits.
+// Entropy returns H(X) = -sum p(x) log2 p(x) (Equation 2.1), in bits. It
+// is never negative: a distribution whose mass rounds to just above 1 (one
+// outcome at 1.0000000000000002, say) would otherwise sum to a tiny
+// negative value, and that rounding is clamped to 0.
 func (d Dist) Entropy() float64 {
 	h := 0.0
 	for _, p := range d {
 		if p > 0 {
 			h -= p * math.Log2(p)
 		}
+	}
+	if h < 0 {
+		return 0
 	}
 	return h
 }

@@ -127,3 +127,17 @@ func TestNilTracerIsNoop(t *testing.T) {
 	tr.SetClock(ClockFunc(func() time.Duration { return 0 }))
 	tr.Emit(&CooldownExpired{}) // must not panic
 }
+
+// TestNilTracerEmitAllocs pins telemetry's cost when disabled: a nil
+// tracer's Emit allocates nothing. (Emit sites build their event behind
+// the same nil check, so they allocate nothing either.)
+func TestNilTracerEmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	var tr *Tracer
+	ev := &ResizeGranted{PrevBytes: 2 << 20, SizeBytes: 4 << 20}
+	if n := testing.AllocsPerRun(1000, func() { tr.Emit(ev) }); n != 0 {
+		t.Errorf("nil Tracer.Emit: %v allocs, want 0", n)
+	}
+}

@@ -1,0 +1,7 @@
+//go:build !race
+
+package telemetry
+
+// raceEnabled reports a -race build, under which sync.Pool drops items at
+// random and allocation counts are not reproducible.
+const raceEnabled = false
