@@ -82,6 +82,7 @@ func startObs(cfg config, journal *checkpoint.Journal, store *tracecache.Store) 
 
 	reg := telemetry.NewRegistry()
 	store.RegisterMetrics(reg) // nil-safe: no-op without -fe-cache
+	experiments.RegisterMixMetrics(reg)
 	st.campaign = obs.NewCampaign("experiments", st.tracer, progress, reg)
 	if cfg.sensIns > 0 {
 		st.campaign.Phase("sensitivity", len(workload.SPECBenchmarks))

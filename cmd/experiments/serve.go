@@ -38,6 +38,7 @@ import (
 	"untangle/internal/experiments"
 	"untangle/internal/obs"
 	"untangle/internal/telemetry"
+	"untangle/internal/tracecache"
 	"untangle/internal/workload"
 )
 
@@ -136,15 +137,19 @@ func (sc *servedCampaign) setState(state, errText string) {
 func runServe(opts serveOptions) error {
 	// The front-end cache is process-wide; serve installs it once so every
 	// campaign shares it (per-campaign configs leave feCacheDir empty).
+	var feStore *tracecache.Store
 	if opts.feCache != "" {
-		_, release, err := experiments.OpenFrontEndCache(opts.feCache, opts.feRebld, log.Printf)
+		st, release, err := experiments.OpenFrontEndCache(opts.feCache, opts.feRebld, log.Printf)
 		if err != nil {
 			return err
 		}
 		defer release()
+		feStore = st
 	}
 
 	reg := telemetry.NewRegistry()
+	feStore.RegisterMetrics(reg) // nil-safe: no-op without -fe-cache
+	experiments.RegisterMixMetrics(reg)
 	svc := campaign.New(campaign.Options{
 		Workers:    opts.jobs,
 		QueueDepth: opts.depth,

@@ -30,6 +30,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"untangle/internal/telemetry"
 )
@@ -278,6 +279,15 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		c.plruTouch(set, slot, c.ways)
 	}
 	return false
+}
+
+// Warm asks the host to load the set that holds addr's line, tags and LRU
+// ticks, without changing any state, so that a later Access finds it in
+// the host's caches.
+func (c *Cache) Warm(addr uint64) {
+	base := c.setIndex(addr/LineBytes) * c.ways
+	sets := [2]uintptr{uintptr(unsafe.Pointer(&c.tags[base])), uintptr(unsafe.Pointer(&c.lru[base]))}
+	prefetchSets(sets[:])
 }
 
 // Prefetch installs the line containing addr if absent, inserting it in LRU

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -457,4 +458,39 @@ func BenchmarkSetIndex(b *testing.B) {
 		sink = c.setIndex(uint64(i) * 977)
 	}
 	_ = sink
+}
+
+// TestWarmChangesNothing pins Warm and ShadowSet.Warm as pure hints: after
+// any number of them, every array, clock and counter is as before.
+func TestWarmChangesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	c := MustNew(Config{SizeBytes: 64 << 10, Ways: 16})
+	s, err := NewShadowSet(monitorSizes, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := func() uint64 { return uint64(r.Intn(1<<22)) * LineBytes }
+	for i := 0; i < 20000; i++ {
+		a := addr()
+		c.Access(a, i%3 == 0)
+		s.Access(a)
+	}
+	tags, lru, dirty, tick, stats := slices.Clone(c.tags), slices.Clone(c.lru), slices.Clone(c.dirty), c.tick, c.Stats()
+	shadow := make([][]uint64, len(s.arrays))
+	for i := range s.arrays {
+		shadow[i] = slices.Clone(s.arrays[i].tags)
+	}
+	for i := 0; i < 20000; i++ {
+		a := addr()
+		c.Warm(a)
+		s.Warm(a)
+	}
+	if !slices.Equal(c.tags, tags) || !slices.Equal(c.lru, lru) || !slices.Equal(c.dirty, dirty) || c.tick != tick || c.Stats() != stats {
+		t.Error("Cache.Warm changed the cache")
+	}
+	for i := range s.arrays {
+		if !slices.Equal(s.arrays[i].tags, shadow[i]) {
+			t.Errorf("ShadowSet.Warm changed shadow array %d", i)
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // maxShadows is the number of shadow arrays a ShadowSet can hold: one bit
 // of Access's hit mask each.
@@ -57,6 +60,20 @@ func (s *ShadowSet) Sets(i int) int { return int(s.arrays[i].sets) }
 
 // Ways returns the associativity of every shadow array.
 func (s *ShadowSet) Ways() int { return s.ways }
+
+// Warm asks the host to load the set holding addr's line in every shadow
+// array, without changing any state, so that a later Access finds them in
+// the host's caches.
+func (s *ShadowSet) Warm(addr uint64) {
+	h := setHash(addr / LineBytes)
+	var sets [maxShadows]uintptr
+	for i := range s.arrays {
+		a := &s.arrays[i]
+		base := int(fastmod(h, a.modHi, a.modLo, a.sets)) * s.ways
+		sets[i] = uintptr(unsafe.Pointer(&a.tags[base]))
+	}
+	prefetchSets(sets[:len(s.arrays)])
+}
 
 // Access probes the line holding addr in every shadow array, updating each
 // array's recency order, and returns the hit mask: bit i is set when array

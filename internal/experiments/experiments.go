@@ -156,7 +156,7 @@ func RunMix(mix workload.Mix, opts Options) (*MixResult, error) {
 // oracle runs when fusion is disabled or the mix is ineligible.
 func RunMixContext(ctx context.Context, mix workload.Mix, opts Options) (*MixResult, error) {
 	if !opts.DisableFusion {
-		res, ok, err := runMixFused(ctx, mix, opts)
+		res, _, ok, err := runMixFused(ctx, mix, opts)
 		if err != nil {
 			return nil, err
 		}

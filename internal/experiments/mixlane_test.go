@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
@@ -17,6 +20,10 @@ import (
 // equivalence is scale-independent (the two paths execute the same
 // operations in the same order at any scale).
 const fusionTestScale = 0.0002
+
+// fusionTestJobs runs the fused engine's lane rounds inline (1) and on
+// concurrent workers (4).
+var fusionTestJobs = []int{1, 4}
 
 // requireMixBitwiseEqual asserts two mix results are bitwise identical:
 // reflect.DeepEqual compares every float by value (IPCs, cycle counts,
@@ -97,7 +104,8 @@ func fusionTestMixes(t *testing.T) []int {
 // fused mix engine (one front-end pass teed into four scheme lanes)
 // reproduces the per-scheme oracle bitwise — IPCs, leakage accounting,
 // partition traces, sample timelines, telemetry — for every mix, both
-// cold and replaying from a warm front-end cache.
+// cold and replaying from a warm front-end cache, with the lane rounds run
+// inline and on concurrent workers (fusionTestJobs).
 func TestMixFusionMatchesOracle(t *testing.T) {
 	ids := fusionTestMixes(t)
 
@@ -114,11 +122,13 @@ func TestMixFusionMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fused, err := RunMix(mix, Options{Scale: fusionTestScale})
-				if err != nil {
-					t.Fatal(err)
+				for _, jobs := range fusionTestJobs {
+					fused, err := RunMix(mix, Options{Scale: fusionTestScale, Jobs: jobs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireMixBitwiseEqual(t, fmt.Sprintf("fused-cold jobs=%d", jobs), fused, oracle)
 				}
-				requireMixBitwiseEqual(t, "fused-cold", fused, oracle)
 			})
 		}
 	})
@@ -126,43 +136,46 @@ func TestMixFusionMatchesOracle(t *testing.T) {
 	// The warm phase owns the process-global front-end cache, so it runs
 	// after the parallel cold group and keeps its mixes sequential.
 	t.Run("warm", func(t *testing.T) {
-		st := newTestStore(t, false)
-		SetFrontEndCache(st)
 		defer SetFrontEndCache(nil)
 		warmIDs := ids
 		if len(warmIDs) > 2 {
 			warmIDs = warmIDs[:2]
 		}
-		for _, id := range warmIDs {
-			mix, err := workload.MixByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oBufs, oTracers := mixBuffers(id)
-			oracle, err := RunMix(mix, Options{Scale: fusionTestScale, DisableFusion: true, TracerFor: oTracers})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, jobs := range fusionTestJobs {
+			st := newTestStore(t, false)
+			SetFrontEndCache(st)
+			for _, id := range warmIDs {
+				mix, err := workload.MixByID(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oBufs, oTracers := mixBuffers(id)
+				oracle, err := RunMix(mix, Options{Scale: fusionTestScale, DisableFusion: true, TracerFor: oTracers})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			cBufs, cTracers := mixBuffers(id)
-			cold, err := RunMix(mix, Options{Scale: fusionTestScale, TracerFor: cTracers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMixBitwiseEqual(t, "fused-populate", cold, oracle)
-			requireBuffersEqual(t, "fused-populate", cBufs, oBufs)
+				label := fmt.Sprintf(" jobs=%d", jobs)
+				cBufs, cTracers := mixBuffers(id)
+				cold, err := RunMix(mix, Options{Scale: fusionTestScale, Jobs: jobs, TracerFor: cTracers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMixBitwiseEqual(t, "fused-populate"+label, cold, oracle)
+				requireBuffersEqual(t, "fused-populate"+label, cBufs, oBufs)
 
-			before := st.Counters()
-			wBufs, wTracers := mixBuffers(id)
-			warm, err := RunMix(mix, Options{Scale: fusionTestScale, TracerFor: wTracers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMixBitwiseEqual(t, "fused-warm", warm, oracle)
-			requireBuffersEqual(t, "fused-warm", wBufs, oBufs)
-			after := st.Counters()
-			if hits := after.Hits - before.Hits; hits < int64(len(mix.Pairs)) {
-				t.Errorf("mix %d warm run hit the cache %d times, want >= %d", id, hits, len(mix.Pairs))
+				before := st.Counters()
+				wBufs, wTracers := mixBuffers(id)
+				warm, err := RunMix(mix, Options{Scale: fusionTestScale, Jobs: jobs, TracerFor: wTracers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMixBitwiseEqual(t, "fused-warm"+label, warm, oracle)
+				requireBuffersEqual(t, "fused-warm"+label, wBufs, oBufs)
+				after := st.Counters()
+				if hits := after.Hits - before.Hits; hits < int64(len(mix.Pairs)) {
+					t.Errorf("mix %d warm run hit the cache %d times, want >= %d", id, hits, len(mix.Pairs))
+				}
 			}
 		}
 	})
@@ -172,7 +185,10 @@ func TestMixFusionMatchesOracle(t *testing.T) {
 // needed length is scheme-dependent: the pressure tail. A cached entry
 // whose tail is too short for the lanes must be detected, deleted, and
 // regenerated cold — still matching the oracle bitwise — and the rewritten
-// entry must carry a full tail again.
+// entry must carry a full tail again. The short entry keeps a quarter of
+// its tail, so the streamed warm reader serves pressure chunks for a while
+// and then hits EOF in the middle of a round, with the lanes still
+// running.
 func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	mix, err := workload.MixByID(1)
 	if err != nil {
@@ -192,7 +208,8 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	}
 	requireMixBitwiseEqual(t, "populate", cold, oracle)
 
-	// Truncate domain 0's entry to measured stream + marker, no tail.
+	// Truncate domain 0's entry to measured stream + marker + a quarter of
+	// its tail.
 	key := mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8)
 	path := st.EntryPath(key)
 	r, err := st.Open(key)
@@ -223,7 +240,7 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEvents(events[:cut+1]); err != nil {
+	if err := w.WriteEvents(events[:cut+1+(len(events)-cut-1)/4]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
@@ -231,11 +248,14 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	}
 	w.Close()
 
-	warm, err := RunMix(mix, Options{Scale: fusionTestScale})
-	if err != nil {
-		t.Fatal(err)
+	warm, stats, ok, err := runMixFused(context.Background(), mix, Options{Scale: fusionTestScale})
+	if err != nil || !ok {
+		t.Fatalf("fused run: ok=%v err=%v", ok, err)
 	}
 	requireMixBitwiseEqual(t, "underrun-regenerated", warm, oracle)
+	if stats.restarts != 1 {
+		t.Errorf("warm run made %d restarts, want 1 (the short tail must underrun)", stats.restarts)
+	}
 
 	info, err := tracecache.ReadInfo(path)
 	if err != nil {
@@ -243,6 +263,57 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	}
 	if tail := info.Events - info.Measured - 1; tail == 0 {
 		t.Errorf("regenerated entry still has no pressure tail (%d events, %d measured)", info.Events, info.Measured)
+	}
+}
+
+// TestMixFusionCorruptEntry covers a warm entry damaged mid-file, which
+// the header check at open does not see: the streamed reader reaches the
+// damage, or the footer's CRC at the entry's end, only while or after the
+// lanes run. Without rebuild the mix fails with ErrCorrupt; with it, the
+// attempt is discarded and the domain regenerated, still matching the
+// oracle bitwise.
+func TestMixFusionCorruptEntry(t *testing.T) {
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := RunMix(mix, Options{Scale: fusionTestScale, DisableFusion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetFrontEndCache(nil)
+	for _, rebuild := range []bool{false, true} {
+		st := newTestStore(t, rebuild)
+		SetFrontEndCache(st)
+		if _, err := RunMix(mix, Options{Scale: fusionTestScale}); err != nil {
+			t.Fatal(err)
+		}
+		path := st.EntryPath(mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x40
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunMix(mix, Options{Scale: fusionTestScale})
+		if !rebuild {
+			if !errors.Is(err, tracecache.ErrCorrupt) {
+				t.Fatalf("corrupt entry without rebuild: err = %v, want ErrCorrupt", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMixBitwiseEqual(t, "corrupt-rebuilt", got, oracle)
+		if c := st.Counters(); c.Rebuilds != 1 {
+			t.Errorf("rebuilds = %d, want 1", c.Rebuilds)
+		}
+		if _, err := tracecache.ReadInfo(path); err != nil {
+			t.Errorf("rebuilt entry: %v", err)
+		}
 	}
 }
 
@@ -262,5 +333,53 @@ func TestMixFusionOracleFlagForcesOracle(t *testing.T) {
 	c := st.Counters()
 	if c.Hits != 0 || c.Misses != 0 || c.BytesWritten != 0 {
 		t.Errorf("oracle path touched the cache: %+v", c)
+	}
+}
+
+// TestMixTapeFollowsWindow is the bounded-tape gate: a cold Mix 1 keeps
+// only the chunks between its trailing and leading lanes, so the chunk
+// buffers its ring allocates follow the peak window of live tape events,
+// not the stream length, and the window is sampled at round boundaries
+// only, so it and the buffer count are the same with the rounds run inline
+// or on four workers. The expectations are constants, like the other
+// allocation gates; a change that moves them says why.
+func TestMixTapeFollowsWindow(t *testing.T) {
+	const (
+		wantWindow    = 98658 // peak live tape events, all eight domains
+		wantAllocated = 25    // chunk buffers the ring made
+		wantProduced  = 125   // chunks produced, pressure-tail extension included
+		// Every live chunk but a domain's measured-end chunk is full, so
+		// the buffers exceed the window's whole chunks by at most one per
+		// domain.
+		slackPerDomain = 1
+	)
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetFrontEndCache(nil)
+	for _, jobs := range fusionTestJobs {
+		SetFrontEndCache(newTestStore(t, false))
+		_, stats, ok, err := runMixFused(context.Background(), mix, Options{Scale: fusionTestScale, Jobs: jobs})
+		if err != nil || !ok {
+			t.Fatalf("jobs=%d: ok=%v err=%v", jobs, ok, err)
+		}
+		if stats.window != wantWindow || stats.allocated != wantAllocated || stats.produced != wantProduced {
+			t.Errorf("jobs=%d: window %d events, %d chunk buffers, %d chunks produced; want %d, %d, %d",
+				jobs, stats.window, stats.allocated, stats.produced, wantWindow, wantAllocated, wantProduced)
+		}
+		whole := (stats.window + laneChunk - 1) / laneChunk
+		if stats.allocated < whole || stats.allocated > whole+slackPerDomain*len(mix.Pairs) {
+			t.Errorf("jobs=%d: %d chunk buffers for a %d-event window (%d chunks), want at most %d per domain more",
+				jobs, stats.allocated, stats.window, whole, slackPerDomain)
+		}
+		if 4*stats.allocated >= stats.produced {
+			t.Errorf("jobs=%d: %d chunk buffers for %d chunks produced, want under a quarter", jobs, stats.allocated, stats.produced)
+		}
+		reg := telemetry.NewRegistry()
+		RegisterMixMetrics(reg)
+		if peak := reg.Snapshot().Gauges["obs.mix.tape_window_events"]; peak < float64(stats.window) {
+			t.Errorf("jobs=%d: obs.mix.tape_window_events reads %v, below this mix's window %d", jobs, peak, stats.window)
+		}
 	}
 }

@@ -21,13 +21,13 @@
 // outcome bits, however long the stream.
 //
 // The fold is not an approximation of sim.Run — it is a transliteration of
-// the driver's quantum machine (sim.Run's quantum loop around its one
+// the driver's quantum machine (sim.Step's quantum around its one
 // per-domain loop, runDomainUntil) for the exact configuration
 // sensitivityPoint builds (Static scheme, one domain, Warmup 0,
 // WarmupInstructions set):
 // per-quantum horizons in cycles, the end-of-quantum warmup check against
 // retired instructions, the finish snapshot before the idle AdvanceTo, and
-// collect's instructions/cycles division, all in the same order with the
+// Result's instructions/cycles division, all in the same order with the
 // same floating-point expressions. sensitivityPoint is retained as the
 // oracle, and TestEngineMatchesOracle* require the engine to reproduce its
 // per-size IPCs bitwise. The lanes stay a transliteration rather than nine
@@ -96,7 +96,7 @@ type laneState struct {
 
 // endQuantum performs the driver's quantum-boundary work: the warmup check
 // (measurement starts at the first boundary where the domain has retired the
-// warmup budget), then the step to the next horizon. It mirrors sim.Run's
+// warmup budget), then the step to the next horizon. It mirrors sim.Step's
 // boundary exactly, including running after the finish snapshot — where a
 // degenerate tiny-budget run can place the measurement base after the idle
 // AdvanceTo, yielding IPC 0 just as the oracle does.
@@ -120,7 +120,7 @@ func (l *laneState) endQuantum(warmup uint64, step time.Duration) {
 // The boundary catch-up loop before each event reproduces the driver's
 // "consume ops only while the core is inside the quantum" condition:
 // quanta in which this lane retires nothing still get their boundary (and
-// warmup check), exactly as sim.Run re-enters its per-domain loop,
+// warmup check), exactly as sim.Step re-enters its per-domain loop,
 // runDomainUntil, with an advanced horizon. The charges — RetireNonMem,
 // then the RetireMem level — follow the driver's order, so the
 // floating-point cycle count is the oracle's bit for bit.
@@ -157,7 +157,7 @@ func (l *laneState) fold(events []feEvent, outcomes []uint64, cursor int, probe 
 // finish runs the driver's stream-dry sequence — catch up to the quantum the
 // stream ends in, snapshot, idle forward to the quantum boundary, take that
 // boundary (the warmup check may fire there) — and returns the measured IPC
-// exactly as sim's collect computes it.
+// exactly as sim's Result computes it.
 func (l *laneState) finish(warmup uint64, step time.Duration) float64 {
 	for l.core.Cycles() >= l.horizon {
 		l.endQuantum(warmup, step)

@@ -149,6 +149,14 @@ func (m *Monitor) HitMask(addr uint64, write bool) uint16 {
 	return m.shadows.Access(addr)
 }
 
+// WarmMask asks the host to load the shadow sets a later HitMask(addr)
+// probes, changing no state.
+func (m *Monitor) WarmMask(addr uint64) {
+	if sampleHash(addr/cache.LineBytes)&m.sampleMask == 0 {
+		m.shadows.Warm(addr)
+	}
+}
+
 // ObserveMask records one retired public memory access whose shadow
 // resolution was precomputed by HitMask on a recorder monitor with the same
 // Sizes, Ways, and SampleLog2. Window bookkeeping (bucket rotation, counts)

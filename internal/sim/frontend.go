@@ -44,7 +44,12 @@ type FrontEnd struct {
 	rec       *monitor.Monitor
 	offset    uint64
 	annotated bool
+	observed  []int // Resolve's scratch: the batch's monitor-observed events
 }
+
+// shadowLookahead is how many observed accesses ahead RecordMasks
+// prefetches the shadow sets of a later HitMask.
+const shadowLookahead = 8
 
 // NewFrontEnd builds domain idx's front end under cfg: the L1 geometry,
 // the address-space offset, the annotation switch and, for a dynamic
@@ -108,12 +113,27 @@ func (fe *FrontEnd) Resolve(ops []isa.Op, out []tracecache.Event) []tracecache.E
 			if fe.rec != nil && (!op.SecretUse() || !fe.annotated) && !fe.monL1.Access(addr, write) {
 				ev.Flags |= tracecache.FlagMonObserve
 				ev.Addr = addr
-				ev.MonMask = fe.rec.HitMask(addr, write)
+				fe.observed = append(fe.observed, i)
 			}
 		}
 		out[i] = ev
 	}
+	RecordMasks(fe.rec, out, fe.observed)
+	fe.observed = fe.observed[:0]
 	return out
+}
+
+// RecordMasks sets the MonMask of events[i] for each i in observed, in
+// that order, through the recorder rec. The shadow probes run as a pass of
+// their own so that each can prefetch the sets of the access
+// shadowLookahead observed accesses ahead (monitor.Monitor.WarmMask).
+func RecordMasks(rec *monitor.Monitor, events []tracecache.Event, observed []int) {
+	for j, i := range observed {
+		if j+shadowLookahead < len(observed) {
+			rec.WarmMask(events[observed[j+shadowLookahead]].Addr)
+		}
+		events[i].MonMask = rec.HitMask(events[i].Addr, events[i].Flags&tracecache.FlagWrite != 0)
+	}
 }
 
 // liveChunk is the live source's batch size. Stream determinism (Fill-size

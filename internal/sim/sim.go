@@ -382,6 +382,9 @@ type Sim struct {
 	warm    bool // true once warmup ended
 	now     time.Duration
 	metrics *simMetrics // nil unless Config.Metrics is set
+
+	steps          int           // quanta stepped
+	nextTimeAssess time.Duration // TimeBased: the next assessment instant
 }
 
 // simMetrics are the driver-level registry instruments.
@@ -541,6 +544,12 @@ func New(cfg Config, specs []DomainSpec) (*Sim, error) {
 	if reg := cfg.Metrics; reg != nil {
 		s.registerMetrics(reg)
 	}
+	if cfg.Scheme.Kind == partition.TimeBased {
+		s.nextTimeAssess = cfg.Scheme.Interval
+	}
+	if cfg.Warmup == 0 && cfg.WarmupInstructions == 0 {
+		s.beginMeasurement()
+	}
 	return s, nil
 }
 
@@ -583,6 +592,22 @@ func (s *Sim) registerMetrics(reg *telemetry.Registry) {
 		if d.mon != nil {
 			d.mon.RegisterMetrics(reg, fmt.Sprintf("monitor.d%d", d.idx))
 		}
+	}
+}
+
+// llcLookahead is how many events ahead runDomainUntil warms the LLC set
+// of an upcoming L1 miss. The LLC arrays of the four lanes of a fused mix
+// and of its front end do not fit the host's last-level cache together,
+// so without the prefetch each probe waits on memory.
+const llcLookahead = 16
+
+// llcWarm prefetches the LLC set an upcoming miss will probe (cache.Warm).
+func (s *Sim) llcWarm(d *domain, addr uint64) {
+	switch {
+	case s.shared != nil:
+		s.shared.Warm(addr)
+	case d.part != nil:
+		d.part.Warm(addr)
 	}
 }
 
@@ -631,6 +656,9 @@ func (s *Sim) runDomainUntil(d *domain, horizon time.Duration) {
 			}
 		}
 		ev := d.rbatch[d.rpos]
+		if j := d.rpos + llcLookahead; j < len(d.rbatch) && d.rbatch[j].Kind == tracecache.KindL1Miss {
+			s.llcWarm(d, d.rbatch[j].Addr)
+		}
 		d.rpos++
 
 		d.core.RetireNonMem(ev.NonMem)
@@ -1003,104 +1031,111 @@ func (s *Sim) beginMeasurement() {
 	}
 }
 
+// maxSteps is a defensive bound on quanta against runaway configs.
+const maxSteps = 100_000_000
+
 // Run executes the simulation until every domain has finished its stream,
-// then assembles the results.
+// then assembles the results: a loop over Step.
 func (s *Sim) Run() (*Result, error) {
+	for {
+		done, err := s.Step()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return s.Result(), nil
+		}
+	}
+}
+
+// Step advances the simulation by one quantum (Config.SampleEvery): every
+// domain runs to the new instant, then the quantum's bandwidth stalls,
+// warmup exit, time-based assessments and samples apply. done reports
+// that every domain has finished its stream; Result then assembles the
+// results. Stepping several simulations in turn is how a caller runs them
+// at equal simulated time (the fused mix engine's rounds).
+func (s *Sim) Step() (done bool, err error) {
 	cfg := &s.cfg
+	if s.steps > maxSteps {
+		return false, fmt.Errorf("sim: exceeded %d steps without finishing", maxSteps)
+	}
+	s.steps++
 	step := cfg.SampleEvery
-	var nextTimeAssess time.Duration
-	if cfg.Scheme.Kind == partition.TimeBased {
-		nextTimeAssess = cfg.Scheme.Interval
+	s.now += step
+	for _, d := range s.domains {
+		s.runDomainUntil(d, s.now)
 	}
-	if cfg.Warmup == 0 && cfg.WarmupInstructions == 0 {
-		s.beginMeasurement()
+	if cfg.MemBandwidth > 0 {
+		s.applyBandwidthStalls(step)
 	}
-	const maxSteps = 100_000_000 // defensive bound against runaway configs
-	for stepCount := 0; ; stepCount++ {
-		if stepCount > maxSteps {
-			return nil, fmt.Errorf("sim: exceeded %d steps without finishing", maxSteps)
-		}
-		s.now += step
+	if !s.warm && s.now >= cfg.Warmup {
+		ready := true
 		for _, d := range s.domains {
-			s.runDomainUntil(d, s.now)
-		}
-		if cfg.MemBandwidth > 0 {
-			s.applyBandwidthStalls(step)
-		}
-		if !s.warm && s.now >= cfg.Warmup {
-			ready := true
-			for _, d := range s.domains {
-				if d.retired < cfg.WarmupInstructions {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				s.beginMeasurement()
-			}
-		}
-		if cfg.Scheme.Kind == partition.TimeBased {
-			for s.now >= nextTimeAssess {
-				s.assessTimeBased(nextTimeAssess)
-				nextTimeAssess += cfg.Scheme.Interval
-			}
-		}
-		if s.metrics != nil {
-			s.metrics.quanta.Inc()
-		}
-		if s.warm {
-			for _, d := range s.domains {
-				if d.finished {
-					continue
-				}
-				if d.part != nil || s.wayLLC != nil {
-					d.samples = append(d.samples, d.committed)
-				}
-				ipc := d.core.IPCSince(d.lastSample)
-				d.ipcSamples = append(d.ipcSamples, ipc)
-				if tr := s.cfg.Tracer; tr != nil {
-					snap := d.core.Snapshot()
-					tr.Emit(&telemetry.DomainQuantum{
-						Header:  telemetry.Header{AtNs: s.now.Nanoseconds(), Domain: d.idx},
-						Retired: snap.Retired - d.lastSample.Retired,
-						IPC:     ipc, CommittedBytes: d.committed,
-					})
-					// Monitor window closures are detected at quantum
-					// granularity; the timestamp is the quantum boundary.
-					if d.mon != nil {
-						for w := d.mon.WindowsClosed(); d.monWindows < w; {
-							d.monWindows++
-							tr.Emit(&telemetry.MonitorWindowClosed{
-								Header:   telemetry.Header{AtNs: s.now.Nanoseconds(), Domain: d.idx},
-								Window:   d.mon.Window(),
-								Windows:  d.monWindows,
-								Observed: d.mon.Observed(),
-							})
-						}
-					}
-				}
-				if s.metrics != nil {
-					s.metrics.ipcHist.Observe(ipc)
-				}
-				d.lastSample = d.core.Snapshot()
-			}
-		}
-		allDone := true
-		for _, d := range s.domains {
-			if !d.finished {
-				allDone = false
+			if d.retired < cfg.WarmupInstructions {
+				ready = false
 				break
 			}
 		}
-		if allDone {
-			break
+		if ready {
+			s.beginMeasurement()
 		}
 	}
-	return s.collect(), nil
+	if cfg.Scheme.Kind == partition.TimeBased {
+		for s.now >= s.nextTimeAssess {
+			s.assessTimeBased(s.nextTimeAssess)
+			s.nextTimeAssess += cfg.Scheme.Interval
+		}
+	}
+	if s.metrics != nil {
+		s.metrics.quanta.Inc()
+	}
+	if s.warm {
+		for _, d := range s.domains {
+			if d.finished {
+				continue
+			}
+			if d.part != nil || s.wayLLC != nil {
+				d.samples = append(d.samples, d.committed)
+			}
+			ipc := d.core.IPCSince(d.lastSample)
+			d.ipcSamples = append(d.ipcSamples, ipc)
+			if tr := s.cfg.Tracer; tr != nil {
+				snap := d.core.Snapshot()
+				tr.Emit(&telemetry.DomainQuantum{
+					Header:  telemetry.Header{AtNs: s.now.Nanoseconds(), Domain: d.idx},
+					Retired: snap.Retired - d.lastSample.Retired,
+					IPC:     ipc, CommittedBytes: d.committed,
+				})
+				// Monitor window closures are detected at quantum
+				// granularity; the timestamp is the quantum boundary.
+				if d.mon != nil {
+					for w := d.mon.WindowsClosed(); d.monWindows < w; {
+						d.monWindows++
+						tr.Emit(&telemetry.MonitorWindowClosed{
+							Header:   telemetry.Header{AtNs: s.now.Nanoseconds(), Domain: d.idx},
+							Window:   d.mon.Window(),
+							Windows:  d.monWindows,
+							Observed: d.mon.Observed(),
+						})
+					}
+				}
+			}
+			if s.metrics != nil {
+				s.metrics.ipcHist.Observe(ipc)
+			}
+			d.lastSample = d.core.Snapshot()
+		}
+	}
+	for _, d := range s.domains {
+		if !d.finished {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
-// collect assembles the result.
-func (s *Sim) collect() *Result {
+// Result assembles the results of a simulation whose Step reported done.
+func (s *Sim) Result() *Result {
 	res := &Result{Scheme: s.cfg.Scheme, Duration: s.now}
 	for i, d := range s.domains {
 		end, endLLC, endL1 := d.finishCore, d.finishLLC, d.finishL1

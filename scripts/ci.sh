@@ -14,7 +14,9 @@
 #           processes), the fault-injection harness, the checkpoint
 #           journal, the front-end trace cache, the observability layer,
 #           the experiment engine's resilience layer, the fused-mix-engine
-#           equivalence (clean runs and a mid-mix kill-and-resume), and the
+#           equivalence (clean runs, inline and concurrent lane rounds, and
+#           a mid-mix kill-and-resume) and its bounded tape window (the
+#           chunk ring the concurrent lanes share), and the
 #           cmd-level kill-and-resume, fail-fast, sharded
 #           worker-kill-and-merge, dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
@@ -83,12 +85,14 @@ echo "==> go test -race (dead-letter-and-replay + serve submit and drain-and-res
 go test -race -run 'TestDeadLetterCampaignEquivalence|TestDeadLetterPanickingUnit|TestServeCampaignMatchesDirectRun|TestServeRejectsBadSubmissions|TestServeDrainRestartEquivalence' \
     ./cmd/experiments/
 
-echo "==> go test -race (mix-fusion equivalence: clean + mid-mix kill)"
+echo "==> go test -race (mix-fusion equivalence + bounded tape: clean + mid-mix kill)"
 # -short limits the engine-level bitwise check to two mixes (the full
-# 16-mix raced sweep takes ~3.5 min and runs under CI=full); the
+# 16-mix sweep runs under CI=full); it runs the lane rounds inline
+# and on four workers, which share each mix's chunk ring, and
+# TestMixTapeFollowsWindow checks that ring's buffer count at both. The
 # campaign-level check covers cold, warm-cache, and a checkpointed
 # mid-mix kill-and-resume through the fused path.
-go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates' \
+go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 
