@@ -392,26 +392,28 @@ func (c *Cache) Flush() {
 // whose new set has room. Resizing to the current size is a no-op so
 // Maintain actions cost nothing.
 //
-// The survivors are reinserted in one pass over the old arrays, with no
-// sort over the whole partition. A histogram counts the valid lines per
-// new set, a scatter groups their (LRU tick, old slot) keys into one
-// bucket per new set, and each bucket is sorted oldest-first. Each set
-// then takes its bucket in order: a line fills the first empty way, or,
-// in a full set, replaces the least recently used occupant if that
-// occupant is strictly older. A line that does not fit is dropped, and
-// each dropped dirty line counts as a writeback. The rule does not depend
-// on the replacement policy; TreePLRU bits start cleared.
+// The survivors are reinserted as if one by one, oldest first: a line
+// fills the first empty way of its new set, or, in a full set, replaces
+// the least recently used occupant if that occupant is strictly older. A
+// line that does not fit is dropped, and each dropped dirty line counts as
+// a writeback. The rule does not depend on the replacement policy;
+// TreePLRU bits start cleared.
 //
-// Within a set, the order of insertion decides which way each line takes.
-// Per-bucket order equals the order of one global LRU sort whenever no
-// bucket holds two equal ticks, because insertions into different sets
-// never interact. Equal ticks arise only from Prefetch, which inserts one
-// tick below the clock. If any bucket holds a tie, the keys are instead
-// laid out in old-slot order and sorted once globally with
-// slices.SortFunc. That is the pdqsort sort.Slice runs (both are generated
-// from one template), so equal ticks keep the relative order a global
-// sort.Slice over the old slots gives them, and that order feeds the same
-// reinsertion loop.
+// No sort runs over the whole partition. A histogram pass hashes each
+// valid line once, keeping its new set, and counts the lines per new set;
+// a scatter groups their (LRU tick, old slot) keys into one bucket per new
+// set; and each bucket is insertion-sorted by tick. Insertions into
+// different sets never interact, and within a set a strictly ascending
+// bucket of b lines leaves line k at way k mod ways with the first
+// b−ways lines dropped, so placeBucket writes that state directly.
+//
+// Equal ticks arise only from Prefetch, which inserts one tick below the
+// clock, and there the order among equal ticks decides which way each
+// takes. If any bucket holds a tie, the keys are instead laid out in
+// old-slot order, sorted once globally with slices.SortFunc and reinserted
+// one by one (reinsert). That is the pdqsort sort.Slice runs (both are
+// generated from one template), so equal ticks keep the relative order a
+// global sort.Slice over the old slots gives them.
 func (c *Cache) Resize(newSize int64) error {
 	cfg := Config{SizeBytes: newSize, Ways: c.ways}
 	if err := cfg.Validate(); err != nil {
@@ -433,13 +435,17 @@ func (c *Cache) Resize(newSize int64) error {
 
 	sc := resizePool.Get().(*resizeScratch)
 	defer resizePool.Put(sc)
-	// Histogram: end[s+1] counts the lines bound for new set s.
+	// Histogram: sets[i] is old slot i's new set, end[s+1] counts the lines
+	// bound for new set s.
 	end := grow(sc.end, newSets+1)
 	clear(end)
+	sets := grow(sc.sets, len(oldTags))
 	n := 0
-	for _, t := range oldTags {
+	for i, t := range oldTags {
 		if t != 0 {
-			end[c.setIndex(t-1)+1]++
+			s := uint32(c.setIndex(t - 1))
+			sets[i] = s
+			end[s+1]++
 			n++
 		}
 	}
@@ -451,35 +457,79 @@ func (c *Cache) Resize(newSize int64) error {
 	keys := grow(sc.keys, n)
 	for i, t := range oldTags {
 		if t != 0 {
-			s := c.setIndex(t - 1)
-			keys[end[s]] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: uint32(s)}
+			s := sets[i]
+			keys[end[s]] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: s}
 			end[s]++
 		}
 	}
-	tie := false
-	for s, lo := 0, uint32(0); s < newSets && !tie; s++ {
-		b := keys[lo:end[s]]
-		slices.SortFunc(b, byTick)
-		for i := 1; i < len(b); i++ {
-			if b[i].tick == b[i-1].tick {
-				tie = true
-				break
-			}
-		}
-		lo = end[s]
-	}
-	if tie {
-		k := 0
-		for i, t := range oldTags {
-			if t != 0 {
-				keys[k] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: uint32(c.setIndex(t - 1))}
-				k++
-			}
-		}
-		slices.SortFunc(keys, byTick)
-	}
-	sc.keys, sc.end = keys, end
+	sc.keys, sc.end, sc.sets = keys, end, sets
 
+	writebacks := c.stats.Writebacks
+	for s, lo := 0, uint32(0); s < newSets; s++ {
+		b := keys[lo:end[s]]
+		lo = end[s]
+		if sortByTick(b) {
+			// A tie: undo the buckets placed so far and take the global sort.
+			clear(c.tags)
+			clear(c.lru)
+			clear(c.dirty)
+			c.stats.Writebacks = writebacks
+			k := 0
+			for i, t := range oldTags {
+				if t != 0 {
+					keys[k] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: sets[i]}
+					k++
+				}
+			}
+			slices.SortFunc(keys, byTick)
+			c.reinsert(keys, oldTags, oldDirty)
+			return nil
+		}
+		c.placeBucket(s, b, oldTags, oldDirty)
+	}
+	return nil
+}
+
+// sortByTick insertion-sorts a bucket by LRU tick. It stops and reports
+// true at the first tick it finds twice.
+func sortByTick(b []resizeKey) bool {
+	for i := 1; i < len(b); i++ {
+		k := b[i]
+		j := i
+		for j > 0 && b[j-1].tick > k.tick {
+			b[j] = b[j-1]
+			j--
+		}
+		b[j] = k
+		if j > 0 && b[j-1].tick == k.tick {
+			return true
+		}
+	}
+	return false
+}
+
+// placeBucket installs new set s's strictly ascending bucket b: line k at
+// way k mod ways, which leaves the last ways lines, and a writeback for
+// each dirty line among the first len(b)−ways, which the later ones
+// displace.
+func (c *Cache) placeBucket(s int, b []resizeKey, oldTags []uint64, oldDirty []bool) {
+	drop := max(0, len(b)-c.ways)
+	for _, k := range b[:drop] {
+		if oldDirty[k.slot] {
+			c.stats.Writebacks++
+		}
+	}
+	base := s * c.ways
+	for k := drop; k < len(b); k++ {
+		way := base + k%c.ways
+		c.tags[way], c.lru[way], c.dirty[way] = oldTags[b[k].slot], b[k].tick, oldDirty[b[k].slot]
+	}
+}
+
+// reinsert installs keys, oldest first, one by one: a line fills the first
+// empty way of its set, or replaces the set's least recently used occupant
+// if that occupant is strictly older.
+func (c *Cache) reinsert(keys []resizeKey, oldTags []uint64, oldDirty []bool) {
 	for _, k := range keys {
 		base := int(k.set) * c.ways
 		tags, lru, dirty := c.tags[base:base+c.ways], c.lru[base:base+c.ways], c.dirty[base:base+c.ways]
@@ -512,7 +562,6 @@ func (c *Cache) Resize(newSize int64) error {
 			c.stats.Writebacks++
 		}
 	}
-	return nil
 }
 
 // resizeKey is one surviving line's reinsertion key: its LRU tick, its
@@ -527,12 +576,13 @@ type resizeKey struct {
 func byTick(a, b resizeKey) int { return cmp.Compare(a.tick, b.tick) }
 
 // resizeScratch holds one Resize's transient buffers: the keys (16 B per
-// valid line) and the per-new-set bucket ends (4 B per set). They are
-// pooled so that a resize at a steady partition size allocates only the
-// new tag, LRU and dirty arrays.
+// valid line), the per-new-set bucket ends (4 B per set) and each old
+// slot's new set (4 B per old slot). They are pooled so that a resize at a
+// steady partition size allocates only the new tag, LRU and dirty arrays.
 type resizeScratch struct {
 	keys []resizeKey
 	end  []uint32
+	sets []uint32
 }
 
 var resizePool = sync.Pool{New: func() any { return new(resizeScratch) }}

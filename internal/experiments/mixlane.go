@@ -13,7 +13,8 @@
 // sim.FrontEnd, including the Seed+=0xA5A5 pressure variant — into a tape
 // of rich tracecache events (hit/miss resolution, write bit, monitor and
 // public-progress gates, shadow hit vectors, L1 eviction/writeback
-// counts), and replays the tape into four scheme lanes.
+// counts), and replays the tape into four scheme lanes. The lanes'
+// monitors take the recorded hit vectors and build no shadow arrays.
 //
 // Unlike the sensitivity engine's lean cache.Lane replay, a mix lane is a
 // full sim.Sim fed through its only input seam, sim.ReplaySource
@@ -41,7 +42,11 @@
 // entry as they are produced: the measured stream, a KindMeasuredEnd
 // marker, then a pressure tail extended after the lanes to what the
 // hungriest lane consumed plus slack. Warm runs pull the entry chunk by
-// chunk through a tracecache.Reader instead of generating. The pressure
+// chunk through a tracecache.Reader instead of generating: the entry holds
+// the hit vectors too, so a warm tape only decodes and no warm domain
+// simulates shadow arrays. The vectors depend on the recorder's geometry,
+// which a non-default one (Options.WayPartitioned's way-granular sizes)
+// therefore adds to the entry's key (pinMonitorGeometry). The pressure
 // tail is the one stored quantity whose needed length depends on the
 // scheme mix — a warm run that drains it (a lane kept a domain alive
 // longer than the recorded run did) discards its results, deletes the
@@ -52,6 +57,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -144,6 +150,23 @@ func mixStreamKey(pair workload.Pair, idx int, scale float64, secret uint64, ann
 	}
 }
 
+// pinMonitorGeometry keys a stream whose MonMask values were recorded
+// under rec, when rec's shadow-array geometry — the sizes, ways and sample
+// factor HitMask depends on — differs from def, the default at the
+// stream's scale: the key's Monitor field names it and a hash of it
+// suffixes the benchmark name, so the entry gets a file of its own. A
+// default-geometry key is returned unchanged.
+func pinMonitorGeometry(key tracecache.Key, rec, def monitor.Config) tracecache.Key {
+	if slices.Equal(rec.Sizes, def.Sizes) && rec.Ways == def.Ways && rec.SampleLog2 == def.SampleLog2 {
+		return key
+	}
+	key.Monitor = fmt.Sprintf("sizes=%v ways=%d sample=%d", rec.Sizes, rec.Ways, rec.SampleLog2)
+	h := fnv.New32a()
+	h.Write([]byte(key.Monitor))
+	key.Benchmark += fmt.Sprintf("-m%08x", h.Sum32())
+	return key
+}
+
 // mixRing recycles one mix's tape chunks. Every chunk buffer holds
 // laneChunk events; the engine hands a chunk back once every live lane has
 // passed it, and produce takes from here before it allocates, so the
@@ -201,13 +224,9 @@ type mixTape struct {
 	pressure *isa.Chunks
 	ops      []isa.Op
 	w        *tracecache.Writer
-	// A warm tape's producer: the entry's reader, its batch buffer, and the
-	// monitor recorder that restores the MonMask annotation the cache never
-	// stores.
-	r        *tracecache.Reader
-	buf      []feEvent
-	rec      *monitor.Monitor
-	observed []int // annotate's scratch
+	// A warm tape's producer: the entry's reader and its batch buffer.
+	r   *tracecache.Reader
+	buf []feEvent
 }
 
 func (t *mixTape) end() int { return t.first + len(t.chunks) }
@@ -305,32 +324,17 @@ func (t *mixTape) read() error {
 	return err
 }
 
-// publishCopy appends a copy of decoded events, their MonMask annotation
-// restored, as one chunk.
+// publishCopy appends a copy of decoded events as one chunk.
 func (t *mixTape) publishCopy(seg []feEvent) {
 	if len(seg) == 0 {
 		return
 	}
 	c := t.ring.get()[:len(seg)]
 	copy(c, seg)
-	t.publish(t.annotate(c))
+	t.publish(c)
 }
 
 func isMeasuredEnd(ev feEvent) bool { return ev.Kind == tracecache.KindMeasuredEnd }
-
-// annotate replays a decoded chunk's observed accesses through the tape's
-// recorder, in stream order: one shadow pass per warm domain, not one per
-// dynamic lane.
-func (t *mixTape) annotate(c []feEvent) []feEvent {
-	t.observed = t.observed[:0]
-	for j := range c {
-		if c[j].Flags&tracecache.FlagMonObserve != 0 {
-			t.observed = append(t.observed, j)
-		}
-	}
-	sim.RecordMasks(t.rec, c, t.observed)
-	return c
-}
 
 // markMeasured ends the measured stream at the next chunk boundary and
 // writes the marker there into a cold tape's entry.
@@ -467,31 +471,15 @@ func (l *mixLane) step() error {
 	return nil
 }
 
-// warmBurst is how many chunks past its leading lane a warm tape fills,
-// once it has to fill any, when the rounds run inline. Decoding and
-// annotating a domain in bursts keeps that domain's shadow sets in the
-// host's caches between the lanes' rounds. With concurrent rounds a burst
-// would hold up the round it lands in, so there a warm tape fills one
-// chunk at a time (docs/PERFORMANCE.md).
-const warmBurst = 16
-
 // lookAhead makes the tape hold chunk next, the one its leading lane asks
-// for next, filling burst chunks if a warm tape has to fill any. As the
-// first task of a round it lets the front ends run beside the lanes on a
-// second worker, instead of inside whichever lane reaches the end of a
-// tape first; lanes still extend a tape themselves when a round carries
-// them past it.
-func (t *mixTape) lookAhead(next, burst int) {
+// for next. As the first task of a round it lets the front ends run beside
+// the lanes on a second worker, instead of inside whichever lane reaches
+// the end of a tape first; lanes still extend a tape themselves when a
+// round carries them past it.
+func (t *mixTape) lookAhead(next int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.end() > next {
-		return
-	}
-	want := next + 1
-	if t.r != nil {
-		want = next + burst
-	}
-	for !t.done && t.end() < want {
+	for !t.done && t.end() <= next {
 		t.produce()
 	}
 }
@@ -591,8 +579,10 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	}
 	st := FrontEndCache()
 	annotated := !opts.DisableAnnotations
-	// The L1 geometry every lane uses (scheme-independent, never scaled).
+	// The L1 geometry every lane uses (scheme-independent, never scaled),
+	// and the shadow-array geometry the front ends record masks under.
 	geom := sim.Scaled(partition.DefaultScheme(partition.Static), scale)
+	rec := mixSimConfig(opts, partition.Untangle, scale).MonitorConfig()
 
 	specs, err := BuildDomains(mix, scale, opts.Secret)
 	if err != nil {
@@ -600,7 +590,8 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	}
 	keys := make([]tracecache.Key, len(specs))
 	for i := range specs {
-		keys[i] = mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways)
+		key := mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways)
+		keys[i] = pinMonitorGeometry(key, rec, geom.MonitorConfig())
 	}
 
 	// With telemetry or metrics sinks attached, a discarded attempt has
@@ -657,9 +648,6 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 		if r != nil {
 			t.r, t.buf = r, make([]feEvent, laneChunk)
-			if t.rec, err = monitor.New(feCfg.MonitorConfig()); err != nil {
-				return nil, false, false, err
-			}
 			continue
 		}
 		t.cold = true
@@ -700,10 +688,6 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 	// chunks all of them have passed go back to the ring. A failed front
 	// end or a drained warm tail spoils the attempt; stop stepping then.
 	jobs := parallel.Jobs(opts.Jobs)
-	burst := 1
-	if jobs == 1 {
-		burst = warmBurst
-	}
 	live := slices.Clone(lanes)
 	next := make([]int, len(tapes))
 	tasks := make([]func() error, 0, 1+len(lanes))
@@ -716,7 +700,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 		tasks = append(tasks[:0], func() error {
 			for d, t := range tapes {
-				t.lookAhead(next[d], burst)
+				t.lookAhead(next[d])
 			}
 			return nil
 		})

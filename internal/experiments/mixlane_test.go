@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"untangle/internal/partition"
@@ -381,5 +382,93 @@ func TestMixTapeFollowsWindow(t *testing.T) {
 		if peak := reg.Snapshot().Gauges["obs.mix.tape_window_events"]; peak < float64(stats.window) {
 			t.Errorf("jobs=%d: obs.mix.tape_window_events reads %v, below this mix's window %d", jobs, peak, stats.window)
 		}
+	}
+}
+
+// TestMixEntryKeyPinsMonitorGeometry: fe-cache entries hold the monitor
+// hit vectors, which depend on the recorder's shadow-array geometry, so a
+// WayPartitioned run (way-granular candidate sizes) over a store a default
+// run filled must read none of those entries and still match its oracle;
+// its second run replays its own entries.
+func TestMixEntryKeyPinsMonitorGeometry(t *testing.T) {
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := Options{Scale: fusionTestScale, WayPartitioned: true}
+	oracleOpts := wp
+	oracleOpts.DisableFusion = true
+	oracle, err := RunMix(mix, oracleOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, false)
+	SetFrontEndCache(st)
+	defer SetFrontEndCache(nil)
+	if _, err := RunMix(mix, Options{Scale: fusionTestScale}); err != nil {
+		t.Fatal(err)
+	}
+	domains := int64(len(mix.Pairs))
+	for _, run := range []struct {
+		label      string
+		wantHits   int64
+		wantMisses int64
+	}{
+		{"over default entries", 0, domains},
+		{"over its own entries", domains, 0},
+	} {
+		before := st.Counters()
+		got, err := RunMix(mix, wp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMixBitwiseEqual(t, "way-partitioned "+run.label, got, oracle)
+		c := st.Counters()
+		if hits, misses := c.Hits-before.Hits, c.Misses-before.Misses; hits != run.wantHits || misses != run.wantMisses {
+			t.Errorf("way-partitioned %s: %d hits, %d misses; want %d, %d", run.label, hits, misses, run.wantHits, run.wantMisses)
+		}
+	}
+}
+
+// TestWarmMixBuildsNoShadowRecorder is the warm fused path's memory gate:
+// a warm Mix 1 decodes its monitor hit vectors from the entries, so it
+// builds none of the shadow recorders the cold front ends use, 2.5 MB each
+// at this scale. Allocated bytes show it: the bound sits between this
+// run's bytes and what one recorder more would add. The expectations are
+// constants, like the other allocation gates; a change that moves them
+// says why.
+func TestWarmMixBuildsNoShadowRecorder(t *testing.T) {
+	const (
+		// Warm tapes that re-recorded the masks through one recorder per
+		// domain allocated 63.7 MB here.
+		recordingBytes = 63_700_000
+		// Measured: 37.1 MB (37.9 MB under the race detector).
+		maxBytes = 39_000_000
+	)
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, false)
+	SetFrontEndCache(st)
+	defer SetFrontEndCache(nil)
+	opts := Options{Scale: fusionTestScale, Jobs: 1}
+	if _, _, ok, err := runMixFused(context.Background(), mix, opts); err != nil || !ok {
+		t.Fatalf("cold run: ok=%v err=%v", ok, err)
+	}
+	before := st.Counters()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, stats, ok, err := runMixFused(context.Background(), mix, opts)
+	runtime.ReadMemStats(&m1)
+	if err != nil || !ok {
+		t.Fatalf("warm run: ok=%v err=%v", ok, err)
+	}
+	if hits := st.Counters().Hits - before.Hits; hits != int64(len(mix.Pairs)) || stats.restarts != 0 {
+		t.Fatalf("warm run: %d hits, %d restarts; want %d, 0", hits, stats.restarts, len(mix.Pairs))
+	}
+	if n := m1.TotalAlloc - m0.TotalAlloc; n > maxBytes {
+		t.Errorf("warm Mix 1 allocated %d bytes, want at most %d (re-recording the masks allocated %d)", n, maxBytes, recordingBytes)
 	}
 }

@@ -24,8 +24,8 @@ import (
 //
 // Events with FlagMonObserve must carry MonMask, the shadow hit vector
 // (monitor.Monitor.HitMask under Config.MonitorConfig) that FrontEnd
-// records: domain monitors apply it via ObserveMask and never simulate
-// shadow arrays themselves.
+// records and rich fe-cache entries persist: domain monitors apply it via
+// ObserveMask and never simulate shadow arrays themselves.
 type ReplaySource interface {
 	NextEvents() []tracecache.Event
 }
@@ -47,7 +47,7 @@ type FrontEnd struct {
 	observed  []int // Resolve's scratch: the batch's monitor-observed events
 }
 
-// shadowLookahead is how many observed accesses ahead RecordMasks
+// shadowLookahead is how many observed accesses ahead recordMasks
 // prefetches the shadow sets of a later HitMask.
 const shadowLookahead = 8
 
@@ -118,21 +118,22 @@ func (fe *FrontEnd) Resolve(ops []isa.Op, out []tracecache.Event) []tracecache.E
 		}
 		out[i] = ev
 	}
-	RecordMasks(fe.rec, out, fe.observed)
+	fe.recordMasks(out)
 	fe.observed = fe.observed[:0]
 	return out
 }
 
-// RecordMasks sets the MonMask of events[i] for each i in observed, in
-// that order, through the recorder rec. The shadow probes run as a pass of
-// their own so that each can prefetch the sets of the access
-// shadowLookahead observed accesses ahead (monitor.Monitor.WarmMask).
-func RecordMasks(rec *monitor.Monitor, events []tracecache.Event, observed []int) {
+// recordMasks sets the MonMask of the batch's observed events, in stream
+// order, through the recorder. The shadow probes run as a pass of their
+// own so that each can prefetch the sets of the access shadowLookahead
+// observed accesses ahead (monitor.Monitor.WarmMask).
+func (fe *FrontEnd) recordMasks(events []tracecache.Event) {
+	observed := fe.observed
 	for j, i := range observed {
 		if j+shadowLookahead < len(observed) {
-			rec.WarmMask(events[observed[j+shadowLookahead]].Addr)
+			fe.rec.WarmMask(events[observed[j+shadowLookahead]].Addr)
 		}
-		events[i].MonMask = rec.HitMask(events[i].Addr, events[i].Flags&tracecache.FlagWrite != 0)
+		events[i].MonMask = fe.rec.HitMask(events[i].Addr, events[i].Flags&tracecache.FlagWrite != 0)
 	}
 }
 

@@ -16,14 +16,22 @@ const (
 	blockSize      = 64            // one cache line per record block
 	payloadMax     = blockSize - 1 // last byte holds the payload length
 	footerSentinel = 0xFF          // payload-length slot value marking the footer
-	// maxEventSize bounds one encoded event: control byte + escaped non-mem
-	// uvarint + address-delta uvarint. Events never split across blocks, so
-	// this must fit in payloadMax (it does, with room: 16 <= 63).
-	maxEventSize = 1 + binary.MaxVarintLen32 + binary.MaxVarintLen64
+	// maxEventSize bounds one encoded event: control byte + non-mem uvarint
+	// (a rich observed event packs a 4-bit mask code under it) + escaped
+	// mask uvarint + address-delta uvarint. Events never split across
+	// blocks, so this must fit in payloadMax (it does, with room: 24 <= 63).
+	maxEventSize = 1 + binary.MaxVarintLen64 + binary.MaxVarintLen16 + binary.MaxVarintLen64
 
 	// nonMemEscape in the control byte's high six bits means the run length
 	// did not fit inline and follows as a uvarint.
 	nonMemEscape = 63
+
+	// A rich observed event's non-mem uvarint carries NonMem<<maskCodeBits |
+	// code: code < maskEscape is the mask's rank in the entry's
+	// move-to-front list (maskList), maskEscape means the mask follows as
+	// a uvarint.
+	maskCodeBits = 4
+	maskEscape   = 1<<maskCodeBits - 1
 )
 
 var magic = [8]byte{'U', 'N', 'T', 'G', 'F', 'E', '0', '1'}
@@ -47,7 +55,46 @@ type header struct {
 }
 
 // richEvents is the header.Events value selecting the rich encoding.
-const richEvents = "rich"
+// retiredRichEvents named its first layout, which carried no monitor hit
+// vectors; such entries fail to open (ErrCorrupt), so a store opened with
+// rebuild regenerates them and any other store refuses them loudly.
+const (
+	richEvents        = "rich-masks"
+	retiredRichEvents = "rich"
+)
+
+// maskList is a rich entry's move-to-front list of recent monitor hit
+// vectors, kept in step by the writer and the reader and empty at the
+// start of every entry. An observed event names its mask by rank, so the
+// few masks a stream repeats cost no bytes beyond the non-mem run's.
+type maskList struct {
+	masks [maskEscape]uint16
+	n     int
+}
+
+// rank returns mask's rank, or maskEscape when the list lacks it.
+func (l *maskList) rank(mask uint16) int {
+	for i, m := range l.masks[:l.n] {
+		if m == mask {
+			return i
+		}
+	}
+	return maskEscape
+}
+
+// front moves the mask at rank i to the front.
+func (l *maskList) front(i int) {
+	m := l.masks[i]
+	copy(l.masks[1:i+1], l.masks[:i])
+	l.masks[0] = m
+}
+
+// push puts a new mask at the front, dropping the last when full.
+func (l *maskList) push(mask uint16) {
+	l.n = min(l.n+1, len(l.masks))
+	copy(l.masks[1:l.n], l.masks[:l.n-1])
+	l.masks[0] = mask
+}
 
 // headerBytes renders the file prefix: magic, headerLen, JSON, zero padding
 // to a block boundary so the data region is 64-byte aligned.
@@ -81,6 +128,7 @@ type Writer struct {
 	block    [blockSize]byte
 	n        int // payload bytes staged in block
 	prevAddr uint64
+	masks    maskList
 	count    uint64
 	crc      uint32
 	written  int64
@@ -114,10 +162,10 @@ func (w *Writer) WriteEvents(events []Event) error {
 		if ev.Kind > KindL1Miss {
 			return fmt.Errorf("tracecache: invalid event kind %d", ev.Kind)
 		}
-		if ev.Flags != 0 {
-			// The classic encoding has no flag bits; dropping them silently
-			// would decode to a different stream.
-			return fmt.Errorf("tracecache: event flags %#x need the rich encoding (CreateRich)", ev.Flags)
+		if ev.Flags != 0 || ev.MonMask != 0 {
+			// The classic encoding has no flag bits or masks; dropping them
+			// silently would decode to a different stream.
+			return fmt.Errorf("tracecache: event flags %#x and mask %#x need the rich encoding (CreateRich)", ev.Flags, ev.MonMask)
 		}
 		scratch[0] = ev.Kind
 		n := 1
@@ -141,9 +189,11 @@ func (w *Writer) WriteEvents(events []Event) error {
 
 // writeRichEvents encodes the rich layout: control byte = kind (low two
 // bits) | flags (bits 2..6, bit 7 spare and zero), then the non-mem run as
-// a plain uvarint, then — when the event carries an address (an L1 miss,
-// or any access the monitor observes) — the address as a zigzag delta
-// uvarint on the writer's single delta chain.
+// a plain uvarint — for a monitor-observed event, NonMem<<maskCodeBits |
+// the mask's code, an escaped mask following as a uvarint — then, when the
+// event carries an address (an L1 miss, or any access the monitor
+// observes), the address as a zigzag delta uvarint on the writer's single
+// delta chain.
 func (w *Writer) writeRichEvents(events []Event) error {
 	var scratch [maxEventSize]byte
 	for _, ev := range events {
@@ -156,8 +206,24 @@ func (w *Writer) writeRichEvents(events []Event) error {
 		if ev.Kind == KindMeasuredEnd && (ev.Flags != 0 || ev.NonMem != 0 || ev.Addr != 0) {
 			return fmt.Errorf("tracecache: measured-end marker must be empty")
 		}
+		observed := ev.Flags&FlagMonObserve != 0
+		if !observed && ev.MonMask != 0 {
+			return fmt.Errorf("tracecache: mask %#x on an event the monitor does not observe", ev.MonMask)
+		}
 		scratch[0] = ev.Kind | ev.Flags<<2
-		n := 1 + binary.PutUvarint(scratch[1:], uint64(ev.NonMem))
+		v, code := uint64(ev.NonMem), 0
+		if observed {
+			if code = w.masks.rank(ev.MonMask); code == maskEscape {
+				w.masks.push(ev.MonMask)
+			} else {
+				w.masks.front(code)
+			}
+			v = v<<maskCodeBits | uint64(code)
+		}
+		n := 1 + binary.PutUvarint(scratch[1:], v)
+		if code == maskEscape {
+			n += binary.PutUvarint(scratch[n:], uint64(ev.MonMask))
+		}
 		if richHasAddr(ev.Kind, ev.Flags) {
 			delta := int64(ev.Addr) - int64(w.prevAddr)
 			n += binary.PutUvarint(scratch[n:], zigzag(delta))
@@ -185,14 +251,16 @@ func (w *Writer) put(enc []byte) error {
 	}
 	copy(w.block[w.n:], enc)
 	w.n += len(enc)
-	w.crc = crc32.Update(w.crc, castagnoli, enc)
 	w.count++
 	return nil
 }
 
-// flushBlock seals the staged payload into one 64-byte record: zero the
-// slack, stamp the payload length in the last slot, emit.
+// flushBlock seals the staged payload into one 64-byte record: fold it
+// into the CRC (the payload is exactly its events' bytes, so the streaming
+// CRC equals one over every event), zero the slack, stamp the payload
+// length in the last slot, emit.
 func (w *Writer) flushBlock() error {
+	w.crc = crc32.Update(w.crc, castagnoli, w.block[:w.n])
 	for i := w.n; i < payloadMax; i++ {
 		w.block[i] = 0
 	}
@@ -256,6 +324,7 @@ type Reader struct {
 	block    [blockSize]byte
 	pos, n   int
 	prevAddr uint64
+	masks    maskList
 
 	decoded   uint64
 	wantCount uint64
@@ -312,6 +381,9 @@ func prepareReader(f *os.File, st *Store) (*Reader, error) {
 	if err := json.Unmarshal(doc, &h); err != nil {
 		return nil, fmt.Errorf("bad header JSON: %v", err)
 	}
+	if h.Events == retiredRichEvents {
+		return nil, fmt.Errorf("event encoding %q predates persisted monitor masks — rebuild the entry", h.Events)
+	}
 	if h.Events != "" && h.Events != richEvents {
 		return nil, fmt.Errorf("unknown event encoding %q", h.Events)
 	}
@@ -346,8 +418,8 @@ func (r *Reader) Key() Key { return r.key }
 // Version returns the format version the entry was written with.
 func (r *Reader) Version() int { return r.version }
 
-// Rich reports whether the entry uses the rich event encoding (flags +
-// measured-end marker; mix streams).
+// Rich reports whether the entry uses the rich event encoding (flags,
+// monitor masks and the measured-end marker; mix streams).
 func (r *Reader) Rich() bool { return r.rich }
 
 // Count returns the footer's event count.
@@ -371,20 +443,16 @@ func (r *Reader) Read(buf []Event) (int, error) {
 				return i, r.finish()
 			}
 		}
-		start := r.pos
 		var ev Event
+		var err error
 		if r.rich {
-			var err error
-			if ev, err = r.decodeRich(); err != nil {
-				return i, err
-			}
+			ev, err = r.decodeRich()
 		} else {
-			var err error
-			if ev, err = r.decodeClassic(); err != nil {
-				return i, err
-			}
+			ev, err = r.decodeClassic()
 		}
-		r.crc = crc32.Update(r.crc, castagnoli, r.block[start:r.pos])
+		if err != nil {
+			return i, err
+		}
 		r.decoded++
 		buf[i] = ev
 	}
@@ -431,10 +499,32 @@ func (r *Reader) decodeRich() (Event, error) {
 	}
 	ev := Event{Kind: c & 3, Flags: (c >> 2) & flagsMask}
 	v, n := binary.Uvarint(r.block[r.pos:r.n])
-	if n <= 0 || v > 0xFFFFFFFF {
+	if n <= 0 {
 		return Event{}, fmt.Errorf("%w: bad non-mem run at event %d", ErrCorrupt, r.decoded)
 	}
 	r.pos += n
+	if ev.Flags&FlagMonObserve != 0 {
+		code := int(v & maskEscape)
+		v >>= maskCodeBits
+		switch {
+		case code == maskEscape:
+			m, n := binary.Uvarint(r.block[r.pos:r.n])
+			if n <= 0 || m > 0xFFFF {
+				return Event{}, fmt.Errorf("%w: bad monitor mask at event %d", ErrCorrupt, r.decoded)
+			}
+			r.pos += n
+			ev.MonMask = uint16(m)
+			r.masks.push(ev.MonMask)
+		case code < r.masks.n:
+			ev.MonMask = r.masks.masks[code]
+			r.masks.front(code)
+		default:
+			return Event{}, fmt.Errorf("%w: monitor mask rank %d past the %d recent masks at event %d", ErrCorrupt, code, r.masks.n, r.decoded)
+		}
+	}
+	if v > 0xFFFFFFFF {
+		return Event{}, fmt.Errorf("%w: bad non-mem run at event %d", ErrCorrupt, r.decoded)
+	}
 	ev.NonMem = uint32(v)
 	if ev.Kind == KindMeasuredEnd && (ev.Flags != 0 || ev.NonMem != 0) {
 		return Event{}, fmt.Errorf("%w: non-empty measured-end marker at event %d", ErrCorrupt, r.decoded)
@@ -466,6 +556,7 @@ func (r *Reader) nextBlock() (bool, error) {
 	if n > payloadMax {
 		return false, fmt.Errorf("%w: block payload length %d", ErrCorrupt, n)
 	}
+	r.crc = crc32.Update(r.crc, castagnoli, r.block[:n])
 	r.pos, r.n = 0, n
 	return true, nil
 }

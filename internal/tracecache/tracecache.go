@@ -25,7 +25,8 @@
 // File layout (all integers little-endian):
 //
 //	magic "UNTGFE01" (8 bytes)
-//	headerLen uint32, then headerLen bytes of JSON {"version":V,"key":{...}},
+//	headerLen uint32, then headerLen bytes of JSON {"version":V,"key":{...}}
+//	  (plus "events":"rich-masks" for the rich encoding),
 //	  zero-padded so the data region starts on a 64-byte boundary
 //	data blocks: 64 bytes each — byte[63] = payload length n (0..63),
 //	  bytes[0:n] = packed events, events never split across blocks
@@ -41,6 +42,18 @@
 // as a zigzag-encoded delta uvarint, the same discipline as
 // internal/isa/tracefile.go. Typical events are one byte; an L1 miss in a
 // strided scan is two or three.
+//
+// The rich encoding (mix streams, header "events":"rich-masks") puts the
+// Flags bits in the control byte's bits 2..6 and the non-mem run in a
+// following uvarint. A monitor-observed event packs its monitor hit vector
+// (Event.MonMask) into that uvarint as NonMem<<4 | code: codes 0..14 name
+// the mask's rank in a move-to-front list of recent masks that writer and
+// reader keep per entry, and code 15 escapes to the mask as a uvarint.
+// Observed runs are short, so the code usually costs no byte. Misses and
+// observed events then carry their address as in the classic encoding.
+// Entries of the first rich layout ("events":"rich", no masks) are
+// rejected as corrupt: rebuilt under the store's rebuild policy, refused
+// loudly otherwise.
 package tracecache
 
 import (
@@ -60,20 +73,20 @@ import (
 // access. In the classic encoding only L1 misses carry an address — they
 // are the only events whose cost differs between LLC lanes. The rich
 // encoding (mix streams, see CreateRich) additionally carries the Flags
-// bits and an address for monitor-observed hits, so a full sim back-end
-// can be replayed from the stream. The experiments engine's feEvent is an
-// alias of this type.
+// bits and, for monitor-observed accesses, the address and MonMask, so a
+// full sim back-end can be replayed from the stream. The experiments
+// engine's feEvent is an alias of this type.
 type Event struct {
 	Addr   uint64
 	NonMem uint32
 	Kind   uint8
 	Flags  uint8 // rich entries only; zero in classic entries
-	// MonMask is in-memory annotation only, never persisted: the monitor
-	// shadow-array hit vector (monitor.Monitor.HitMask) the simulator's
-	// front end (sim.FrontEnd) precomputes for FlagMonObserve events so
-	// every domain applies it via ObserveMask instead of re-simulating the
-	// shadow arrays. Writers ignore it; readers return it zero — the fused
-	// mix engine recomputes masks from the decoded stream.
+	// MonMask is the monitor shadow-array hit vector
+	// (monitor.Monitor.HitMask) of a FlagMonObserve event, which the
+	// simulator's front end (sim.FrontEnd) records so every domain applies
+	// it via ObserveMask instead of re-simulating the shadow arrays. Rich
+	// entries persist it for observed events and the writers reject it on
+	// any other event, so a warm replay decodes the masks with the stream.
 	MonMask uint16
 }
 
@@ -135,6 +148,11 @@ type Key struct {
 	SpecPhase   uint64 `json:"spec_phase,omitempty"`
 	Secret      uint64 `json:"secret,omitempty"`
 	Unannotated bool   `json:"unannotated,omitempty"`
+	// Monitor pins the geometry of the shadow arrays that recorded the
+	// stream's MonMask values (their sizes, ways and sample factor) when it
+	// differs from the default geometry at the stream's scale; empty for
+	// the default, so default keys are those of streams without masks.
+	Monitor string `json:"monitor,omitempty"`
 }
 
 // String renders the key for error messages.
@@ -148,6 +166,9 @@ func (k Key) String() string {
 		}
 		if k.Unannotated {
 			s += " unannotated"
+		}
+		if k.Monitor != "" {
+			s += " monitor=" + k.Monitor
 		}
 	}
 	return s + "}"
@@ -286,9 +307,9 @@ func (s *Store) Create(key Key) (*Writer, error) {
 }
 
 // CreateRich starts writing a rich-encoded entry (mix streams): events
-// carry the Flags bits, monitor-observed hits carry addresses, and a
-// KindMeasuredEnd marker separates the measured stream from the pressure
-// tail. Same staging and atomic-publish discipline as Create.
+// carry the Flags bits, monitor-observed accesses carry addresses and
+// masks, and a KindMeasuredEnd marker separates the measured stream from
+// the pressure tail. Same staging and atomic-publish discipline as Create.
 func (s *Store) CreateRich(key Key) (*Writer, error) {
 	return newWriter(s, key, true)
 }

@@ -15,15 +15,16 @@
 #           journal, the front-end trace cache, the observability layer,
 #           the experiment engine's resilience layer, the fused-mix-engine
 #           equivalence (clean runs, inline and concurrent lane rounds, and
-#           a mid-mix kill-and-resume) and its bounded tape window (the
-#           chunk ring the concurrent lanes share), and the
-#           cmd-level kill-and-resume, fail-fast, sharded
+#           a mid-mix kill-and-resume), its bounded tape window (the
+#           chunk ring the concurrent lanes share), its fe-cache keys
+#           (pinned monitor geometry) and its recorder-free warm tapes, and
+#           the cmd-level kill-and-resume, fail-fast, sharded
 #           worker-kill-and-merge, dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
 #           observability-equivalence tests; then each fuzz target (journal
-#           recovery, lane sidecar, trace round trip, cache resize, monitor
-#           shadow set) for a bounded 10 seconds, and one iteration of each
-#           root benchmark as a smoke run
+#           recovery, lane sidecar, rich fe-cache entry, trace round trip,
+#           cache resize, monitor shadow set) for a bounded 10 seconds, and
+#           one iteration of each root benchmark as a smoke run
 #
 # Everything is hermetic (no network, no external services); the whole
 # script runs in a few minutes on a laptop. CI=full additionally runs the
@@ -89,21 +90,27 @@ echo "==> go test -race (mix-fusion equivalence + bounded tape: clean + mid-mix 
 # -short limits the engine-level bitwise check to two mixes (the full
 # 16-mix sweep runs under CI=full); it runs the lane rounds inline
 # and on four workers, which share each mix's chunk ring, and
-# TestMixTapeFollowsWindow checks that ring's buffer count at both. The
-# campaign-level check covers cold, warm-cache, and a checkpointed
-# mid-mix kill-and-resume through the fused path.
-go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow' \
+# TestMixTapeFollowsWindow checks that ring's buffer count at both.
+# TestMixEntryKeyPinsMonitorGeometry keeps entries recorded under another
+# monitor geometry apart, and TestWarmMixBuildsNoShadowRecorder bounds a
+# warm mix's allocations below one shadow recorder. The campaign-level
+# check covers cold, warm-cache, and a checkpointed mid-mix
+# kill-and-resume through the fused path.
+go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 
 echo "==> go test -fuzz (bounded, 10s per target)"
 # Plain go test runs only each fuzz target's seed corpus; this stage
 # mutates beyond it: journal crash recovery, lane-outcome sidecar
-# decoding, the trace-file round trip, the bucketed cache resize against
+# decoding, rich fe-cache entries with their move-to-front monitor masks
+# (round trip, and ErrCorrupt for every damaged byte the format reads),
+# the trace-file round trip, the bucketed cache resize against
 # the original sort-based one, and the monitor's recency-ordered shadow
 # set against the original per-size tick-LRU caches.
 go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLaneSidecar$' -fuzztime 10s ./internal/tracecache/
+go test -run '^$' -fuzz '^FuzzRichEntry$' -fuzztime 10s ./internal/tracecache/
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/isa/
 go test -run '^$' -fuzz '^FuzzResize$' -fuzztime 10s ./internal/cache/
 go test -run '^$' -fuzz '^FuzzShadowSet$' -fuzztime 10s ./internal/cache/
