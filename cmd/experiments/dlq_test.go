@@ -186,7 +186,7 @@ func TestValidateDLQConfig(t *testing.T) {
 			t.Errorf("%s: err = %v, want mention of %s", tc.name, err, tc.want)
 		}
 	}
-	ok := config{scale: 0.01, dlq: true, replay: true, ckptPath: "x"}
+	ok := config{scale: 0.01, ids: []int{1}, dlq: true, replay: true, ckptPath: "x"}
 	if err := ok.validate(); err != nil {
 		t.Errorf("valid dlq config rejected: %v", err)
 	}

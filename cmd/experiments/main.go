@@ -44,6 +44,8 @@
 //	experiments -scale 0.01                 # all mixes, laptop-sized
 //	experiments -scale 0.01 -jobs 1         # sequential legacy execution
 //	experiments -scale 0.01 -mixes 1,2,3,4  # just the Figure 10 mixes
+//	experiments -mixes none -sensitivity-instructions 3000000  # Figure 11 alone
+//	experiments -scale 0.01 -mixes 1 -sensitivity-instructions 0 -skip-active  # one mix
 //	experiments -scale 1.0 -checkpoint run.ckpt -out report.txt
 //	experiments -scale 0.01 -telemetry run.jsonl -pprof localhost:6060
 //	experiments -scale 1.0 -checkpoint run.ckpt -shards 8   # N worker processes
@@ -253,7 +255,7 @@ func main() {
 func campaignFlags(fs *flag.FlagSet) func() (config, error) {
 	var (
 		scale    = fs.Float64("scale", 0.01, "scale factor (1.0 = paper fidelity)")
-		mixList  = fs.String("mixes", "", "comma-separated mix ids (default: all 16)")
+		mixList  = fs.String("mixes", "", "comma-separated mix ids, or none (default: all 16)")
 		sensIns  = fs.Uint64("sensitivity-instructions", 1_500_000, "instructions per sensitivity run (0 skips Figure 11)")
 		outPath  = fs.String("out", "", "also write the report to this file (atomically)")
 		skipAct  = fs.Bool("skip-active", false, "skip the active-attacker accounting runs")
@@ -326,6 +328,9 @@ func (c config) validate() error {
 		// A unit that fails because the worker pool spent its respawns is
 		// not a poisoned unit; dead-lettering it would be a lie.
 		return fmt.Errorf("-dlq is incompatible with -shards (a lost worker pool is not a poisoned unit)")
+	}
+	if len(c.ids) == 0 && c.sensIns == 0 {
+		return fmt.Errorf("-mixes none with -sensitivity-instructions 0 runs nothing")
 	}
 	return nil
 }
@@ -486,6 +491,12 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		fmt.Fprintln(w, report.Figure11(study))
 	}
 
+	// A sensitivity-only campaign (-mixes none) reports Figure 11 alone.
+	if len(cfg.ids) == 0 {
+		writeManifest(w, cfg, journal, 0)
+		return commit(telemSink, telemFile, outFile)
+	}
+
 	// Figures 10 and 12-17 plus Table 6 inputs: one unit per mix, each
 	// running its four schemes and then the worst-case accounting rerun.
 	mixKeys := make([]string, len(cfg.ids))
@@ -570,11 +581,15 @@ func writeManifest(w io.Writer, cfg config, journal *checkpoint.Journal, mixesDo
 		}
 		sens = fmt.Sprintf("%d/%d sensitivity benchmarks", doneSens, len(workload.SPECBenchmarks))
 	}
+	mixes := "mixes skipped"
+	if len(cfg.ids) > 0 {
+		mixes = fmt.Sprintf("%d/%d mixes", mixesDone, len(cfg.ids))
+	}
 	if dead := journal.DeadLen(); dead > 0 {
-		fmt.Fprintf(w, "Completed: %s, %d/%d mixes (%d dead-lettered).\n", sens, mixesDone, len(cfg.ids), dead)
+		fmt.Fprintf(w, "Completed: %s, %s (%d dead-lettered).\n", sens, mixes, dead)
 		return
 	}
-	fmt.Fprintf(w, "Completed: %s, %d/%d mixes.\n", sens, mixesDone, len(cfg.ids))
+	fmt.Fprintf(w, "Completed: %s, %s.\n", sens, mixes)
 }
 
 // commit publishes the atomic outputs. Called on complete and on cleanly
@@ -707,7 +722,7 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 	if cfg.active && ctx.Err() == nil {
 		log.Printf("running mix %d with worst-case (active-attacker) accounting...", id)
 		var act *experiments.MixResult
-		err = parallel.Retry(ctx, experiments.RetryAttempts, experiments.RetryBackoff, func(ctx context.Context, attempt int) error {
+		err = parallel.RetryUnit(ctx, key, experiments.RetryAttempts, experiments.RetryBackoff, func(ctx context.Context, attempt int) error {
 			passDone := experiments.ObserveUnit("mix/active", fmt.Sprintf("%s#%d", key, attempt))
 			var err error
 			act, err = experiments.RunMixContext(ctx, mix, experiments.Options{
@@ -755,8 +770,12 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 }
 
 // parseMixes expands and validates the -mixes flag: every id must be an
-// integer naming one of the paper's mixes.
+// integer naming one of the paper's mixes, "" is all of them, and "none"
+// is none (a sensitivity-only campaign).
 func parseMixes(s string) ([]int, error) {
+	if s == "none" {
+		return nil, nil
+	}
 	if s == "" {
 		ids := make([]int, len(workload.Mixes))
 		for i, m := range workload.Mixes {

@@ -34,12 +34,23 @@ func TestParseMixes(t *testing.T) {
 	if _, err := parseMixes("0"); err == nil {
 		t.Error("out-of-range id accepted")
 	}
+	if ids, err := parseMixes("none"); err != nil || len(ids) != 0 {
+		t.Errorf("none = %v, %v; want no ids", ids, err)
+	}
+	if _, err := parseMixes("none,1"); err == nil {
+		t.Error("none mixed with ids accepted")
+	}
 }
 
 func TestValidateConfig(t *testing.T) {
-	base := config{scale: 0.01}
-	if err := base.validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, ok := range []config{
+		{scale: 0.01, ids: []int{1}},                // mixes alone
+		{scale: 0.01, sensIns: 1000},                // the study alone (-mixes none)
+		{scale: 0.01, ids: []int{1}, sensIns: 1000}, // both
+	} {
+		if err := ok.validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", ok, err)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -52,6 +63,7 @@ func TestValidateConfig(t *testing.T) {
 		{"negative jobs", config{scale: 0.01, jobs: -2}, "-jobs"},
 		{"negative shards", config{scale: 0.01, shards: -1}, "-shards"},
 		{"shards without checkpoint", config{scale: 0.01, shards: 4}, "-checkpoint"},
+		{"neither study nor mixes", config{scale: 0.01}, "-mixes none"},
 	} {
 		err := tc.cfg.validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -308,10 +308,11 @@ func TestServeRejectsBadSubmissions(t *testing.T) {
 	dir := t.TempDir()
 	sp := startServe(t, dir, nil)
 	for name, req := range map[string]campaignRequest{
-		"no id":         {Scale: 0.01, Checkpoint: filepath.Join(dir, "x.ckpt")},
-		"no checkpoint": {ID: "x", Scale: 0.01},
-		"bad scale":     {ID: "x", Scale: 7, Checkpoint: filepath.Join(dir, "x.ckpt")},
-		"bad mixes":     {ID: "x", Scale: 0.01, Mixes: "99", Checkpoint: filepath.Join(dir, "x.ckpt")},
+		"no id":          {Scale: 0.01, Checkpoint: filepath.Join(dir, "x.ckpt")},
+		"no checkpoint":  {ID: "x", Scale: 0.01},
+		"bad scale":      {ID: "x", Scale: 7, Checkpoint: filepath.Join(dir, "x.ckpt")},
+		"bad mixes":      {ID: "x", Scale: 0.01, Mixes: "99", Checkpoint: filepath.Join(dir, "x.ckpt")},
+		"nothing to run": {ID: "x", Scale: 0.01, Mixes: "none", Checkpoint: filepath.Join(dir, "x.ckpt")},
 	} {
 		if resp, body := sp.postJSON("/campaigns", req); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", name, resp.StatusCode, body)

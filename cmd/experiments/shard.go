@@ -80,14 +80,18 @@ func workerMain(args []string) int {
 // worker never writes the -telemetry file; the flag only tells it to
 // journal each mix's events.
 func (c config) workerArgs() []string {
-	ids := make([]string, len(c.ids))
-	for i, id := range c.ids {
-		ids[i] = strconv.Itoa(id)
+	mixes := "none" // "" would mean all 16 to the worker's parseMixes
+	if len(c.ids) > 0 {
+		ids := make([]string, len(c.ids))
+		for i, id := range c.ids {
+			ids[i] = strconv.Itoa(id)
+		}
+		mixes = strings.Join(ids, ",")
 	}
 	args := []string{
 		"-scale", strconv.FormatFloat(c.scale, 'g', -1, 64),
 		"-sensitivity-instructions", strconv.FormatUint(c.sensIns, 10),
-		"-mixes", strings.Join(ids, ","),
+		"-mixes", mixes,
 		"-checkpoint", c.ckptPath,
 	}
 	if !c.active {

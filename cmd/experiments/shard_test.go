@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"untangle/internal/experiments"
 	"untangle/internal/shard"
 )
 
@@ -75,4 +76,43 @@ func TestShardedCampaignEquivalence(t *testing.T) {
 		}
 		check(t, gotReport, gotTrace)
 	})
+}
+
+// A sensitivity-only campaign (-mixes none) sharded across worker
+// processes — one of which is killed right after journaling a benchmark
+// pass, before streaming it — renders the identical Figure 11 report to
+// the sequential in-process campaign.
+func TestShardedStudyEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the study twice")
+	}
+	studyConfig := func(dir string) config {
+		return config{
+			scale:    0.0002,
+			sensIns:  20_000,
+			jobs:     1,
+			outPath:  filepath.Join(dir, "report.txt"),
+			telePath: filepath.Join(dir, "trace.jsonl"),
+			traced:   true,
+		}
+	}
+	want, _ := runCampaignFiles(t, context.Background(), studyConfig(t.TempDir()))
+
+	dir := t.TempDir()
+	sentinel := filepath.Join(dir, "killed")
+	t.Setenv(envShardKillKey, experiments.SensitivityKeys()[3])
+	t.Setenv(envShardKillOnce, sentinel)
+	cfg := studyConfig(dir)
+	cfg.ckptPath = filepath.Join(dir, "run.ckpt")
+	cfg.shards = 2
+	got, _ := runCampaignFiles(t, context.Background(), cfg)
+	if _, err := os.Stat(sentinel); err != nil {
+		t.Fatalf("kill hook never fired: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sharded report differs from sequential:\n--- sharded ---\n%s\n--- sequential ---\n%s", got, want)
+	}
+	if !bytes.HasPrefix(want, []byte("Figure 11:")) || bytes.Contains(want, []byte("Table 6")) {
+		t.Errorf("sensitivity-only report is not Figure 11 and the manifest:\n%s", want)
+	}
 }

@@ -19,9 +19,10 @@
 //	report      paper-layout renderers
 //	stats       geomean and quartile helpers
 //
-// Executables live under cmd/ (untangle-sim, sensitivity, rmax,
-// experiments); runnable examples under examples/. cmd/experiments prints
-// every table and figure of the evaluation at any -scale, and perfbench/
+// Executables live under cmd/ (experiments, rmax, tracegen, annotate,
+// scenario); runnable examples under examples/. cmd/experiments prints
+// every table and figure of the evaluation at any -scale, or any part of
+// it (-mixes none for the Figure 11 study alone), and perfbench/
 // times its campaigns end to end; see DESIGN.md for the experiment index
 // and EXPERIMENTS.md for paper-versus-measured results.
 package untangle

@@ -1,9 +1,9 @@
 // The resident campaign service. A Service owns a worker pool fed by one
 // bounded priority queue; a submitted job decomposes into phases of keyed
 // units that flow through the queue onto the workers. It is the only unit
-// scheduler in the repository: every campaign of cmd/experiments and
-// cmd/sensitivity runs as a job here, executing its units either in-process
-// or on shard worker processes (JobSpec.Exec = shard.Coordinator.Exec).
+// scheduler in the repository: every campaign of cmd/experiments runs as
+// jobs here, executing its units either in-process or on shard worker
+// processes (JobSpec.Exec = shard.Coordinator.Exec).
 //
 // A unit that fails for real — exhausted retries inside its executor, or a
 // panic — is settled by the job's failure policy. By default it lands in
@@ -89,7 +89,7 @@ type JobSpec struct {
 	Priority int
 	Phases   []PhaseSpec
 	// Exec runs one unit and returns its journal value. Exec owns unit
-	// retries (the executors in internal/experiments wrap parallel.Retry);
+	// retries (the executors in internal/experiments wrap parallel.RetryUnit);
 	// the service classifies the final error, it does not retry.
 	Exec func(ctx context.Context, key string) (json.RawMessage, error)
 	// Journal is the job's checkpoint journal: results are recorded there,

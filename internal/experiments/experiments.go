@@ -43,12 +43,9 @@ type Options struct {
 	// WorstCaseAccounting disables the Section 5.3.4 Maintain optimization
 	// (the active-attacker accounting of Section 9).
 	WorstCaseAccounting bool
-	// Annotated disables the Section 5.2 annotations when false. Default
-	// (zero Options) means annotated; use the explicit field below.
+	// DisableAnnotations ignores the Section 5.2 secret annotations (the
+	// annotation ablation); the zero Options run annotated.
 	DisableAnnotations bool
-	// Budget is the per-domain leakage budget in bits (0 = unlimited; the
-	// paper's evaluation runs unlimited and measures).
-	Budget float64
 	// WayPartitioned switches the LLC to whole-way granularity (the
 	// granularity ablation; the paper's evaluation uses set partitioning).
 	WayPartitioned bool
@@ -61,8 +58,6 @@ type Options struct {
 	// telemetry.Buffer) and serialize the buffers in a fixed order
 	// afterwards to keep trace files deterministic.
 	TracerFor func(partition.Kind) *telemetry.Tracer
-	// MetricsFor, when non-nil, supplies a metrics registry per scheme.
-	MetricsFor func(partition.Kind) *telemetry.Registry
 	// DisableFusion forces RunMix onto the per-scheme oracle path: each
 	// scheme regenerates and re-simulates its own front-end, as the fused
 	// engine (mixlane.go) would otherwise share one front-end pass across
@@ -175,7 +170,6 @@ func mixSimConfig(opts Options, kind partition.Kind, scale float64) sim.Config {
 	scheme.Annotated = !opts.DisableAnnotations
 	cfg := sim.Scaled(scheme, scale)
 	cfg.OptimizeMaintain = !opts.WorstCaseAccounting
-	cfg.Budget = opts.Budget
 	if opts.WayPartitioned {
 		cfg.WayPartitioned = true
 		cfg.Sizes = cfg.WaySizes()
@@ -185,9 +179,6 @@ func mixSimConfig(opts Options, kind partition.Kind, scale float64) sim.Config {
 	}
 	if opts.TracerFor != nil {
 		cfg.Tracer = opts.TracerFor(kind)
-	}
-	if opts.MetricsFor != nil {
-		cfg.Metrics = opts.MetricsFor(kind)
 	}
 	return cfg
 }
@@ -518,32 +509,6 @@ func assembleSensitivity(name string, sizes []int64, ipcs []float64) Sensitivity
 	return res
 }
 
-// Sensitivity runs the Figure 11 study for one benchmark: IPC with every
-// supported partition size, normalized to the 8MB maximum. instructions is
-// the measured slice length; an equally long warmup precedes it so the
-// partition reaches steady state before measurement (the paper's SimPoint
-// slices are long enough that warmup is negligible; at reduced scale it is
-// not). For classification-stable results use at least ~1.5M instructions.
-//
-// All nine sizes are computed by the multi-lane engine in one pass over the
-// benchmark's op stream: the generator and the private L1 run once, and only
-// the per-size LLC lanes and cycle accounting replicate (see multilane.go).
-// The per-size IPCs are bitwise identical to running sensitivityPoint once
-// per size — the engine is an optimization, never an approximation.
-func Sensitivity(name string, instructions uint64) (SensitivityResult, error) {
-	p, err := workload.SPECByName(name)
-	if err != nil {
-		return SensitivityResult{}, err
-	}
-	e := enginePool.Get().(*laneEngine)
-	defer enginePool.Put(e)
-	ipcs, _, err := e.run(context.Background(), FrontEndCache(), p, instructions)
-	if err != nil {
-		return SensitivityResult{}, err
-	}
-	return assembleSensitivity(name, e.sizes, ipcs), nil
-}
-
 // sortedSPECParams returns the benchmark table sorted by name — the Figure
 // 11 order — so the study indexes parameters directly instead of paying a
 // linear SPECByName lookup per benchmark.
@@ -553,17 +518,21 @@ func sortedSPECParams() []workload.Params {
 	return params
 }
 
-// SensitivityStudyContext runs Sensitivity for all 36 benchmarks on the
-// multi-lane engine: 36 benchmark-level tasks fan out onto the worker pool
-// (each task is one front-end pass feeding all nine sizes), and results are
-// collected by benchmark index, so they are identical for every jobs value.
-// Canceling ctx stops benchmarks that have not started, interrupts
-// in-flight engine passes at their next front-end chunk, and returns the
-// context's error.
-// Each benchmark runs the same per-unit body as SensitivityStudyCheckpointed,
-// so every study — journaled or not — retries transient per-pass failures
-// and isolates panics to the failing benchmark; results stay in memory,
-// with no journal encoding on the way.
+// SensitivityStudyContext runs the Figure 11 study for all 36 benchmarks
+// on the multi-lane engine, in memory: 36 benchmark-level tasks fan out
+// onto the worker pool (each task is one front-end pass feeding all nine
+// sizes), and results are collected by benchmark index, so they are
+// identical for every jobs value. instructions is the measured slice
+// length; an equally long warmup precedes it so the partition reaches
+// steady state before measurement (for classification-stable results use
+// at least ~1.5M instructions). Canceling ctx stops benchmarks that have
+// not started, interrupts in-flight engine passes at their next front-end
+// chunk, and returns the context's error.
+//
+// Each benchmark runs the per-unit body a campaign's sensitivity units run
+// (runSensitivityPass, behind RunSensitivityUnit), so the study retries
+// transient per-pass failures and isolates panics to the failing
+// benchmark, with no journal encoding on the way.
 func SensitivityStudyContext(ctx context.Context, instructions uint64, jobs int) ([]SensitivityResult, error) {
 	params := sortedSPECParams()
 	return parallel.Map(ctx, len(params), jobs, func(ctx context.Context, i int) (SensitivityResult, error) {

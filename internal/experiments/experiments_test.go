@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -252,17 +253,11 @@ func TestSensitivityClassification(t *testing.T) {
 	}
 	// A cheap two-benchmark check: one known-sensitive, one known-
 	// insensitive benchmark classify correctly even at modest fidelity.
-	sens, err := Sensitivity("mcf_0", 800_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sens := sensitivityOf(t, "mcf_0", 800_000)
 	if !sens.Sensitive {
 		t.Errorf("mcf_0 classified insensitive (adequate %d)", sens.Adequate)
 	}
-	insens, err := Sensitivity("imagick_0", 800_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	insens := sensitivityOf(t, "imagick_0", 800_000)
 	if insens.Sensitive {
 		t.Errorf("imagick_0 classified sensitive (adequate %d)", insens.Adequate)
 	}
@@ -271,9 +266,24 @@ func TestSensitivityClassification(t *testing.T) {
 	if math.Abs(last-1) > 1e-9 {
 		t.Errorf("final normalized IPC = %v, want 1", last)
 	}
-	if _, err := Sensitivity("nope", 1000); err == nil {
+	if _, _, err := RunSensitivityUnit(context.Background(), SensitivityKey("nope"), 1000); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
+}
+
+// sensitivityOf runs one benchmark's Figure 11 pass — the body a
+// campaign's "sens/<name>" unit runs.
+func sensitivityOf(t *testing.T, name string, instructions uint64) SensitivityResult {
+	t.Helper()
+	p, err := workload.SPECByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := runSensitivityPass(context.Background(), p, instructions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestTotalLLCDemand(t *testing.T) {

@@ -91,8 +91,9 @@ const mixFusionMaxRestarts = 8
 
 // Sentinel conditions the fused engine resolves itself (oracle fallback or
 // cold regeneration) when no telemetry sinks are attached, and surfaces as
-// retryable errors when they are — a retry with fresh sinks (parallel.Retry
-// in runMixUnit provides exactly that) takes the recovery path cleanly.
+// retryable errors when they are — a retry with fresh sinks
+// (parallel.RetryUnit in cmd/experiments' runMixUnit provides exactly
+// that) takes the recovery path cleanly.
 var (
 	errMixOverBudget    = errors.New("experiments: fused mix tape window exceeds the replay memory budget")
 	errMixEntryRejected = errors.New("experiments: fused mix replay rejected a cached entry (pressure tail too short, or corrupt); entry removed, retry regenerates it")
@@ -594,10 +595,10 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 		keys[i] = pinMonitorGeometry(key, rec, geom.MonitorConfig())
 	}
 
-	// With telemetry or metrics sinks attached, a discarded attempt has
-	// already emitted into them; recovery then needs fresh sinks, so it is
+	// With telemetry sinks attached, a discarded attempt has already
+	// emitted into them; recovery then needs fresh sinks, so it is
 	// surfaced as a retryable error instead of restarting in place.
-	canRestart := opts.TracerFor == nil && opts.MetricsFor == nil
+	canRestart := opts.TracerFor == nil
 
 	forceCold := make([]bool, len(keys))
 	for attempt := 0; ; attempt++ {
@@ -630,7 +631,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 	// only SchemeConfig across kinds), and static lanes ignore
 	// FlagMonObserve. Telemetry belongs to the lanes.
 	feOpts := opts
-	feOpts.TracerFor, feOpts.MetricsFor = nil, nil
+	feOpts.TracerFor = nil
 	feCfg := mixSimConfig(feOpts, partition.Untangle, scale)
 	ring := &mixRing{}
 	tapes := make([]*mixTape, 0, len(keys))
@@ -721,7 +722,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 		if window > mixReplayEventBudget {
 			noteMixOverBudget(scale)
-			if opts.TracerFor == nil && opts.MetricsFor == nil {
+			if opts.TracerFor == nil {
 				return nil, false, false, nil // oracle, silently
 			}
 			return nil, false, false, errMixOverBudget // retry lands on the oracle via the scale note

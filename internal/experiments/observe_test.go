@@ -52,8 +52,8 @@ func (l *unitLog) observer(phase, unit string) func(outcome string, err error) {
 }
 
 // With no observer installed, ObserveUnit is nil; with one installed, every
-// sensitivity unit and engine pass reports exactly once, and journal
-// replays are flagged cached.
+// sensitivity unit a campaign job runs and every engine pass reports
+// exactly once, and units the journal already holds report resumed.
 func TestUnitObserverSeam(t *testing.T) {
 	if ObserveUnit("sensitivity", "x") != nil {
 		t.Fatal("ObserveUnit returned a callback with no observer installed")
@@ -74,7 +74,7 @@ func TestUnitObserverSeam(t *testing.T) {
 	}
 	defer j.Close()
 
-	if _, err := SensitivityStudyCheckpointed(context.Background(), resilienceTestInstructions, 2, j); err != nil {
+	if _, err := runStudyJob(context.Background(), j, 2); err != nil {
 		t.Fatal(err)
 	}
 	l.mu.Lock()
@@ -92,7 +92,7 @@ func TestUnitObserverSeam(t *testing.T) {
 
 	// Re-run against the full journal: every unit reports resumed, and no
 	// engine pass runs.
-	if _, err := SensitivityStudyCheckpointed(context.Background(), resilienceTestInstructions, 2, j); err != nil {
+	if _, err := runStudyJob(context.Background(), j, 2); err != nil {
 		t.Fatal(err)
 	}
 	l.mu.Lock()

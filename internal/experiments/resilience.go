@@ -1,6 +1,6 @@
 // The evaluation's resilience layer: configuration fingerprinting for the
 // checkpoint journal, bounded retry of transient engine failures, and the
-// checkpointed variant of the sensitivity study. A paper-fidelity campaign
+// study's journal encoding and per-unit body. A paper-fidelity campaign
 // is hours of compute; this file is what lets it survive a fault in one
 // point (retry), a crash of the process (checkpoint/resume), and a silent
 // configuration drift between the crashing and the resuming binary
@@ -82,38 +82,6 @@ func (u sensUnit) result() SensitivityResult {
 		Adequate:  u.Adequate,
 		Sensitive: u.Sensitive,
 	}
-}
-
-// SensitivityStudyCheckpointed is the resilient Figure 11 study: each
-// benchmark pass is retried on transient failure, journaled on completion,
-// and skipped (its journaled curve replayed) when the journal already holds
-// it. A nil j is SensitivityStudyContext. The journaled values round-trip
-// bit-exactly (the IPC curve is stored as IEEE-754 bit patterns, see
-// checkpoint.F64), so a resumed study is identical to an uninterrupted one —
-// the property the cmd/experiments equivalence test pins down at the
-// report-byte level.
-func SensitivityStudyCheckpointed(ctx context.Context, instructions uint64, jobs int, j *checkpoint.Journal) ([]SensitivityResult, error) {
-	if j == nil {
-		return SensitivityStudyContext(ctx, instructions, jobs)
-	}
-	params := sortedSPECParams()
-	return parallel.Map(ctx, len(params), jobs,
-		func(ctx context.Context, i int) (SensitivityResult, error) {
-			key := SensitivityKey(params[i].Name)
-			unitDone := ObserveUnit("sensitivity", params[i].Name)
-			var u sensUnit
-			ok, err := j.Lookup(key, &u)
-			r, outcome := u.result(), UnitResumed
-			if err == nil && !ok {
-				if r, outcome, err = runSensitivityPass(ctx, params[i], instructions); err == nil {
-					err = j.Record(key, toSensUnit(r))
-				}
-			}
-			if unitDone != nil {
-				unitDone(outcome, err)
-			}
-			return r, err
-		})
 }
 
 // runSensitivityPass is the one per-unit body of the study, whatever runs

@@ -2,13 +2,16 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
+	"untangle/internal/campaign"
 	"untangle/internal/checkpoint"
 	"untangle/internal/faultinject"
 	"untangle/internal/parallel"
@@ -49,7 +52,7 @@ func TestParamsFingerprintStableAndShaped(t *testing.T) {
 // functions of their configuration.
 func TestTransientFaultRetriedBitIdentical(t *testing.T) {
 	ctx := context.Background()
-	baseline, err := SensitivityStudyCheckpointed(ctx, resilienceTestInstructions, 1, nil)
+	baseline, err := SensitivityStudyContext(ctx, resilienceTestInstructions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestTransientFaultRetriedBitIdentical(t *testing.T) {
 	inj := faultinject.ErrorAt(7, 1, nil)
 	SetEngineChunkHook(inj.Fire)
 	defer SetEngineChunkHook(nil)
-	faulted, err := SensitivityStudyCheckpointed(ctx, resilienceTestInstructions, 1, nil)
+	faulted, err := SensitivityStudyContext(ctx, resilienceTestInstructions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestPersistentFaultExhaustsRetries(t *testing.T) {
 	inj := faultinject.ErrorAt(1, ^uint64(0), nil) // every call fails
 	SetEngineChunkHook(inj.Fire)
 	defer SetEngineChunkHook(nil)
-	_, err := SensitivityStudyCheckpointed(context.Background(), resilienceTestInstructions, 1, nil)
+	_, err := SensitivityStudyContext(context.Background(), resilienceTestInstructions, 1)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -94,7 +97,7 @@ func TestPanicInEngineSurfacesAsPanicError(t *testing.T) {
 	inj := faultinject.PanicAt(2, "corrupted lane state")
 	SetEngineChunkHook(inj.Fire)
 	defer SetEngineChunkHook(nil)
-	_, err := SensitivityStudyCheckpointed(context.Background(), resilienceTestInstructions, 1, nil)
+	_, err := SensitivityStudyContext(context.Background(), resilienceTestInstructions, 1)
 	var pe *parallel.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *parallel.PanicError", err, err)
@@ -107,10 +110,37 @@ func TestPanicInEngineSurfacesAsPanicError(t *testing.T) {
 	}
 }
 
+// runStudyJob runs the study the way a campaign does: one sensitivity
+// phase on a campaign service whose executor is RunSensitivityUnit,
+// journaling into j, then the study assembled from the journal. The first
+// failing unit fails the job.
+func runStudyJob(ctx context.Context, j *checkpoint.Journal, workers int) ([]SensitivityResult, error) {
+	svc := campaign.New(campaign.Options{Workers: workers})
+	defer svc.Drain(context.Background())
+	err := svc.Run(ctx, campaign.JobSpec{
+		ID:     "sens",
+		Phases: []campaign.PhaseSpec{{Name: "sensitivity", Keys: SensitivityKeys()}},
+		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
+			raw, outcome, err := RunSensitivityUnit(ctx, key, resilienceTestInstructions)
+			campaign.ReportOutcome(ctx, outcome)
+			return raw, err
+		},
+		Journal:  j,
+		FailFast: true,
+		Observe: func(phase, key string) func(outcome string, err error) {
+			return ObserveUnit(phase, strings.TrimPrefix(key, "sens/"))
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return StudyFromJournal(j)
+}
+
 // Kill the study partway, resume from the journal, and require the resumed
 // results to equal an uninterrupted run's — including the replayed units.
 func TestStudyCheckpointResume(t *testing.T) {
-	fresh, err := SensitivityStudyCheckpointed(context.Background(), resilienceTestInstructions, 1, nil)
+	fresh, err := SensitivityStudyContext(context.Background(), resilienceTestInstructions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +160,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 	defer cancel()
 	inj := faultinject.CancelAt(40, cancel)
 	SetEngineChunkHook(inj.Fire)
-	_, err = SensitivityStudyCheckpointed(ctx, resilienceTestInstructions, 1, j)
+	_, err = runStudyJob(ctx, j, 1)
 	SetEngineChunkHook(nil)
 	if err == nil {
 		t.Fatal("interrupted study reported success")
@@ -148,7 +178,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 	if j2.Resumed() == 36 {
 		t.Fatal("interruption journaled everything — the recompute path is untested")
 	}
-	resumed, err := SensitivityStudyCheckpointed(context.Background(), resilienceTestInstructions, 1, j2)
+	resumed, err := runStudyJob(context.Background(), j2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // shard worker process — plus the journal encodings that cross the process
 // boundary. Everything here reuses the exact retry/engine/assembly path of
 // the in-process study, so a unit's journal bytes are identical whether it
-// ran inline, checkpointed, or on a worker three respawns deep — the
+// ran in-process, checkpointed, or on a worker three respawns deep — the
 // byte-equality the shard coordinator verifies on every duplicate result.
 package experiments
 
@@ -51,8 +51,8 @@ func StudyFromJournal(j *checkpoint.Journal) ([]SensitivityResult, error) {
 // RunSensitivityUnit executes the unit with journal key "sens/<name>" —
 // the study's per-unit body, see runSensitivityPass — and returns the
 // unit's journal encoding and outcome (UnitReplayed or UnitGenerated). The
-// campaign executors call it; the bytes are what
-// SensitivityStudyCheckpointed records for the same unit.
+// campaign executors call it, in-process and in shard workers alike, so a
+// unit's journal bytes do not depend on where it ran.
 func RunSensitivityUnit(ctx context.Context, key string, instructions uint64) (json.RawMessage, string, error) {
 	name, ok := strings.CutPrefix(key, "sens/")
 	for _, p := range sortedSPECParams() {

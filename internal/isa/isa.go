@@ -229,17 +229,19 @@ func (p *loopPhase) fill(buf []Op) int {
 	return p.s.Fill(buf)
 }
 
-func (p *loopPhase) stash(ops ...Op) {
-	if len(ops) == 0 {
+// stash hands back the unconsumed tail of the batch fill just returned:
+// it is served again, in order, before anything the phase has not served
+// yet. A batch served out of pend returns to the slots it was copied from;
+// a batch read from the stream (which fill reads only once pend is empty)
+// becomes pend.
+func (p *loopPhase) stash(ops []Op) {
+	if len(ops) <= p.off {
+		p.off -= len(ops)
+		copy(p.pend[p.off:], ops)
 		return
 	}
-	// Compact consumed prefix before appending so pend does not grow
-	// without bound across phase switches.
-	if p.off > 0 {
-		p.pend = append(p.pend[:0], p.pend[p.off:]...)
-		p.off = 0
-	}
-	p.pend = append(p.pend, ops...)
+	p.pend = append(p.pend[:0], ops...)
+	p.off = 0
 }
 
 // NewLoop builds the alternating loop, starting in phase A.
@@ -270,7 +272,7 @@ func (l *Loop) Fill(buf []Op) int {
 			out++
 			l.budget -= in
 			if l.budget == 0 {
-				p.stash(buf[i+1 : n]...)
+				p.stash(buf[i+1 : n])
 				l.switchPhase()
 				break
 			}
@@ -278,17 +280,16 @@ func (l *Loop) Fill(buf []Op) int {
 		}
 		// Split the op at the budget boundary: emit the prefix of plain
 		// instructions now; the remainder (and the access) resumes with
-		// the phase.
-		keep, rem := op, op
+		// the phase, ahead of the ops that followed it.
+		keep := op
 		keep.NonMem = uint32(l.budget)
 		keep.Flags &^= FlagMem | FlagWrite
-		rem.NonMem = op.NonMem - keep.NonMem
+		buf[i].NonMem = op.NonMem - keep.NonMem
+		p.stash(buf[i:n])
 		if keep.NonMem > 0 {
 			buf[out] = keep
 			out++
 		}
-		p.stash(rem)
-		p.stash(buf[i+1 : n]...)
 		l.switchPhase()
 		break
 	}

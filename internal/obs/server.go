@@ -13,9 +13,9 @@ import (
 )
 
 // NamedRegistry pairs a telemetry registry with the namespace its metrics
-// are exposed under on /metrics. Campaign commands pass one registry (the
-// obs registry, namespace "untangle"); cmd/untangle-sim additionally passes
-// its per-scheme simulation registries so a scrape sees both layers.
+// are exposed under on /metrics. Commands pass the obs registry under
+// namespace "untangle"; a caller with further registries passes each under
+// its own namespace, so one scrape sees them all.
 type NamedRegistry struct {
 	Namespace string
 	Registry  *telemetry.Registry

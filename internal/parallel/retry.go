@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// RetryExhaustedError is the typed failure Retry returns when every attempt
+// RetryExhaustedError is the typed failure RetryUnit returns when every attempt
 // failed: the campaign layer classifies it (a unit that outlasts the retry
 // budget is poisoned and belongs in the dead-letter journal, not on the
 // retry treadmill) and tests assert on it with errors.As instead of
@@ -17,7 +17,7 @@ import (
 // errors.As(err, **PanicError) behave exactly as before.
 type RetryExhaustedError struct {
 	// Unit identifies the unit of work being retried ("" when the caller
-	// used Retry rather than RetryUnit).
+	// named none).
 	Unit string
 	// Attempts is how many times the function ran, all failing.
 	Attempts int
@@ -36,7 +36,7 @@ func (e *RetryExhaustedError) Error() string {
 // Unwrap exposes the final attempt's error to errors.Is/As chains.
 func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 
-// Retry runs fn up to attempts times, sleeping between tries with
+// RetryUnit runs fn up to attempts times, sleeping between tries with
 // jittered exponential backoff, and returns nil on the first success or
 // the last attempt's error. It is the recovery half of the resilience
 // layer: a transient failure (an injected fault, a flaky filesystem, a
@@ -45,6 +45,11 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 // repository is a pure function of its configuration, a retried unit
 // produces bit-identical results to an untroubled first attempt (proved by
 // the fault-injection suite).
+//
+// unit names the piece of campaign work being retried ("mix/3",
+// "sens/mcf_0"; "" for none) and is carried on the RetryExhaustedError so
+// dead-letter records and logs can say which unit burned its attempts
+// without the caller re-wrapping the error.
 //
 // Two error classes are never retried, because retrying cannot help:
 // context cancellation (the operator or the first-error cancellation asked
@@ -60,16 +65,8 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 // A canceled context cuts the sleep short and returns ctx.Err().
 //
 // When every attempt fails, the last error comes back wrapped in a
-// *RetryExhaustedError carrying the attempt count (the two never-retried
-// classes above are returned unwrapped).
-func Retry(ctx context.Context, attempts int, backoff time.Duration, fn func(ctx context.Context, attempt int) error) error {
-	return RetryUnit(ctx, "", attempts, backoff, fn)
-}
-
-// RetryUnit is Retry with unit-identifying context: unit names the piece of
-// campaign work being retried ("mix/3", "sens/mcf_0") and is carried on the
-// RetryExhaustedError so dead-letter records and logs can say which unit
-// burned its attempts without the caller re-wrapping the error.
+// *RetryExhaustedError carrying the unit and the attempt count (the two
+// never-retried classes above are returned unwrapped).
 func RetryUnit(ctx context.Context, unit string, attempts int, backoff time.Duration, fn func(ctx context.Context, attempt int) error) error {
 	if attempts < 1 {
 		attempts = 1

@@ -11,7 +11,7 @@ import (
 
 func TestRetrySucceedsFirstTry(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), 3, time.Nanosecond, func(context.Context, int) error {
+	err := RetryUnit(context.Background(), "", 3, time.Nanosecond, func(context.Context, int) error {
 		calls++
 		return nil
 	})
@@ -22,7 +22,7 @@ func TestRetrySucceedsFirstTry(t *testing.T) {
 
 func TestRetryOutlastsTransientFailure(t *testing.T) {
 	var attempts []int
-	err := Retry(context.Background(), 3, time.Nanosecond, func(_ context.Context, attempt int) error {
+	err := RetryUnit(context.Background(), "", 3, time.Nanosecond, func(_ context.Context, attempt int) error {
 		attempts = append(attempts, attempt)
 		if attempt < 2 {
 			return errors.New("transient")
@@ -39,7 +39,7 @@ func TestRetryOutlastsTransientFailure(t *testing.T) {
 
 func TestRetryExhaustionReturnsTypedError(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), 3, time.Nanosecond, func(_ context.Context, attempt int) error {
+	err := RetryUnit(context.Background(), "", 3, time.Nanosecond, func(_ context.Context, attempt int) error {
 		calls++
 		return fmt.Errorf("fail %d", attempt)
 	})
@@ -82,7 +82,7 @@ func TestRetryUnitCarriesContext(t *testing.T) {
 // disguised as exhaustion.
 func TestRetryNeverWrapsCancellationOrPanic(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := Retry(ctx, 3, time.Nanosecond, func(context.Context, int) error {
+	err := RetryUnit(ctx, "", 3, time.Nanosecond, func(context.Context, int) error {
 		cancel()
 		return context.Canceled
 	})
@@ -91,7 +91,7 @@ func TestRetryNeverWrapsCancellationOrPanic(t *testing.T) {
 		t.Errorf("cancellation wrapped as exhaustion: %v", err)
 	}
 
-	err = Retry(context.Background(), 3, time.Nanosecond, func(ctx context.Context, _ int) error {
+	err = RetryUnit(context.Background(), "", 3, time.Nanosecond, func(ctx context.Context, _ int) error {
 		return ForEach(ctx, 1, 1, func(context.Context, int) error { panic("bug") })
 	})
 	if errors.As(err, &re) {
@@ -104,10 +104,10 @@ func TestRetryNeverWrapsCancellationOrPanic(t *testing.T) {
 }
 
 // Panics are bugs, not transient conditions: a deterministic simulation
-// would panic again, so Retry hands the PanicError straight back.
+// would panic again, so RetryUnit hands the PanicError straight back.
 func TestRetryDoesNotRetryPanics(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), 5, time.Nanosecond, func(ctx context.Context, _ int) error {
+	err := RetryUnit(context.Background(), "", 5, time.Nanosecond, func(ctx context.Context, _ int) error {
 		calls++
 		// The pool's guard converts the panic; model that conversion.
 		return ForEach(ctx, 1, 1, func(context.Context, int) error { panic("bug") })
@@ -124,7 +124,7 @@ func TestRetryDoesNotRetryPanics(t *testing.T) {
 func TestRetryStopsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Retry(ctx, 10, time.Hour, func(context.Context, int) error {
+	err := RetryUnit(ctx, "", 10, time.Hour, func(context.Context, int) error {
 		calls++
 		cancel()
 		return errors.New("transient")
@@ -144,7 +144,7 @@ func TestRetryCancelCutsBackoffShort(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err := Retry(ctx, 2, time.Hour, func(context.Context, int) error {
+	err := RetryUnit(ctx, "", 2, time.Hour, func(context.Context, int) error {
 		return errors.New("transient")
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -175,7 +175,7 @@ func TestBackoffDeterministicAndGrowing(t *testing.T) {
 
 func TestRetryAttemptsFloor(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), 0, 0, func(context.Context, int) error {
+	err := RetryUnit(context.Background(), "", 0, 0, func(context.Context, int) error {
 		calls++
 		return errors.New("x")
 	})

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"untangle/internal/sim"
-	"untangle/internal/telemetry"
 )
 
 // Export structures serialize a simulation result for external analysis
@@ -45,15 +44,7 @@ type ExportResult struct {
 	Scheme     string         `json:"scheme"`
 	DurationNs int64          `json:"duration_ns"`
 	Domains    []ExportDomain `json:"domains"`
-	// Telemetry is the run's metrics-registry snapshot (cache counters,
-	// allocator decision outcomes, quantum IPC histogram), when the run
-	// was instrumented. Map keys serialize sorted, so the export of a
-	// deterministic run stays byte-identical.
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
-
-// AttachTelemetry ingests a metrics snapshot into the export.
-func (e *ExportResult) AttachTelemetry(snap *telemetry.Snapshot) { e.Telemetry = snap }
 
 // Export converts a simulation result into its serializable form.
 func Export(res *sim.Result, samplePeriod time.Duration) ExportResult {
@@ -95,12 +86,4 @@ func Export(res *sim.Result, samplePeriod time.Duration) ExportResult {
 // MarshalJSON renders a result as indented JSON.
 func MarshalJSON(res *sim.Result, samplePeriod time.Duration) ([]byte, error) {
 	return json.MarshalIndent(Export(res, samplePeriod), "", "  ")
-}
-
-// MarshalJSONWithTelemetry renders a result with an attached telemetry
-// snapshot as indented JSON. snap may be nil (the field is omitted).
-func MarshalJSONWithTelemetry(res *sim.Result, samplePeriod time.Duration, snap *telemetry.Snapshot) ([]byte, error) {
-	e := Export(res, samplePeriod)
-	e.AttachTelemetry(snap)
-	return json.MarshalIndent(e, "", "  ")
 }

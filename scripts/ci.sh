@@ -8,8 +8,9 @@
 #           monitor seams the root module exports)
 #   tier 2  the race detector over the concurrency-bearing packages: the
 #           worker pool, the campaign service (the only unit scheduler:
-#           every campaign of cmd/experiments and cmd/sensitivity runs as
-#           a job on it) with its bounded priority queue, the shard
+#           every campaign of cmd/experiments, the sensitivity study
+#           alone included, runs as jobs on it) with its bounded priority
+#           queue, the shard
 #           coordinator (the service's per-unit executor on worker
 #           processes), the fault-injection harness, the checkpoint
 #           journal, the front-end trace cache, the observability layer,
@@ -73,8 +74,10 @@ go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|Te
     ./internal/experiments/ ./cmd/experiments/
 
 echo "==> go test -race (sharded worker-kill-and-merge equivalence)"
+# TestShardedStudyEquivalence shards a sensitivity-only campaign
+# (-mixes none) and kills a worker on a sens/ unit.
 go test -race -run 'TestShardedCampaignEquivalence|TestShardedStudyEquivalence' \
-    ./cmd/experiments/ ./cmd/sensitivity/
+    ./cmd/experiments/
 
 echo "==> go test -race (dead-letter-and-replay + serve submit and drain-and-restart)"
 # The tentpole robustness guarantees: a poisoned campaign completes
