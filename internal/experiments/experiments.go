@@ -12,6 +12,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -444,8 +445,11 @@ type SensitivityResult struct {
 	Name string
 	// Sizes and NormIPC give the normalized-IPC curve (IPC at each
 	// supported size divided by IPC at 8MB).
-	Sizes    []int64
-	NormIPC  []float64
+	Sizes   []int64
+	NormIPC []float64
+	// Adequate is the smallest size reaching 90% of the 8MB IPC; 0 marks
+	// a row the study could not measure (no finite, positive IPC at 8MB
+	// to normalize by).
 	Adequate int64
 	// Sensitive is true when the adequate LLC size exceeds the 2MB Static
 	// partition (Section 8's classification).
@@ -490,15 +494,20 @@ func sensitivityPoint(p workload.Params, size int64, instructions uint64) (float
 }
 
 // assembleSensitivity folds a benchmark's per-size IPCs (ascending size
-// order) into the normalized curve and its adequacy classification.
+// order) into the normalized curve and its adequacy classification. A
+// curve whose largest-size IPC is zero or not finite cannot be normalized:
+// the row is unmeasured (Adequate 0, not sensitive), not starred.
 func assembleSensitivity(name string, sizes []int64, ipcs []float64) SensitivityResult {
 	res := SensitivityResult{Name: name, Sizes: sizes}
 	maxIPC := ipcs[len(ipcs)-1]
 	res.NormIPC = make([]float64, len(sizes))
-	res.Adequate = sizes[len(sizes)-1]
 	for i := range sizes {
 		res.NormIPC[i] = ipcs[i] / maxIPC
 	}
+	if !(maxIPC > 0) || math.IsInf(maxIPC, 1) {
+		return res
+	}
+	res.Adequate = sizes[len(sizes)-1]
 	for i := range sizes {
 		if res.NormIPC[i] >= 0.9 {
 			res.Adequate = sizes[i]

@@ -63,6 +63,27 @@ func TestBuildDomains(t *testing.T) {
 	}
 }
 
+// TestAssembleSensitivityUnmeasured: a curve whose 8MB IPC is zero or not
+// finite cannot be normalized, so its row is unmeasured — adequate 0 and
+// not LLC-sensitive — instead of falling through to 8MB and a star.
+func TestAssembleSensitivityUnmeasured(t *testing.T) {
+	sizes := []int64{1 << 20, 2 << 20, 8 << 20}
+	for _, ipcs := range [][]float64{
+		{0, 0, 0},
+		{0.5, 0.7, 0},
+		{math.NaN(), math.NaN(), math.NaN()},
+		{0.5, 0.7, math.Inf(1)},
+	} {
+		r := assembleSensitivity("exchange2_0", sizes, ipcs)
+		if r.Adequate != 0 || r.Sensitive {
+			t.Errorf("IPCs %v: adequate %d, sensitive %v; want an unmeasured row (0, false)", ipcs, r.Adequate, r.Sensitive)
+		}
+	}
+	if r := assembleSensitivity("mcf_0", sizes, []float64{0.2, 0.5, 1.0}); r.Adequate != 8<<20 || !r.Sensitive {
+		t.Errorf("measured curve: adequate %d, sensitive %v; want 8MB, true", r.Adequate, r.Sensitive)
+	}
+}
+
 func TestScaleCountFloor(t *testing.T) {
 	if got := scaleCount(1_000_000, 0.000001); got != 1000 {
 		t.Errorf("scaleCount floor = %d, want 1000", got)

@@ -43,8 +43,8 @@ func OpenFrontEndCache(dir string, rebuild bool, logf func(format string, args .
 	return st, func() {
 		SetFrontEndCache(nil)
 		c := st.Counters()
-		logf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written, %d peak mix tape window events",
-			c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten, MixTapeWindowPeak())
+		logf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written, %d peak mix tape window events, %d discarded mix attempts, %d continued mix tapes, %d attached mix tapes",
+			c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten, MixTapeWindowPeak(), mixDiscarded.Load(), mixContinued.Load(), mixAttached.Load())
 	}, nil
 }
 
@@ -104,8 +104,9 @@ func WarmFrontEndCache(ctx context.Context, st *tracecache.Store, names []string
 // tails are sized to what the scheme lanes actually consume (plus the
 // engine's slack) rather than a guess; a stream shared between mixes (same
 // pair in the same domain slot) is generated by the first mix that needs
-// it and replayed by the rest. Returns how many entries were freshly
-// generated.
+// it and replayed by the rest, and a later mix whose lanes outrun that
+// mix's tail continues the entry cold and commits the longer tail. Returns
+// how many entries were freshly generated.
 func WarmMixFrontEnds(ctx context.Context, st *tracecache.Store, ids []int, scale float64, secret uint64, jobs int) (int, error) {
 	if st == nil {
 		return 0, fmt.Errorf("experiments: WarmMixFrontEnds needs a store")

@@ -46,11 +46,23 @@
 // the hit vectors too, so a warm tape only decodes and no warm domain
 // simulates shadow arrays. The vectors depend on the recorder's geometry,
 // which a non-default one (Options.WayPartitioned's way-granular sizes)
-// therefore adds to the entry's key (pinMonitorGeometry). The pressure
-// tail is the one stored quantity whose needed length depends on the
-// scheme mix — a warm run that drains it (a lane kept a domain alive
-// longer than the recorded run did) discards its results, deletes the
-// short entries, and regenerates them cold; see runMixFused.
+// therefore adds to the entry's key (pinMonitorGeometry).
+//
+// Each distinct key has one front end per process. A cold stream is a
+// mixStream registered under its key while mixes consume it: a mix that
+// opens a key another mix is generating attaches, reads what is written
+// through its own follower of the staged entry, and generates the next
+// batch itself when it reaches the head. The last consumer out extends
+// the tail to the hungriest consumer's need and commits, and a commit
+// never replaces a longer tail (tracecache.Writer.CommitLonger). The
+// pressure tail is the one stored quantity whose needed length depends on
+// the scheme mix: a warm tape whose entry runs out while a lane still
+// wants events (a lane kept a domain alive longer than the recorded runs
+// did) continues cold in place — it regenerates the events already
+// served into a fresh entry and produces on (mixTape.resume), so no
+// attempt is discarded for a short tail. Only an entry found corrupt
+// mid-run under the store's rebuild policy still costs a discarded
+// attempt; see runMixFused.
 package experiments
 
 import (
@@ -85,18 +97,19 @@ import (
 // rediscovering the limit mid-run.
 const mixReplayEventBudget = 64 << 20
 
-// mixFusionMaxRestarts bounds the underrun-regeneration loop: each restart
-// forces at least one more domain cold, so eight always suffice.
+// mixFusionMaxRestarts bounds the corrupt-entry regeneration loop: each
+// restart forces at least one more domain cold, so eight always suffice.
 const mixFusionMaxRestarts = 8
 
 // Sentinel conditions the fused engine resolves itself (oracle fallback or
-// cold regeneration) when no telemetry sinks are attached, and surfaces as
+// cold regeneration of an entry found corrupt mid-run under the store's
+// rebuild policy) when no telemetry sinks are attached, and surfaces as
 // retryable errors when they are — a retry with fresh sinks
 // (parallel.RetryUnit in cmd/experiments' runMixUnit provides exactly
 // that) takes the recovery path cleanly.
 var (
 	errMixOverBudget    = errors.New("experiments: fused mix tape window exceeds the replay memory budget")
-	errMixEntryRejected = errors.New("experiments: fused mix replay rejected a cached entry (pressure tail too short, or corrupt); entry removed, retry regenerates it")
+	errMixEntryRejected = errors.New("experiments: fused mix replay found a cached entry corrupt; entry removed, retry regenerates it")
 )
 
 // mixOverBudgetScaleBits remembers (as math.Float64bits) the smallest scale
@@ -196,53 +209,351 @@ func (r *mixRing) put(c []feEvent) {
 	r.mu.Unlock()
 }
 
-// mixTape is one domain's shared event tape: the live chunks from the one
-// the trailing lane reads to the newest, numbered absolutely from the
-// stream's start. During a round the look-ahead task (lookAhead), or a
+// mixOrigin is what a domain's tape needs to generate its stream: the
+// front end's configuration and domain slot, the domain's streams (not
+// consumed until a tape generates from them), and the fe-cache store
+// (nil without one) and key.
+type mixOrigin struct {
+	st   *tracecache.Store
+	key  tracecache.Key
+	idx  int
+	cfg  sim.Config
+	spec sim.DomainSpec
+}
+
+// mixStream is one domain stream being generated: the front end over the
+// measured and the endless pressure op stream, and the fe-cache entry the
+// events go to. The tapes that read it are its consumers. A consumer
+// behind the written head reads through its own follower of the entry
+// (tracecache.Writer.Follow); a consumer at the head generates the next
+// batch itself, under mu, and the others read it from the entry. No
+// consumer waits for another to produce, so two mixes that each follow a
+// stream the other produces cannot deadlock. With a store the stream is
+// registered under its key (mixStreams) while it has consumers: the first
+// mix that misses on the key starts it, and mixes that open the key
+// meanwhile attach instead of generating again. The last consumer to
+// detach extends the pressure tail to the hungriest consumer's need and
+// commits the entry.
+type mixStream struct {
+	o *mixOrigin
+
+	mu       sync.Mutex
+	fe       *sim.FrontEnd
+	stream   *isa.Chunks // nil once the measured stream has drained
+	pressure *isa.Chunks
+	ops      []isa.Op // the last batch's ops not yet resolved
+	w        *tracecache.Writer
+	count    int // events written, the marker included
+	events   int // events generated: count less the marker
+	mark     int // the marker's index, -1 until the measured stream ends
+	err      error
+
+	// Guarded by mixStreamsMu.
+	consumers int
+	need      int // events the hungriest detached consumer wants
+}
+
+// mixStreamID names a registered stream: a key within one store.
+type mixStreamID struct {
+	st  *tracecache.Store
+	key tracecache.Key
+}
+
+// mixStreams is the process's registry of live streams. Its lock is held
+// across an opening tape's look-up, entry open and registration, and
+// across the last consumer's commit, so each key has at most one stream
+// and a key is never missed while its stream is live. Lock order: a
+// tape's mu, then mixStreamsMu, then a stream's mu.
+var (
+	mixStreamsMu sync.Mutex
+	mixStreams   = map[mixStreamID]*mixStream{}
+)
+
+// errMixStreamAbandoned fails a stream whose producer panicked mid-batch.
+var errMixStreamAbandoned = errors.New("experiments: mix stream producer failed mid-batch")
+
+// newMixStream starts a stream from the origin's unconsumed domain streams.
+func newMixStream(o *mixOrigin) (*mixStream, error) {
+	fe, err := sim.NewFrontEnd(o.cfg, o.idx)
+	if err != nil {
+		return nil, err
+	}
+	s := &mixStream{
+		o:        o,
+		fe:       fe,
+		stream:   isa.NewChunks(o.spec.Stream, laneChunk),
+		pressure: isa.NewChunks(o.spec.Pressure, laneChunk),
+		mark:     -1,
+	}
+	if o.st != nil {
+		if s.w, err = o.st.CreateRich(o.key); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// next generates the stream's next batch of at most limit events into a
+// chunk from ring and writes it to the entry, then the marker if the
+// measured stream has just ended (marked). Op batches come from
+// isa.Chunks as they always have and are packed into whole chunks, so
+// only the measured stream's last chunk is short; the chunk is nil when
+// the measured stream ended on a chunk boundary. The caller holds mu. A
+// failure, or a panicking front end, fails the stream for every consumer.
+func (s *mixStream) next(ring *mixRing, limit int) (c []feEvent, marked bool, err error) {
+	s.err = errMixStreamAbandoned
+	c, marked, err = s.generate(ring, limit)
+	s.err = err
+	return c, marked, err
+}
+
+func (s *mixStream) generate(ring *mixRing, limit int) ([]feEvent, bool, error) {
+	var c []feEvent
+	n := 0
+	for c == nil || n < len(c) {
+		if len(s.ops) == 0 {
+			if s.stream != nil {
+				if s.ops = s.stream.Next(); len(s.ops) == 0 {
+					s.stream = nil
+					break
+				}
+			} else if s.ops = s.pressure.Next(); len(s.ops) == 0 {
+				if c != nil {
+					ring.put(c)
+				}
+				return nil, false, errors.New("experiments: mix pressure stream dried")
+			}
+		}
+		if c == nil {
+			c = ring.get()[:limit]
+		}
+		k := min(len(s.ops), len(c)-n)
+		s.fe.Resolve(s.ops[:k], c[n:])
+		s.ops = s.ops[k:]
+		n += k
+	}
+	if n > 0 {
+		c = c[:n]
+		if s.w != nil {
+			if err := s.w.WriteEvents(c); err != nil {
+				return nil, false, err
+			}
+		}
+		s.count += n
+		s.events += n
+	}
+	if s.stream != nil || s.mark >= 0 {
+		return c, false, nil
+	}
+	s.mark = s.count
+	s.count++
+	if s.w != nil {
+		if err := s.w.WriteEvents([]feEvent{{Kind: tracecache.KindMeasuredEnd}}); err != nil {
+			return nil, false, err
+		}
+	}
+	return c, true, nil
+}
+
+// mixTape is one domain's event tape within one mix: the live chunks from
+// the one the trailing lane reads to the newest, numbered absolutely from
+// the stream's start. During a round the look-ahead task (lookAhead), or a
 // lane whose cursor reaches the end, extends the tape under mu; between
-// rounds the engine releases the chunks behind every live lane. The measured stream ends at a chunk boundary:
-// chunk measured is the pressure tail's first.
+// rounds the engine releases the chunks behind every live lane. The
+// measured stream ends at a chunk boundary: chunk measured is the pressure
+// tail's first.
+//
+// A tape extends itself from one of two producers. A warm tape reads a
+// committed fe-cache entry. Every other tape consumes a mixStream, whose
+// front end this or another mix runs; a warm tape whose entry runs out
+// while a lane still wants events turns into one (resume).
 type mixTape struct {
 	ring     *mixRing
 	mu       sync.Mutex
 	chunks   [][]feEvent // chunks[0] is chunk number first
 	first    int
 	live     int // events in chunks
-	total    int // events produced
-	produced int // chunks produced
+	produced int // chunks published, pressure-tail extension included
 	measured int // -1 until the measured stream has ended
 	done     bool
 	err      error
-	cold     bool // generated this run (persisted on success)
+	cold     bool // opened on a stream, not on a committed entry
 
 	ctx context.Context
-	// A cold tape's producer: the domain's front end over the measured
-	// stream (nil once drained) and the endless pressure stream, the ops
-	// of their last batch not yet resolved, and the fe-cache entry every
-	// chunk is appended to (nil without a store).
-	fe       *sim.FrontEnd
-	stream   *isa.Chunks
-	pressure *isa.Chunks
-	ops      []isa.Op
-	w        *tracecache.Writer
-	// A warm tape's producer: the entry's reader and its batch buffer.
+	o   *mixOrigin
+	// pos counts the stream's events the tape has passed, the marker
+	// included; markAt is the marker's index as the tape saw it, which a
+	// continued tape compares with its stream's (inherited).
+	pos       int
+	markAt    int
+	inherited bool
+	continued bool
+	attached  bool // joined a stream another mix started
+
+	// A warm tape's producer: the entry's reader and its batch buffer,
+	// which a consumer's follower reads into too.
 	r   *tracecache.Reader
 	buf []feEvent
+	// A consumer's stream and its follower of the stream's entry: fpos is
+	// the follower's index, and seek the point after the tape's last
+	// generated batch, where the follower resumes (reseek).
+	s      *mixStream
+	fr     *tracecache.Reader
+	fpos   int
+	seek   tracecache.Pos
+	reseek bool
 }
 
 func (t *mixTape) end() int { return t.first + len(t.chunks) }
 
-// produce extends the tape by one front-end batch. The caller holds mu (a
-// deferred unlock, so that a panicking front end cannot stall the other
-// workers of its round), or the lanes are stopped. A failure seals the tape: every lane's source
-// then sees it drained, and the engine surfaces t.err.
+// open starts the tape on its key: a live stream of the key if there is
+// one, else the committed entry (unless forceCold), else a new stream.
+func (t *mixTape) open(forceCold bool) error {
+	o := t.o
+	if o.st == nil {
+		s, err := newMixStream(o)
+		if err != nil {
+			return err
+		}
+		t.cold = true
+		t.join(s)
+		return nil
+	}
+	mixStreamsMu.Lock()
+	defer mixStreamsMu.Unlock()
+	if s := mixStreams[mixStreamID{o.st, o.key}]; s != nil {
+		t.cold = true
+		t.attach(s)
+		return nil
+	}
+	r, err := openMixEntry(o.st, o.key, forceCold)
+	if err != nil {
+		return err
+	}
+	if r != nil {
+		t.r, t.buf = r, make([]feEvent, laneChunk)
+		return nil
+	}
+	t.cold = true
+	return t.startStream()
+}
+
+// startStream registers a new stream of the tape's key and joins it. The
+// caller holds mixStreamsMu.
+func (t *mixTape) startStream() error {
+	s, err := newMixStream(t.o)
+	if err != nil {
+		return err
+	}
+	mixStreams[mixStreamID{t.o.st, t.o.key}] = s
+	t.join(s)
+	return nil
+}
+
+// join makes the tape a consumer of s. The caller holds mixStreamsMu, or s
+// is unregistered.
+func (t *mixTape) join(s *mixStream) {
+	s.consumers++
+	t.s = s
+}
+
+// attach joins a stream another mix started. The caller holds
+// mixStreamsMu.
+func (t *mixTape) attach(s *mixStream) {
+	t.join(s)
+	t.attached = true
+	mixAttached.Add(1)
+}
+
+// resume continues a warm tape whose entry has run out while a lane still
+// wants events. The entry's end verified its count and CRC; the tape now
+// consumes its key's stream from where the entry ended — a live stream it
+// attaches to, else one it starts from the domain's unconsumed streams and
+// regenerates up to there (the events already served, re-encoded into a
+// fresh entry, whose marker must fall where the old entry's did). Only a
+// lane's demand resumes a tape, never the drain in finish, so a warm run
+// with the options that wrote its entries never continues. The caller
+// holds mu; false means the tape cannot produce again.
+func (t *mixTape) resume() bool {
+	if t.r == nil || t.err != nil {
+		return false
+	}
+	t.r.Close()
+	t.r = nil
+	var err error
+	mixStreamsMu.Lock()
+	if s := mixStreams[mixStreamID{t.o.st, t.o.key}]; s != nil {
+		t.attach(s)
+	} else {
+		err = t.startStream()
+	}
+	mixStreamsMu.Unlock()
+	if err != nil {
+		t.err = err
+		return false
+	}
+	t.done, t.continued, t.inherited = false, true, true
+	mixContinued.Add(1)
+	return true
+}
+
+// detach ends the tape's use of its stream, recording need, the events its
+// lanes want the pressure tail to hold (0 for a mix that failed). The last
+// consumer out extends the tail to the hungriest need and commits the
+// entry, keeping a longer one already committed; a stream that failed, or
+// that no consumer finished with, is discarded.
+func (t *mixTape) detach(need int) error {
+	s := t.s
+	if s == nil {
+		return nil
+	}
+	t.s = nil
+	if t.fr != nil {
+		t.fr.Close()
+		t.fr = nil
+	}
+	mixStreamsMu.Lock()
+	defer mixStreamsMu.Unlock()
+	s.consumers--
+	s.need = max(s.need, need)
+	if s.consumers > 0 || s.w == nil {
+		return nil // a stream without a store has one consumer and no entry
+	}
+	delete(mixStreams, mixStreamID{s.o.st, s.o.key})
+	defer s.w.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil || s.mark < 0 || s.need == 0 {
+		return nil
+	}
+	for s.events < s.need {
+		if err := engineCheckpoint(t.ctx); err != nil {
+			return err
+		}
+		c, _, err := s.next(t.ring, laneChunk)
+		if err != nil {
+			return err
+		}
+		t.produced++
+		t.ring.put(c)
+	}
+	unlock := s.o.st.Lock(s.o.key)
+	defer unlock()
+	_, err := s.w.CommitLonger()
+	return err
+}
+
+// produce extends the tape by one batch. The caller holds mu (a deferred
+// unlock, so that a panicking front end cannot stall the other workers of
+// its round), or the lanes are stopped. A failure seals the tape: every
+// lane's source then sees it drained, and the engine surfaces t.err.
 func (t *mixTape) produce() {
 	err := engineCheckpoint(t.ctx)
 	if err == nil {
 		if t.r != nil {
 			err = t.read()
 		} else {
-			err = t.generate()
+			err = t.follow()
 		}
 	}
 	if err != nil {
@@ -250,71 +561,15 @@ func (t *mixTape) produce() {
 	}
 }
 
-// generate fills the next chunk with the measured stream or, once that
-// drains, the pressure stream, resolved through the domain's front end, and
-// appends it to the fe-cache entry. Op batches come from isa.Chunks as
-// they always have and are packed into whole chunks, so only the measured
-// stream's last chunk is short.
-func (t *mixTape) generate() error {
-	var c []feEvent
-	n := 0
-	for c == nil || n < len(c) {
-		if len(t.ops) == 0 {
-			if t.stream != nil {
-				if t.ops = t.stream.Next(); len(t.ops) == 0 {
-					t.stream = nil
-					break
-				}
-			} else if t.ops = t.pressure.Next(); len(t.ops) == 0 {
-				if c != nil {
-					t.ring.put(c)
-				}
-				return errors.New("experiments: mix pressure stream dried")
-			}
-		}
-		if c == nil {
-			c = t.ring.get()
-		}
-		k := min(len(t.ops), len(c)-n)
-		t.fe.Resolve(t.ops[:k], c[n:])
-		t.ops = t.ops[k:]
-		n += k
-	}
-	if n > 0 {
-		c = c[:n]
-		if t.w != nil {
-			if err := t.w.WriteEvents(c); err != nil {
-				return err
-			}
-		}
-		t.publish(c)
-	}
-	if t.stream == nil && t.measured < 0 {
-		return t.markMeasured()
-	}
-	return nil
-}
-
 // read decodes the next batch of a warm entry into the tape's read buffer
-// and copies it into chunks, split at the measured-end marker. Chunks are
-// taken from the ring only for events, so the buffers a mix makes do not
-// depend on how concurrent lanes interleave. The per-batch checkpoint in
-// produce keeps the warm path's cancellation and fault cadence aligned
-// with the cold path's.
+// and publishes a copy. The per-batch checkpoint in produce keeps the warm
+// path's cancellation and fault cadence aligned with the cold path's.
 func (t *mixTape) read() error {
 	n, err := t.r.Read(t.buf)
-	seg := t.buf[:n]
-	if m := slices.IndexFunc(seg, isMeasuredEnd); m >= 0 {
-		t.publishCopy(seg[:m])
-		if merr := t.markMeasured(); merr != nil {
-			return merr
-		}
-		seg = seg[m+1:]
-		if slices.IndexFunc(seg, isMeasuredEnd) >= 0 {
-			return fmt.Errorf("%w: second measured-end marker", tracecache.ErrCorrupt)
-		}
+	if terr := t.take(t.buf[:n], t.pos); terr != nil {
+		return terr
 	}
-	t.publishCopy(seg)
+	t.pos += n
 	if errors.Is(err, io.EOF) {
 		t.done = true
 		if t.measured < 0 {
@@ -325,7 +580,141 @@ func (t *mixTape) read() error {
 	return err
 }
 
-// publishCopy appends a copy of decoded events as one chunk.
+// follow extends a consumer's tape from its stream: through the follower
+// while the tape is behind the written head, else by generating the next
+// batch.
+func (t *mixTape) follow() error {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	var err error
+	if t.pos < s.count {
+		err = t.readStream()
+	} else {
+		err = t.generate()
+	}
+	if err == nil {
+		err = t.checkMark()
+	}
+	return err
+}
+
+// generate produces the stream's next batch. A tape ahead of the head —
+// a continued tape, which has served more of the stream than the stream
+// has written — generates up to its position and publishes nothing.
+func (t *mixTape) generate() error {
+	s := t.s
+	limit, ahead := laneChunk, t.pos > s.count
+	if ahead {
+		limit = min(limit, t.pos-s.count)
+	}
+	c, marked, err := s.next(t.ring, limit)
+	if err != nil {
+		return err
+	}
+	if s.w != nil {
+		t.seek, t.reseek = s.w.Pos(), true
+	}
+	if ahead {
+		if c != nil {
+			t.ring.put(c)
+		}
+		return nil
+	}
+	if c != nil {
+		t.publish(c)
+	}
+	t.pos = s.count
+	if marked {
+		t.markAt = s.mark
+		return t.markMeasured()
+	}
+	return nil
+}
+
+// readStream reads the next batch the stream has written through the
+// tape's follower, which resumes after the tape's last generated batch. A
+// follower behind the tape's position — one that attached past the
+// stream's start — skips to it.
+func (t *mixTape) readStream() error {
+	s := t.s
+	if t.fr == nil || t.reseek {
+		if t.fr == nil {
+			fr, err := s.w.Follow(t.seek)
+			if err != nil {
+				return err
+			}
+			t.fr = fr
+			if t.buf == nil {
+				t.buf = make([]feEvent, laneChunk)
+			}
+		} else {
+			t.fr.Seek(t.seek)
+		}
+		t.fpos, t.reseek = int(t.seek.Events), false
+	}
+	skip := t.fpos < t.pos
+	hi := s.count
+	if skip {
+		hi = min(hi, t.pos)
+	}
+	want := min(laneChunk, hi-t.fpos)
+	n, err := t.fr.Read(t.buf[:want])
+	if err == nil && n < want {
+		err = fmt.Errorf("experiments: %s: follower read %d of %d written events", s.o.key.Benchmark, n, want)
+	}
+	if err != nil {
+		return err
+	}
+	base := t.fpos
+	t.fpos += n
+	if skip {
+		return nil
+	}
+	t.pos += n
+	return t.take(t.buf[:n], base)
+}
+
+// checkMark compares a continued tape's marker, read from its entry, with
+// the stream's once the stream has passed it: a stream whose measured part
+// ends elsewhere is not the one the entry recorded.
+func (t *mixTape) checkMark() error {
+	s := t.s
+	if !t.inherited || (s.mark < 0 && s.count <= t.markAt) {
+		return nil
+	}
+	t.inherited = false
+	if s.mark != t.markAt {
+		return fmt.Errorf("%w: %s: regenerated measured stream ends at event %d, the entry's at %d",
+			tracecache.ErrCorrupt, s.o.key.Benchmark, s.mark, t.markAt)
+	}
+	return nil
+}
+
+// take publishes decoded events, split at the measured-end marker; base is
+// the first one's index in the stream.
+func (t *mixTape) take(seg []feEvent, base int) error {
+	if m := slices.IndexFunc(seg, isMeasuredEnd); m >= 0 {
+		t.publishCopy(seg[:m])
+		t.markAt = base + m
+		if err := t.markMeasured(); err != nil {
+			return err
+		}
+		seg = seg[m+1:]
+		if slices.IndexFunc(seg, isMeasuredEnd) >= 0 {
+			return fmt.Errorf("%w: second measured-end marker", tracecache.ErrCorrupt)
+		}
+	}
+	t.publishCopy(seg)
+	return nil
+}
+
+// publishCopy appends a copy of decoded events as one chunk. Chunks are
+// taken from the ring only for events, so the buffers a mix makes do not
+// depend on how concurrent lanes interleave.
 func (t *mixTape) publishCopy(seg []feEvent) {
 	if len(seg) == 0 {
 		return
@@ -337,16 +726,12 @@ func (t *mixTape) publishCopy(seg []feEvent) {
 
 func isMeasuredEnd(ev feEvent) bool { return ev.Kind == tracecache.KindMeasuredEnd }
 
-// markMeasured ends the measured stream at the next chunk boundary and
-// writes the marker there into a cold tape's entry.
+// markMeasured ends the tape's measured stream at the next chunk boundary.
 func (t *mixTape) markMeasured() error {
 	if t.measured >= 0 {
 		return fmt.Errorf("%w: second measured-end marker", tracecache.ErrCorrupt)
 	}
 	t.measured = t.end()
-	if t.w != nil {
-		return t.w.WriteEvents([]feEvent{{Kind: tracecache.KindMeasuredEnd}})
-	}
 	return nil
 }
 
@@ -354,7 +739,6 @@ func (t *mixTape) markMeasured() error {
 func (t *mixTape) publish(c []feEvent) {
 	t.chunks = append(t.chunks, c)
 	t.live += len(c)
-	t.total += len(c)
 	t.produced++
 }
 
@@ -373,28 +757,24 @@ func (t *mixTape) release(keep int) {
 	}
 }
 
-// finish runs a tape's producer on past the lanes, every chunk straight
-// back into the ring: a warm tape drains its reader, because the entry's
-// event count and CRC are verified only at its end, and a cold tape with
-// an entry extends its pressure tail to target events.
-func (t *mixTape) finish(target int) {
+// finish drains a warm tape's reader past the lanes, every chunk straight
+// back into the ring: the entry's event count and CRC are verified only
+// at its end.
+func (t *mixTape) finish() {
 	t.release(t.end())
-	for !t.done && (t.r != nil || (t.w != nil && t.total < target)) {
+	for t.r != nil && !t.done {
 		t.produce()
 		t.release(t.end())
 	}
 }
 
-// close releases the tape's reader and discards an uncommitted entry.
+// close releases the tape's reader and leaves its stream.
 func (t *mixTape) close() {
 	if t.r != nil {
 		t.r.Close()
 		t.r = nil
 	}
-	if t.w != nil {
-		t.w.Close()
-		t.w = nil
-	}
+	t.detach(0)
 }
 
 // mixSource is one lane's cursor over a tape; it implements
@@ -410,15 +790,12 @@ type mixSource struct {
 	next     int // number of the next chunk to hand out
 	pos      int // events handed out
 	sentEnd  bool
-	underrun bool
 }
 
 // NextEvents implements sim.ReplaySource: the measured stream's chunks,
 // one empty batch at its end (the driver's finish signal), then pressure
-// chunks. A warm tape that drains while the lane still wants events marks
-// the source underrun — the recorded pressure tail was shorter than this
-// scheme mix needs — and idles the lane out; the engine discards the
-// attempt and regenerates.
+// chunks. Only a failed tape runs dry; the lane then idles out, and the
+// engine surfaces the tape's error.
 func (s *mixSource) NextEvents() []feEvent {
 	for {
 		if !s.sentEnd && s.next == s.measured {
@@ -431,19 +808,19 @@ func (s *mixSource) NextEvents() []feEvent {
 			return s.chunks[i]
 		}
 		if !s.refresh() {
-			s.underrun = true
 			return nil
 		}
 	}
 }
 
 // refresh re-snapshots the tape, extending it first while the cursor is at
-// its end. False means nothing more will come.
+// its end — continuing a drained warm tape cold if need be. False means
+// nothing more will come.
 func (s *mixSource) refresh() bool {
 	t := s.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for s.next == t.end() && !t.done && (s.sentEnd || s.next != t.measured) {
+	for s.next == t.end() && (s.sentEnd || s.next != t.measured) && (!t.done || t.resume()) {
 		t.produce()
 	}
 	s.chunks, s.first, s.measured = t.chunks, t.first, t.measured
@@ -530,13 +907,22 @@ func runRound(tasks []func() error, jobs int) error {
 	return nil
 }
 
-// mixTapeStats measures one fused attempt's tape memory.
+// mixTapeStats measures one fused attempt's tape memory and the recovery
+// work of the mix that ran it.
 type mixTapeStats struct {
 	window    int // peak live tape events at a round boundary, all domains
-	produced  int // chunks the front ends produced
+	produced  int // chunks published, pressure-tail extension included
 	allocated int // chunk buffers the ring made
-	restarts  int // attempts discarded to regenerate short or corrupt entries
+	restarts  int // attempts discarded to regenerate corrupt entries
+	continued int // warm tapes whose entry ran out and that went on cold
+	attached  int // tapes that joined a stream another mix started
 }
+
+// Process-wide counts of the fused engine's recovery work: attempts
+// discarded to regenerate an entry found corrupt mid-run, warm tapes
+// continued cold past their entry's end, and tapes that attached to a
+// stream another mix was generating.
+var mixDiscarded, mixContinued, mixAttached atomic.Int64
 
 // mixTapeWindowPeak is the largest window any fused mix attempt in this
 // process held: the gauge obs.mix.tape_window_events.
@@ -556,13 +942,18 @@ func noteMixTapeWindow(n int) {
 // domains and sampled at round boundaries.
 func MixTapeWindowPeak() int64 { return mixTapeWindowPeak.Load() }
 
-// RegisterMixMetrics exposes MixTapeWindowPeak on a telemetry registry as
-// the lazy gauge obs.mix.tape_window_events. Nil-safe.
+// RegisterMixMetrics exposes MixTapeWindowPeak and the recovery counts on
+// a telemetry registry as the lazy gauges obs.mix.tape_window_events,
+// obs.mix.discarded_attempts, obs.mix.continued and obs.mix.attached.
+// Nil-safe.
 func RegisterMixMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("obs.mix.tape_window_events", func() float64 { return float64(mixTapeWindowPeak.Load()) })
+	reg.GaugeFunc("obs.mix.discarded_attempts", func() float64 { return float64(mixDiscarded.Load()) })
+	reg.GaugeFunc("obs.mix.continued", func() float64 { return float64(mixContinued.Load()) })
+	reg.GaugeFunc("obs.mix.attached", func() float64 { return float64(mixAttached.Load()) })
 }
 
 // runMixFused is RunMixContext's fused path. ok=false means the mix is
@@ -585,12 +976,8 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	geom := sim.Scaled(partition.DefaultScheme(partition.Static), scale)
 	rec := mixSimConfig(opts, partition.Untangle, scale).MonitorConfig()
 
-	specs, err := BuildDomains(mix, scale, opts.Secret)
-	if err != nil {
-		return nil, stats, false, err
-	}
-	keys := make([]tracecache.Key, len(specs))
-	for i := range specs {
+	keys := make([]tracecache.Key, len(mix.Pairs))
+	for i := range keys {
 		key := mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways)
 		keys[i] = pinMonitorGeometry(key, rec, geom.MonitorConfig())
 	}
@@ -603,26 +990,30 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	forceCold := make([]bool, len(keys))
 	for attempt := 0; ; attempt++ {
 		stats = mixTapeStats{restarts: attempt}
+		// Each attempt builds fresh domain streams: a tape that generates
+		// consumes its domain's.
+		specs, err := BuildDomains(mix, scale, opts.Secret)
+		if err != nil {
+			return nil, stats, false, err
+		}
 		res, retry, ok, err := runMixFusedOnce(ctx, mix, opts, keys, forceCold, st, specs, scale, &stats)
 		if err != nil || !ok || !retry {
 			return res, stats, ok, err
 		}
-		// retry: rejected entries were removed and their domains forced
-		// cold; rebuild the consumed front-end streams and go again.
+		// retry: corrupt entries were removed and their domains forced
+		// cold; go again.
+		mixDiscarded.Add(1)
 		if !canRestart {
 			return nil, stats, true, errMixEntryRejected
 		}
 		if attempt >= mixFusionMaxRestarts {
 			return nil, stats, true, fmt.Errorf("experiments: mix %d fused replay did not converge after %d regenerations", mix.ID, attempt)
 		}
-		if specs, err = BuildDomains(mix, scale, opts.Secret); err != nil {
-			return nil, stats, false, err
-		}
 	}
 }
 
 // runMixFusedOnce runs one fused attempt. retry=true asks the caller to
-// regenerate (rejected entries already removed, forceCold updated);
+// regenerate (corrupt entries already removed, forceCold updated);
 // ok=false routes to the oracle.
 func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys []tracecache.Key, forceCold []bool, st *tracecache.Store, specs []sim.DomainSpec, scale float64, stats *mixTapeStats) (*MixResult, bool, bool, error) {
 	// One front end serves every lane, so it resolves under a dynamic
@@ -641,26 +1032,16 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 	}()
 	for i := range keys {
-		t := &mixTape{ring: ring, measured: -1, ctx: ctx}
+		t := &mixTape{
+			ring:     ring,
+			measured: -1,
+			markAt:   -1,
+			ctx:      ctx,
+			o:        &mixOrigin{st: st, key: keys[i], idx: i, cfg: feCfg, spec: specs[i]},
+		}
 		tapes = append(tapes, t)
-		r, err := openMixEntry(st, keys[i], forceCold[i])
-		if err != nil {
+		if err := t.open(forceCold[i]); err != nil {
 			return nil, false, false, err
-		}
-		if r != nil {
-			t.r, t.buf = r, make([]feEvent, laneChunk)
-			continue
-		}
-		t.cold = true
-		if t.fe, err = sim.NewFrontEnd(feCfg, i); err != nil {
-			return nil, false, false, err
-		}
-		t.stream = isa.NewChunks(specs[i].Stream, laneChunk)
-		t.pressure = isa.NewChunks(specs[i].Pressure, laneChunk)
-		if st != nil {
-			if t.w, err = st.CreateRich(keys[i]); err != nil {
-				return nil, false, false, err
-			}
 		}
 	}
 
@@ -686,13 +1067,13 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 	}
 
 	// Rounds: every live lane steps to the same simulated time, then the
-	// chunks all of them have passed go back to the ring. A failed front
-	// end or a drained warm tail spoils the attempt; stop stepping then.
+	// chunks all of them have passed go back to the ring. A failed tape
+	// spoils the attempt; stop stepping then.
 	jobs := parallel.Jobs(opts.Jobs)
 	live := slices.Clone(lanes)
 	next := make([]int, len(tapes))
 	tasks := make([]func() error, 0, 1+len(lanes))
-	for len(live) > 0 && !mixAttemptSpoiled(tapes, lanes) {
+	for len(live) > 0 && !mixAttemptSpoiled(tapes) {
 		for d := range tapes {
 			next[d] = 0
 			for _, l := range live {
@@ -736,29 +1117,17 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 	}
 
-	// Past the lanes: drain the warm readers, extend the cold tails to
-	// what the hungriest lane consumed plus slack so same-options warm
-	// runs never underrun. A failed front end poisons every lane that fed
-	// from it; surface the cause, unless it is a corrupt entry the store
-	// may rebuild. An underrun lane idled out on a short cached pressure
-	// tail: its timing no longer matches the oracle.
+	// Past the lanes: drain the warm readers, whose entries verify only at
+	// their end. A failed tape poisons every lane that fed from it;
+	// surface the cause, unless it is a corrupt entry the store may
+	// rebuild.
 	retry := false
 	for d, t := range tapes {
-		if t.err == nil && !mixAttemptSpoiled(tapes, lanes) {
-			consumed := 0
-			for _, l := range lanes {
-				consumed = max(consumed, l.srcs[d].pos)
-			}
-			t.finish(consumed + consumed/8 + laneChunk)
+		if t.err == nil && !mixAttemptSpoiled(tapes) {
+			t.finish()
 		}
 		switch {
 		case t.err == nil:
-			for _, l := range lanes {
-				if l.srcs[d].underrun {
-					retry = true
-					forceCold[d] = true
-				}
-			}
 		case !t.cold && errors.Is(t.err, tracecache.ErrCorrupt) && st.RebuildEnabled():
 			st.NoteRebuild()
 			retry = true
@@ -778,15 +1147,23 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 		return nil, true, true, nil
 	}
+	// Leave the streams, asking for a pressure tail of what the hungriest
+	// lane consumed plus slack, so same-options warm runs never run out:
+	// the last consumer of each stream commits it.
 	for d, t := range tapes {
+		consumed := 0
+		for _, l := range lanes {
+			consumed = max(consumed, l.srcs[d].pos)
+		}
+		if err := t.detach(consumed + consumed/8 + laneChunk); err != nil {
+			return nil, false, false, err
+		}
 		stats.produced += t.produced
-		if t.w != nil {
-			unlock := st.Lock(keys[d])
-			err := t.w.Commit()
-			unlock()
-			if err != nil {
-				return nil, false, false, err
-			}
+		if t.continued {
+			stats.continued++
+		}
+		if t.attached {
+			stats.attached++
 		}
 	}
 	stats.allocated = ring.allocated
@@ -797,17 +1174,12 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 	return res, false, true, nil
 }
 
-// mixAttemptSpoiled reports whether a tape has failed or a lane has
-// drained a warm tape: the attempt's results will be discarded.
-func mixAttemptSpoiled(tapes []*mixTape, lanes []*mixLane) bool {
-	for d, t := range tapes {
+// mixAttemptSpoiled reports whether a tape has failed: the attempt's
+// results will be discarded.
+func mixAttemptSpoiled(tapes []*mixTape) bool {
+	for _, t := range tapes {
 		if t.err != nil {
 			return true
-		}
-		for _, l := range lanes {
-			if l.srcs[d].underrun {
-				return true
-			}
 		}
 	}
 	return false

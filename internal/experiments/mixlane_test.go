@@ -5,12 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"untangle/internal/isa"
+	"untangle/internal/parallel"
 	"untangle/internal/partition"
 	"untangle/internal/telemetry"
 	"untangle/internal/tracecache"
@@ -183,13 +188,15 @@ func TestMixFusionMatchesOracle(t *testing.T) {
 }
 
 // TestMixFusionUnderrunRegenerates covers the one stored quantity whose
-// needed length is scheme-dependent: the pressure tail. A cached entry
-// whose tail is too short for the lanes must be detected, deleted, and
-// regenerated cold — still matching the oracle bitwise — and the rewritten
-// entry must carry a full tail again. The short entry keeps a quarter of
-// its tail, so the streamed warm reader serves pressure chunks for a while
-// and then hits EOF in the middle of a round, with the lanes still
-// running.
+// needed length is scheme-dependent: the pressure tail. A warm tape whose
+// cached tail runs out while a lane still wants events continues cold in
+// place: it regenerates the events already served into a fresh entry and
+// goes on producing pressure, so no attempt is discarded, the mix still
+// matches the oracle bitwise, and the rewritten entry carries a longer
+// tail than the short one. One short entry keeps a quarter of its tail,
+// so the streamed warm reader serves pressure chunks for a while and then
+// hits EOF in the middle of a round, with the lanes still running; the
+// other ends on its marker, with no tail at all.
 func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	mix, err := workload.MixByID(1)
 	if err != nil {
@@ -199,71 +206,355 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	st := newTestStore(t, false)
-	SetFrontEndCache(st)
 	defer SetFrontEndCache(nil)
-	cold, err := RunMix(mix, Options{Scale: fusionTestScale})
+	for _, tc := range []struct {
+		name string
+		tail func(n int) int // tail events the short entry keeps of n
+	}{
+		{"quarter tail", func(n int) int { return n / 4 }},
+		{"no tail", func(int) int { return 0 }},
+	} {
+		st := newTestStore(t, false)
+		SetFrontEndCache(st)
+		cold, err := RunMix(mix, Options{Scale: fusionTestScale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMixBitwiseEqual(t, tc.name+" populate", cold, oracle)
+
+		// Truncate domain 0's entry to measured stream + marker + the
+		// case's share of its tail.
+		key := mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8)
+		path := st.EntryPath(key)
+		r, err := st.Open(key)
+		if err != nil || r == nil {
+			t.Fatalf("open %s: r=%v err=%v", path, r, err)
+		}
+		var events []tracecache.Event
+		buf := make([]tracecache.Event, 4096)
+		for {
+			n, rerr := r.Read(buf)
+			events = append(events, buf[:n]...)
+			if rerr != nil {
+				break
+			}
+		}
+		r.Close()
+		cut := -1
+		for i, ev := range events {
+			if ev.Kind == tracecache.KindMeasuredEnd {
+				cut = i
+				break
+			}
+		}
+		if cut < 0 || cut == len(events)-1 {
+			t.Fatalf("entry has no marker or no tail (marker at %d of %d)", cut, len(events))
+		}
+		short := cut + 1 + tc.tail(len(events)-cut-1)
+		w, err := st.CreateRich(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteEvents(events[:short]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+
+		warm, stats, ok, err := runMixFused(context.Background(), mix, Options{Scale: fusionTestScale})
+		if err != nil || !ok {
+			t.Fatalf("%s: fused run: ok=%v err=%v", tc.name, ok, err)
+		}
+		requireMixBitwiseEqual(t, tc.name+" continued", warm, oracle)
+		if stats.restarts != 0 || stats.continued != 1 {
+			t.Errorf("%s: warm run discarded %d attempts and continued %d tapes, want 0 and 1 (the short tail must run out)",
+				tc.name, stats.restarts, stats.continued)
+		}
+
+		info, err := tracecache.ReadInfo(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Measured != uint64(cut) || info.Events <= uint64(short) {
+			t.Errorf("%s: rewritten entry holds %d events, %d measured; want more than the short entry's %d, %d measured",
+				tc.name, info.Events, info.Measured, short, cut)
+		}
+	}
+}
+
+// TestMixTapeResumesOnLiveStream drives a warm tape whose entry ends on
+// its marker past that end while another tape of the key is generating
+// its stream. The resumed tape attaches to that stream at its own
+// position: ahead of the stream's head it regenerates up to there
+// publishing nothing, behind it its follower skips there; either way both
+// tapes publish the recorded stream, and the last to detach commits a
+// longer entry with the same measured part. An entry whose marker sits
+// one event early is found corrupt once the stream passes it.
+func TestMixTapeResumesOnLiveStream(t *testing.T) {
+	mix, err := workload.MixByID(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireMixBitwiseEqual(t, "populate", cold, oracle)
+	const d = 4 // mcf_0+RSA-2048, which Mixes 2-4 share
+	opts := Options{Scale: fusionTestScale}
+	key := mixStreamKey(mix.Pairs[d], d, fusionTestScale, 0, true, 32<<10, 8)
+	for _, tc := range []struct {
+		name  string
+		ahead int  // chunks the live tape produces before the warm tape resumes
+		moved bool // the short entry's marker sits one event early
+	}{
+		{"resume ahead of the head", 0, false},
+		{"resume behind the head", 40, false},
+		{"marker moved", 0, true},
+	} {
+		st := newTestStore(t, false)
+		SetFrontEndCache(st)
+		if _, err := RunMix(mix, opts); err != nil {
+			t.Fatal(err)
+		}
+		SetFrontEndCache(nil)
+		r, err := st.Open(key)
+		if err != nil || r == nil {
+			t.Fatalf("open: r=%v err=%v", r, err)
+		}
+		full, err := readEntry(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := slices.IndexFunc(full, isMeasuredEnd)
+		short := slices.Clone(full[:cut+1])
+		if tc.moved {
+			short = append(short[:cut-1], feEvent{Kind: tracecache.KindMeasuredEnd})
+		}
+		w, err := st.CreateRich(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteEvents(short); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Delete(slices.Clone(full), cut, cut+1)
 
-	// Truncate domain 0's entry to measured stream + marker + a quarter of
-	// its tail.
+		newTape := func(forceCold bool) *mixTape {
+			specs, err := BuildDomains(mix, fusionTestScale, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp := &mixTape{ring: &mixRing{}, measured: -1, markAt: -1, ctx: context.Background(),
+				o: &mixOrigin{st: st, key: key, idx: d, cfg: mixSimConfig(opts, partition.Untangle, fusionTestScale), spec: specs[d]}}
+			if err := tp.open(forceCold); err != nil {
+				t.Fatal(err)
+			}
+			return tp
+		}
+		published := func(tp *mixTape) []feEvent {
+			var out []feEvent
+			for _, c := range tp.chunks {
+				out = append(out, c...)
+			}
+			return out
+		}
+		warm := newTape(false)
+		if warm.r == nil {
+			t.Fatalf("%s: the short entry did not open warm", tc.name)
+		}
+		live := newTape(true)
+		for live.produced < tc.ahead {
+			live.produce()
+		}
+		for !warm.done {
+			warm.produce()
+		}
+		if !warm.resume() {
+			t.Fatalf("%s: resume: %v", tc.name, warm.err)
+		}
+		if !warm.attached || !warm.continued {
+			t.Fatalf("%s: resumed tape attached=%v continued=%v, want both", tc.name, warm.attached, warm.continued)
+		}
+		for warm.err == nil && warm.produced < len(want)/laneChunk+2 {
+			warm.produce()
+		}
+		if tc.moved {
+			if !errors.Is(warm.err, tracecache.ErrCorrupt) {
+				t.Errorf("%s: resumed tape err = %v, want ErrCorrupt", tc.name, warm.err)
+			}
+			warm.close()
+			live.close()
+			continue
+		}
+		for live.err == nil && live.produced < len(want)/laneChunk+2 {
+			live.produce()
+		}
+		if warm.err != nil || live.err != nil {
+			t.Fatalf("%s: warm err %v, live err %v", tc.name, warm.err, live.err)
+		}
+		for name, tp := range map[string]*mixTape{"resumed": warm, "live": live} {
+			got := published(tp)
+			if len(got) < len(want) || !slices.Equal(got[:len(want)], want) {
+				t.Errorf("%s: %s tape published %d events that are not the recorded %d", tc.name, name, len(got), len(want))
+			}
+		}
+		need := len(want) + 3*laneChunk
+		if err := warm.detach(need); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.detach(0); err != nil {
+			t.Fatal(err)
+		}
+		info, err := tracecache.ReadInfo(st.EntryPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Measured != uint64(cut) || info.Events < uint64(need+1) {
+			t.Errorf("%s: committed entry holds %d events, %d measured; want at least %d, %d", tc.name, info.Events, info.Measured, need+1, cut)
+		}
+	}
+}
+
+// TestMixStreamFailureFailsConsumers: a production error — here a
+// pressure stream that runs dry — fails the stream for every consumer,
+// not only the one whose batch hit it, and the last consumer out discards
+// the entry and leaves the registry.
+func TestMixStreamFailureFailsConsumers(t *testing.T) {
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := BuildDomains(mix, fusionTestScale, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0]
+	spec.Pressure = isa.NewLimited(spec.Pressure, 1000)
+	st := newTestStore(t, false)
 	key := mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8)
-	path := st.EntryPath(key)
-	r, err := st.Open(key)
-	if err != nil || r == nil {
-		t.Fatalf("open %s: r=%v err=%v", path, r, err)
+	o := &mixOrigin{st: st, key: key, cfg: mixSimConfig(Options{Scale: fusionTestScale}, partition.Untangle, fusionTestScale), spec: spec}
+	var tapes [2]*mixTape
+	for i := range tapes {
+		tapes[i] = &mixTape{ring: &mixRing{}, measured: -1, markAt: -1, ctx: context.Background(), o: o}
+		if err := tapes[i].open(false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var events []tracecache.Event
-	buf := make([]tracecache.Event, 4096)
+	producer, follower := tapes[0], tapes[1]
+	if producer.attached || !follower.attached {
+		t.Fatalf("producer attached=%v, follower attached=%v; want false, true", producer.attached, follower.attached)
+	}
+	for producer.err == nil {
+		producer.produce()
+	}
+	for follower.err == nil {
+		follower.produce()
+	}
+	if !strings.Contains(producer.err.Error(), "dried") || follower.err != producer.err {
+		t.Errorf("producer err %v, follower err %v; want the same dried-pressure error", producer.err, follower.err)
+	}
+	for _, tp := range tapes {
+		tp.close()
+	}
+	if _, err := os.Stat(st.EntryPath(key)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed stream left an entry: %v", err)
+	}
+	mixStreamsMu.Lock()
+	live := mixStreams[mixStreamID{st, key}]
+	mixStreamsMu.Unlock()
+	if live != nil {
+		t.Error("failed stream is still registered")
+	}
+}
+
+// readEntry decodes a whole entry, marker included, and closes it.
+func readEntry(r *tracecache.Reader) ([]feEvent, error) {
+	defer r.Close()
+	var out []feEvent
+	buf := make([]feEvent, 4096)
 	for {
-		n, rerr := r.Read(buf)
-		events = append(events, buf[:n]...)
-		if rerr != nil {
-			break
+		n, err := r.Read(buf)
+		out = append(out, buf[:n]...)
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
 		}
 	}
-	r.Close()
-	cut := -1
-	for i, ev := range events {
-		if ev.Kind == tracecache.KindMeasuredEnd {
-			cut = i
-			break
+}
+
+// TestMixStreamsSingleFlight is the one-front-end-per-stream gate: Figure
+// 10's Mixes 1-4 hold 32 domain streams but only 19 distinct keys, and a
+// cold campaign over them, with the mixes on pools of 2 and of 4 workers,
+// starts each key's stream once — a mix that opens a key another is
+// generating attaches to it, and one that opens a committed entry with
+// too short a tail continues it — so fe-cache misses equal the distinct
+// keys, no attempt is discarded, and every mix still matches its oracle
+// bitwise. A second pass over the filled store runs warm and neither
+// misses nor continues.
+func TestMixStreamsSingleFlight(t *testing.T) {
+	ids := []int{1, 2, 3, 4}
+	mixes := make([]workload.Mix, len(ids))
+	oracles := make([]*MixResult, len(ids))
+	distinct := map[tracecache.Key]bool{}
+	for i, id := range ids {
+		mix, err := workload.MixByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixes[i] = mix
+		if oracles[i], err = RunMix(mix, Options{Scale: fusionTestScale, DisableFusion: true}); err != nil {
+			t.Fatal(err)
+		}
+		for d, pair := range mix.Pairs {
+			distinct[mixStreamKey(pair, d, fusionTestScale, 0, true, 32<<10, 8)] = true
 		}
 	}
-	if cut < 0 || cut == len(events)-1 {
-		t.Fatalf("entry has no marker or no tail (marker at %d of %d)", cut, len(events))
+	if len(distinct) != 19 {
+		t.Fatalf("Mixes 1-4 hold %d distinct keys, want 19", len(distinct))
 	}
-	w, err := st.CreateRich(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteEvents(events[:cut+1+(len(events)-cut-1)/4]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	warm, stats, ok, err := runMixFused(context.Background(), mix, Options{Scale: fusionTestScale})
-	if err != nil || !ok {
-		t.Fatalf("fused run: ok=%v err=%v", ok, err)
-	}
-	requireMixBitwiseEqual(t, "underrun-regenerated", warm, oracle)
-	if stats.restarts != 1 {
-		t.Errorf("warm run made %d restarts, want 1 (the short tail must underrun)", stats.restarts)
-	}
-
-	info, err := tracecache.ReadInfo(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail := info.Events - info.Measured - 1; tail == 0 {
-		t.Errorf("regenerated entry still has no pressure tail (%d events, %d measured)", info.Events, info.Measured)
+	defer SetFrontEndCache(nil)
+	for _, workers := range []int{2, 4} {
+		st := newTestStore(t, false)
+		SetFrontEndCache(st)
+		for _, pass := range []string{"cold", "warm"} {
+			before := st.Counters()
+			type run struct {
+				res   *MixResult
+				stats mixTapeStats
+			}
+			runs, err := parallel.Map(context.Background(), len(mixes), workers, func(ctx context.Context, i int) (run, error) {
+				res, stats, ok, err := runMixFused(ctx, mixes[i], Options{Scale: fusionTestScale, Jobs: 1})
+				if err == nil && !ok {
+					err = fmt.Errorf("mix %d fell back to the oracle", mixes[i].ID)
+				}
+				return run{res, stats}, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var discarded, continued, attached int
+			for i, r := range runs {
+				requireMixBitwiseEqual(t, fmt.Sprintf("%s workers=%d mix %d", pass, workers, mixes[i].ID), r.res, oracles[i])
+				discarded += r.stats.restarts
+				continued += r.stats.continued
+				attached += r.stats.attached
+			}
+			c := st.Counters()
+			misses, hits := c.Misses-before.Misses, c.Hits-before.Hits
+			t.Logf("%s workers=%d: %d misses, %d hits, %d attached, %d continued", pass, workers, misses, hits, attached, continued)
+			if pass == "cold" && (misses != int64(len(distinct)) || discarded != 0) {
+				t.Errorf("cold workers=%d: %d misses, %d discarded attempts; want %d, 0", workers, misses, discarded, len(distinct))
+			}
+			if pass == "warm" && (misses != 0 || hits != 32 || discarded != 0 || continued != 0) {
+				t.Errorf("warm workers=%d: %d misses, %d hits, %d discarded attempts, %d continued; want 0, 32, 0, 0", workers, misses, hits, discarded, continued)
+			}
+			if pass == "cold" && int(misses+hits)+attached != 32 {
+				t.Errorf("cold workers=%d: %d misses + %d hits + %d attached, want the 32 domain streams", workers, misses, hits, attached)
+			}
+		}
 	}
 }
 

@@ -68,6 +68,10 @@ func (a *AtomicFile) Write(p []byte) (int, error) {
 // Name returns the destination path the file will be committed to.
 func (a *AtomicFile) Name() string { return a.path }
 
+// StagedName returns the temporary file the bytes are staged in until
+// Commit, so a reader can follow them while they are written.
+func (a *AtomicFile) StagedName() string { return a.f.Name() }
+
 // Commit makes the staged bytes the content of the destination path:
 // fsync the temporary file (so the rename never publishes an empty or
 // partial file after a power failure), close it, and rename it over the

@@ -114,7 +114,11 @@ func Figure11(study []experiments.SensitivityResult) string {
 		if r.Sensitive {
 			mark = "*"
 		}
-		fmt.Fprintf(&b, "%s %-14s %6sMB ", mark, r.Name, mb(float64(r.Adequate)))
+		adequate := "n/a"
+		if r.Adequate > 0 {
+			adequate = mb(float64(r.Adequate)) + "MB"
+		}
+		fmt.Fprintf(&b, "%s %-14s %8s ", mark, r.Name, adequate)
 		for _, v := range r.NormIPC {
 			fmt.Fprintf(&b, " %6.2f ", v)
 		}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -82,8 +83,16 @@ func TestFigure11Rendering(t *testing.T) {
 			Sizes: []int64{128 << 10, 8 << 20}, NormIPC: []float64{0.8, 1.0},
 			Adequate: 256 << 10, Sensitive: false,
 		},
+		{
+			// Unmeasured: no finite IPC at 8MB to normalize by.
+			Name:  "exchange2_0",
+			Sizes: []int64{128 << 10, 8 << 20}, NormIPC: []float64{math.NaN(), math.NaN()},
+		},
 	}
 	out := Figure11(study)
+	if !strings.Contains(out, "  exchange2_0         n/a ") {
+		t.Errorf("unmeasured row not rendered n/a:\n%s", out)
+	}
 	if !strings.Contains(out, "* mcf_0") {
 		t.Error("sensitive row not starred")
 	}

@@ -118,12 +118,15 @@ func headerBytes(key Key, rich bool) ([]byte, error) {
 
 // Writer streams events into a staged cache entry. Events accumulate into
 // 64-byte blocks; Commit seals the footer (count + CRC) and atomically
-// publishes the file. Close without Commit discards everything.
+// publishes the file. Close without Commit discards everything. Follow
+// reads the staged entry while it is written.
 type Writer struct {
 	st   *Store
+	key  Key
 	af   *fsutil.AtomicFile
 	bw   *bufio.Writer
 	rich bool
+	hdr  int64 // header bytes: the data region's offset
 
 	block    [blockSize]byte
 	n        int // payload bytes staged in block
@@ -132,6 +135,9 @@ type Writer struct {
 	count    uint64
 	crc      uint32
 	written  int64
+	blocks   int64 // data blocks sealed into bw
+	flushed  int64 // data blocks flushed to the staged file
+	sealed   bool  // committed: the file holds every event and the footer
 }
 
 func newWriter(st *Store, key Key, rich bool) (*Writer, error) {
@@ -148,7 +154,7 @@ func newWriter(st *Store, key Key, rich bool) (*Writer, error) {
 		af.Close()
 		return nil, fmt.Errorf("tracecache: %w", err)
 	}
-	return &Writer{st: st, af: af, bw: bw, rich: rich, written: int64(len(hdr))}, nil
+	return &Writer{st: st, key: key, af: af, bw: bw, rich: rich, hdr: int64(len(hdr)), written: int64(len(hdr))}, nil
 }
 
 // WriteEvents appends a batch of events. Safe to call with the engine's
@@ -269,6 +275,7 @@ func (w *Writer) flushBlock() error {
 		return fmt.Errorf("tracecache: %w", err)
 	}
 	w.written += blockSize
+	w.blocks++
 	w.n = 0
 	return nil
 }
@@ -296,13 +303,72 @@ func (w *Writer) Commit() error {
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
+	w.flushed = w.blocks
 	if err := w.af.Commit(); err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
+	w.sealed = true
 	if w.st != nil {
 		w.st.bytesWritten.Add(w.written)
 	}
 	return nil
+}
+
+// CommitLonger is Commit for an entry whose stream extends or is extended
+// by every other stream of its key: unless the store already holds an
+// entry for the key with at least as many events, it commits; otherwise
+// it discards its own staged file and reports false. Rich mix entries are
+// such streams — one measured stream, then a prefix of one deterministic
+// pressure stream — so the longer entry serves every reader the shorter
+// would, and a later, shorter commit never shrinks a pressure tail. The
+// caller holds the entry's Lock.
+func (w *Writer) CommitLonger() (bool, error) {
+	if r, err := openReader(w.st.EntryPath(w.key), nil); err == nil {
+		longer := r.key == w.key && r.version == FormatVersion && r.rich == w.rich && r.wantCount >= w.count
+		r.Close()
+		if longer {
+			return false, w.Close()
+		}
+	}
+	return true, w.Commit()
+}
+
+// Pos is a point in a writer's stream, at which a follower can start
+// reading (Writer.Follow, Reader.Seek): the number of events before it,
+// and where the next event starts and the decoder's state there.
+type Pos struct {
+	Events   uint64
+	block    int64 // data block holding the next event
+	off      int   // payload bytes of that block before it
+	prevAddr uint64
+	masks    maskList
+}
+
+// Pos returns the point after the events written so far.
+func (w *Writer) Pos() Pos {
+	return Pos{Events: w.count, block: w.blocks, off: w.n, prevAddr: w.prevAddr, masks: w.masks}
+}
+
+// Follow opens a reader that follows the writer's uncommitted entry from
+// p, a Pos of this writer (the zero Pos is the stream's start). Its Read
+// returns the events written so far, then a short batch — possibly
+// empty — with a nil error once it has caught up with the writer, and
+// io.EOF once the writer has committed and every event is read. A
+// follower flushes the writer's buffer before it reads the staged file,
+// and reads the writer's unsealed block from memory, so its Read and Seek
+// must not run concurrently with the writer's methods. It checks the
+// event count at the end but not the CRC, which covers the same bytes.
+func (w *Writer) Follow(p Pos) (*Reader, error) {
+	if w.sealed {
+		return nil, fmt.Errorf("tracecache: follow of %s after Commit", w.af.Name())
+	}
+	f, err := os.Open(w.af.StagedName())
+	if err != nil {
+		return nil, fmt.Errorf("tracecache: %w", err)
+	}
+	r := &Reader{st: w.st, f: f, key: w.key, version: FormatVersion, rich: w.rich, w: w}
+	r.Seek(p)
+	return r, nil
 }
 
 // Close discards an uncommitted entry (no-op after Commit). Always safe to
@@ -333,7 +399,22 @@ type Reader struct {
 	dataLeft  int64
 	read      int64
 	finished  bool
+
+	// A follower's writer (nil for an entry opened from the store), the
+	// data block in block and whether it was the writer's unsealed one
+	// (so it is loaded again for the events added since), and a run of
+	// sealed blocks read from the staged file.
+	w       *Writer
+	cur     int64
+	partial bool
+	run     []byte
+	runAt   int64 // block number of run[0]
+	runLen  int64 // blocks in run
 }
+
+// followRun is the number of sealed blocks a follower reads from the
+// staged file at once.
+const followRun = 1024
 
 // openReader validates the file's structure and header and positions the
 // stream at the first data block. st may be nil (ReadInfo's path); key
@@ -541,9 +622,20 @@ func (r *Reader) decodeRich() (Event, error) {
 	return ev, nil
 }
 
+// Seek moves a follower (Writer.Follow) to p, a Pos of its writer.
+func (r *Reader) Seek(p Pos) {
+	r.cur, r.partial = p.block, true
+	r.pos, r.n = p.off, p.off
+	r.prevAddr, r.masks, r.decoded = p.prevAddr, p.masks, p.Events
+	r.finished = false
+}
+
 // nextBlock loads the next data block; false means the data region is
 // exhausted.
 func (r *Reader) nextBlock() (bool, error) {
+	if r.w != nil {
+		return r.followBlock()
+	}
 	if r.dataLeft == 0 {
 		return false, nil
 	}
@@ -561,8 +653,80 @@ func (r *Reader) nextBlock() (bool, error) {
 	return true, nil
 }
 
-// finish validates the drained stream against the footer.
+// followBlock loads a follower's next block: the one it stands in again
+// while that was the writer's unsealed block, else the one after. False
+// means the follower has read every event written so far.
+func (r *Reader) followBlock() (bool, error) {
+	w := r.w
+	b := r.cur
+	if !r.partial {
+		b++
+	}
+	start := 0 // payload bytes already decoded from block b
+	if b == r.cur {
+		start = r.pos
+	}
+	var n int
+	switch {
+	case b < w.blocks:
+		if err := r.loadSealed(b); err != nil {
+			return false, err
+		}
+		if n = int(r.block[payloadMax]); n > payloadMax || n < start {
+			return false, fmt.Errorf("%w: followed block %d holds %d payload bytes", ErrCorrupt, b, n)
+		}
+		r.partial = false
+	case b == w.blocks && w.n > start:
+		n = w.n
+		copy(r.block[start:n], w.block[start:n])
+		r.partial = true
+	default:
+		return false, nil
+	}
+	r.cur, r.pos, r.n = b, start, n
+	return true, nil
+}
+
+// loadSealed copies sealed block b into r.block, reading a run of blocks
+// from the staged file when b is not in the last one, after flushing the
+// writer's buffer if b has not reached the file yet.
+func (r *Reader) loadSealed(b int64) error {
+	if b < r.runAt || b >= r.runAt+r.runLen {
+		w := r.w
+		if b >= w.flushed {
+			if err := w.bw.Flush(); err != nil {
+				return fmt.Errorf("tracecache: %w", err)
+			}
+			w.flushed = w.blocks
+		}
+		if r.run == nil {
+			r.run = make([]byte, followRun*blockSize)
+		}
+		n := min(followRun, w.flushed-b)
+		buf := r.run[:n*blockSize]
+		if _, err := r.f.ReadAt(buf, w.hdr+b*blockSize); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		r.read += int64(len(buf))
+		r.runAt, r.runLen = b, n
+	}
+	copy(r.block[:], r.run[(b-r.runAt)*blockSize:])
+	return nil
+}
+
+// finish validates the drained stream against the footer. A follower
+// drains only once its writer has committed; until then it has caught up.
 func (r *Reader) finish() error {
+	if r.w != nil {
+		if !r.w.sealed {
+			return nil
+		}
+		r.finished = true
+		if r.decoded != r.w.count {
+			return fmt.Errorf("%w: followed %d events, writer wrote %d", ErrCorrupt, r.decoded, r.w.count)
+		}
+		return io.EOF
+	}
 	r.finished = true
 	if r.decoded != r.wantCount {
 		return fmt.Errorf("%w: decoded %d events, footer says %d", ErrCorrupt, r.decoded, r.wantCount)

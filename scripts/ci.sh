@@ -18,7 +18,9 @@
 #           equivalence (clean runs, inline and concurrent lane rounds, and
 #           a mid-mix kill-and-resume), its bounded tape window (the
 #           chunk ring the concurrent lanes share), its fe-cache keys
-#           (pinned monitor geometry) and its recorder-free warm tapes, and
+#           (pinned monitor geometry), its recorder-free warm tapes, its
+#           one stream per key across concurrent mixes and its warm tapes
+#           continued cold on a live stream, and
 #           the cmd-level kill-and-resume, fail-fast, sharded
 #           worker-kill-and-merge, dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
@@ -96,10 +98,17 @@ echo "==> go test -race (mix-fusion equivalence + bounded tape: clean + mid-mix 
 # TestMixTapeFollowsWindow checks that ring's buffer count at both.
 # TestMixEntryKeyPinsMonitorGeometry keeps entries recorded under another
 # monitor geometry apart, and TestWarmMixBuildsNoShadowRecorder bounds a
-# warm mix's allocations below one shadow recorder. The campaign-level
+# warm mix's allocations below one shadow recorder.
+# TestMixStreamsSingleFlight runs Mixes 1-4 cold on pools of 2 and 4
+# workers, whose tapes share live streams through followers of the staged
+# entries, and TestMixFusionUnderrunRegenerates and
+# TestMixTapeResumesOnLiveStream continue warm tapes cold past their
+# entry's end, alone and on another tape's live stream, and
+# TestMixStreamFailureFailsConsumers fails every consumer of a stream
+# whose production failed. The campaign-level
 # check covers cold, warm-cache, and a checkpointed mid-mix
 # kill-and-resume through the fused path.
-go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder' \
+go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder|TestMixStreamsSingleFlight|TestMixTapeResumesOnLiveStream|TestMixStreamFailureFailsConsumers' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 
