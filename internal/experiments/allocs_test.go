@@ -36,8 +36,8 @@ func TestColdPassAllocs(t *testing.T) {
 
 // TestWarmPassReads pins what one sidecar-served warm pass of mcf_0 at
 // 600k instructions reads from the store, to the byte: the entry (header,
-// data blocks, footer) plus its lane-outcome sidecar. Any change to the
-// trace or sidecar encoding moves it.
+// data blocks, run index, footer) plus its lane-outcome sidecar. Any
+// change to the trace or sidecar encoding moves it.
 //
 // The pass's allocations are bounded rather than pinned. A pass makes 78
 // while the sync.Pools it draws on (fmt's, for the store's entry paths,
@@ -48,7 +48,7 @@ func TestColdPassAllocs(t *testing.T) {
 func TestWarmPassReads(t *testing.T) {
 	const (
 		instructions = 600_000
-		wantBytes    = 1_996_933
+		wantBytes    = 1_997_061 // 1,996,933 before the run index's two blocks
 		maxAllocs    = 96
 	)
 	p, err := workload.SPECByName("mcf_0")

@@ -43,8 +43,8 @@ func OpenFrontEndCache(dir string, rebuild bool, logf func(format string, args .
 	return st, func() {
 		SetFrontEndCache(nil)
 		c := st.Counters()
-		logf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written, %d peak mix tape window events, %d discarded mix attempts, %d continued mix tapes, %d attached mix tapes",
-			c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten, MixTapeWindowPeak(), mixDiscarded.Load(), mixContinued.Load(), mixAttached.Load())
+		logf("fe-cache: %d hits, %d misses, %d rebuilds, %d outcome hits, %d outcome misses, %d bytes read, %d bytes written, %d peak mix tape window events, %d continued mix tapes, %d attached mix tapes",
+			c.Hits, c.Misses, c.Rebuilds, c.OutcomeHits, c.OutcomeMisses, c.BytesRead, c.BytesWritten, MixTapeWindowPeak(), mixContinued.Load(), mixAttached.Load())
 	}, nil
 }
 

@@ -54,15 +54,18 @@
 // through its own follower of the staged entry, and generates the next
 // batch itself when it reaches the head. The last consumer out extends
 // the tail to the hungriest consumer's need and commits, and a commit
-// never replaces a longer tail (tracecache.Writer.CommitLonger). The
-// pressure tail is the one stored quantity whose needed length depends on
-// the scheme mix: a warm tape whose entry runs out while a lane still
-// wants events (a lane kept a domain alive longer than the recorded runs
-// did) continues cold in place — it regenerates the events already
-// served into a fresh entry and produces on (mixTape.resume), so no
-// attempt is discarded for a short tail. Only an entry found corrupt
-// mid-run under the store's rebuild policy still costs a discarded
-// attempt; see runMixFused.
+// never replaces a longer tail (tracecache.Writer.CommitLonger).
+//
+// A warm tape has one way to recover: it continues cold in place
+// (mixTape.resume) — it regenerates the events already served into a
+// fresh entry and produces on. It does so when its entry runs out while a
+// lane still wants events (the pressure tail is the one stored quantity
+// whose needed length depends on the scheme mix), and, under the store's
+// rebuild policy, when its reader finds a run of the entry corrupt. A
+// reader verifies each run before it serves any event of it, so every
+// event the lanes have taken is sound and no mix is ever restarted;
+// without rebuild a corrupt entry fails the mix. Nor is a warm entry read
+// past what the lanes take: there is no end-of-entry check left to reach.
 package experiments
 
 import (
@@ -97,20 +100,13 @@ import (
 // rediscovering the limit mid-run.
 const mixReplayEventBudget = 64 << 20
 
-// mixFusionMaxRestarts bounds the corrupt-entry regeneration loop: each
-// restart forces at least one more domain cold, so eight always suffice.
-const mixFusionMaxRestarts = 8
-
-// Sentinel conditions the fused engine resolves itself (oracle fallback or
-// cold regeneration of an entry found corrupt mid-run under the store's
-// rebuild policy) when no telemetry sinks are attached, and surfaces as
-// retryable errors when they are — a retry with fresh sinks
-// (parallel.RetryUnit in cmd/experiments' runMixUnit provides exactly
-// that) takes the recovery path cleanly.
-var (
-	errMixOverBudget    = errors.New("experiments: fused mix tape window exceeds the replay memory budget")
-	errMixEntryRejected = errors.New("experiments: fused mix replay found a cached entry corrupt; entry removed, retry regenerates it")
-)
+// errMixOverBudget is the one condition the fused engine cannot resolve in
+// place once a lane has emitted into telemetry sinks: the mix belongs on
+// the oracle. Without sinks the engine falls back silently; with them it
+// surfaces this retryable error, and a retry with fresh sinks
+// (parallel.RetryUnit in cmd/experiments' runMixUnit) lands on the oracle
+// through the scale note.
+var errMixOverBudget = errors.New("experiments: fused mix tape window exceeds the replay memory budget")
 
 // mixOverBudgetScaleBits remembers (as math.Float64bits) the smallest scale
 // whose tape window overran mixReplayEventBudget in this process; zero
@@ -366,7 +362,8 @@ func (s *mixStream) generate(ring *mixRing, limit int) ([]feEvent, bool, error) 
 // A tape extends itself from one of two producers. A warm tape reads a
 // committed fe-cache entry. Every other tape consumes a mixStream, whose
 // front end this or another mix runs; a warm tape whose entry runs out
-// while a lane still wants events turns into one (resume).
+// while a lane still wants events, or turns out corrupt under the store's
+// rebuild policy, turns into one (resume).
 type mixTape struct {
 	ring     *mixRing
 	mu       sync.Mutex
@@ -377,7 +374,6 @@ type mixTape struct {
 	measured int // -1 until the measured stream has ended
 	done     bool
 	err      error
-	cold     bool // opened on a stream, not on a committed entry
 
 	ctx context.Context
 	o   *mixOrigin
@@ -407,26 +403,24 @@ type mixTape struct {
 func (t *mixTape) end() int { return t.first + len(t.chunks) }
 
 // open starts the tape on its key: a live stream of the key if there is
-// one, else the committed entry (unless forceCold), else a new stream.
-func (t *mixTape) open(forceCold bool) error {
+// one, else the committed entry, else a new stream.
+func (t *mixTape) open() error {
 	o := t.o
 	if o.st == nil {
 		s, err := newMixStream(o)
 		if err != nil {
 			return err
 		}
-		t.cold = true
 		t.join(s)
 		return nil
 	}
 	mixStreamsMu.Lock()
 	defer mixStreamsMu.Unlock()
 	if s := mixStreams[mixStreamID{o.st, o.key}]; s != nil {
-		t.cold = true
 		t.attach(s)
 		return nil
 	}
-	r, err := openMixEntry(o.st, o.key, forceCold)
+	r, err := openMixEntry(o.st, o.key)
 	if err != nil {
 		return err
 	}
@@ -434,7 +428,6 @@ func (t *mixTape) open(forceCold bool) error {
 		t.r, t.buf = r, make([]feEvent, laneChunk)
 		return nil
 	}
-	t.cold = true
 	return t.startStream()
 }
 
@@ -465,15 +458,16 @@ func (t *mixTape) attach(s *mixStream) {
 	mixAttached.Add(1)
 }
 
-// resume continues a warm tape whose entry has run out while a lane still
-// wants events. The entry's end verified its count and CRC; the tape now
-// consumes its key's stream from where the entry ended — a live stream it
-// attaches to, else one it starts from the domain's unconsumed streams and
-// regenerates up to there (the events already served, re-encoded into a
-// fresh entry, whose marker must fall where the old entry's did). Only a
-// lane's demand resumes a tape, never the drain in finish, so a warm run
-// with the options that wrote its entries never continues. The caller
-// holds mu; false means the tape cannot produce again.
+// resume continues a warm tape cold from where its entry stopped serving:
+// the entry's end, once a lane still wants events, or a run that failed
+// its CRC (read). Every event the entry served was verified. The tape now
+// consumes its key's stream — a live stream it attaches to, else one it
+// starts from the domain's unconsumed streams and regenerates up to the
+// tape's position (the events already served, re-encoded into a fresh
+// entry, whose marker must fall where the old entry's did, if the tape
+// saw it). Only a lane's demand runs a tape past its entry's end, so a
+// warm run with the options that wrote its entries never continues. The
+// caller holds mu; false means the tape cannot produce again.
 func (t *mixTape) resume() bool {
 	if t.r == nil || t.err != nil {
 		return false
@@ -492,7 +486,7 @@ func (t *mixTape) resume() bool {
 		t.err = err
 		return false
 	}
-	t.done, t.continued, t.inherited = false, true, true
+	t.done, t.continued, t.inherited = false, true, t.markAt >= 0
 	mixContinued.Add(1)
 	return true
 }
@@ -562,18 +556,37 @@ func (t *mixTape) produce() {
 }
 
 // read decodes the next batch of a warm entry into the tape's read buffer
-// and publishes a copy. The per-batch checkpoint in produce keeps the warm
-// path's cancellation and fault cadence aligned with the cold path's.
+// and publishes a copy. A corrupt run the store may rebuild removes the
+// entry, so that the regenerated one replaces it, and resumes the tape
+// cold after the verified events before the run. The per-batch checkpoint
+// in produce keeps the warm path's cancellation and fault cadence aligned
+// with the cold path's.
 func (t *mixTape) read() error {
 	n, err := t.r.Read(t.buf)
 	if terr := t.take(t.buf[:n], t.pos); terr != nil {
 		return terr
 	}
 	t.pos += n
-	if errors.Is(err, io.EOF) {
+	switch {
+	case errors.Is(err, io.EOF):
 		t.done = true
 		if t.measured < 0 {
 			return fmt.Errorf("%w: no measured-end marker", tracecache.ErrCorrupt)
+		}
+		return nil
+	case errors.Is(err, tracecache.ErrCorrupt) && t.o.st.RebuildEnabled():
+		st, key := t.o.st, t.o.key
+		mixStreamsMu.Lock() // the lock order of open
+		unlock := st.Lock(key)
+		err = os.Remove(st.EntryPath(key))
+		unlock()
+		mixStreamsMu.Unlock()
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+		st.NoteRebuild()
+		if !t.resume() {
+			return t.err
 		}
 		return nil
 	}
@@ -757,17 +770,6 @@ func (t *mixTape) release(keep int) {
 	}
 }
 
-// finish drains a warm tape's reader past the lanes, every chunk straight
-// back into the ring: the entry's event count and CRC are verified only
-// at its end.
-func (t *mixTape) finish() {
-	t.release(t.end())
-	for t.r != nil && !t.done {
-		t.produce()
-		t.release(t.end())
-	}
-}
-
 // close releases the tape's reader and leaves its stream.
 func (t *mixTape) close() {
 	if t.r != nil {
@@ -907,24 +909,21 @@ func runRound(tasks []func() error, jobs int) error {
 	return nil
 }
 
-// mixTapeStats measures one fused attempt's tape memory and the recovery
-// work of the mix that ran it.
+// mixTapeStats measures one fused mix's tape memory and its recovery work.
 type mixTapeStats struct {
 	window    int // peak live tape events at a round boundary, all domains
 	produced  int // chunks published, pressure-tail extension included
 	allocated int // chunk buffers the ring made
-	restarts  int // attempts discarded to regenerate corrupt entries
-	continued int // warm tapes whose entry ran out and that went on cold
+	continued int // warm tapes that went on cold: entry ran out or corrupt
 	attached  int // tapes that joined a stream another mix started
 }
 
-// Process-wide counts of the fused engine's recovery work: attempts
-// discarded to regenerate an entry found corrupt mid-run, warm tapes
-// continued cold past their entry's end, and tapes that attached to a
-// stream another mix was generating.
-var mixDiscarded, mixContinued, mixAttached atomic.Int64
+// Process-wide counts of the fused engine's recovery work: warm tapes
+// continued cold past their entry's end or a corrupt run of it, and tapes
+// that attached to a stream another mix was generating.
+var mixContinued, mixAttached atomic.Int64
 
-// mixTapeWindowPeak is the largest window any fused mix attempt in this
+// mixTapeWindowPeak is the largest window any fused mix in this
 // process held: the gauge obs.mix.tape_window_events.
 var mixTapeWindowPeak atomic.Int64
 
@@ -944,14 +943,12 @@ func MixTapeWindowPeak() int64 { return mixTapeWindowPeak.Load() }
 
 // RegisterMixMetrics exposes MixTapeWindowPeak and the recovery counts on
 // a telemetry registry as the lazy gauges obs.mix.tape_window_events,
-// obs.mix.discarded_attempts, obs.mix.continued and obs.mix.attached.
-// Nil-safe.
+// obs.mix.continued and obs.mix.attached. Nil-safe.
 func RegisterMixMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("obs.mix.tape_window_events", func() float64 { return float64(mixTapeWindowPeak.Load()) })
-	reg.GaugeFunc("obs.mix.discarded_attempts", func() float64 { return float64(mixDiscarded.Load()) })
 	reg.GaugeFunc("obs.mix.continued", func() float64 { return float64(mixContinued.Load()) })
 	reg.GaugeFunc("obs.mix.attached", func() float64 { return float64(mixAttached.Load()) })
 }
@@ -960,14 +957,17 @@ func RegisterMixMetrics(reg *telemetry.Registry) {
 // ineligible (its live tape window outgrew the memory budget) and the
 // caller should run the per-scheme oracle; it is only returned when no
 // sinks are attached or before any lane has run, so falling back never
-// duplicates events. Errors from the sentinel conditions above are
-// retryable: the recovery (cold regeneration, oracle fallback) engages on
-// the next attempt.
+// duplicates events. With sinks, the over-budget condition surfaces as the
+// retryable errMixOverBudget instead.
 func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResult, mixTapeStats, bool, error) {
 	var stats mixTapeStats
 	scale := opts.scale()
 	if mixScaleOverBudget(scale) {
 		return nil, stats, false, nil
+	}
+	specs, err := BuildDomains(mix, scale, opts.Secret)
+	if err != nil {
+		return nil, stats, false, err
 	}
 	st := FrontEndCache()
 	annotated := !opts.DisableAnnotations
@@ -975,47 +975,6 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	// and the shadow-array geometry the front ends record masks under.
 	geom := sim.Scaled(partition.DefaultScheme(partition.Static), scale)
 	rec := mixSimConfig(opts, partition.Untangle, scale).MonitorConfig()
-
-	keys := make([]tracecache.Key, len(mix.Pairs))
-	for i := range keys {
-		key := mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways)
-		keys[i] = pinMonitorGeometry(key, rec, geom.MonitorConfig())
-	}
-
-	// With telemetry sinks attached, a discarded attempt has already
-	// emitted into them; recovery then needs fresh sinks, so it is
-	// surfaced as a retryable error instead of restarting in place.
-	canRestart := opts.TracerFor == nil
-
-	forceCold := make([]bool, len(keys))
-	for attempt := 0; ; attempt++ {
-		stats = mixTapeStats{restarts: attempt}
-		// Each attempt builds fresh domain streams: a tape that generates
-		// consumes its domain's.
-		specs, err := BuildDomains(mix, scale, opts.Secret)
-		if err != nil {
-			return nil, stats, false, err
-		}
-		res, retry, ok, err := runMixFusedOnce(ctx, mix, opts, keys, forceCold, st, specs, scale, &stats)
-		if err != nil || !ok || !retry {
-			return res, stats, ok, err
-		}
-		// retry: corrupt entries were removed and their domains forced
-		// cold; go again.
-		mixDiscarded.Add(1)
-		if !canRestart {
-			return nil, stats, true, errMixEntryRejected
-		}
-		if attempt >= mixFusionMaxRestarts {
-			return nil, stats, true, fmt.Errorf("experiments: mix %d fused replay did not converge after %d regenerations", mix.ID, attempt)
-		}
-	}
-}
-
-// runMixFusedOnce runs one fused attempt. retry=true asks the caller to
-// regenerate (corrupt entries already removed, forceCold updated);
-// ok=false routes to the oracle.
-func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys []tracecache.Key, forceCold []bool, st *tracecache.Store, specs []sim.DomainSpec, scale float64, stats *mixTapeStats) (*MixResult, bool, bool, error) {
 	// One front end serves every lane, so it resolves under a dynamic
 	// scheme's configuration: the L1 geometry, annotation switch, and
 	// monitor gate and recorder are scheme-independent (sim.Scaled varies
@@ -1025,23 +984,24 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 	feOpts.TracerFor = nil
 	feCfg := mixSimConfig(feOpts, partition.Untangle, scale)
 	ring := &mixRing{}
-	tapes := make([]*mixTape, 0, len(keys))
+	tapes := make([]*mixTape, 0, len(mix.Pairs))
 	defer func() {
 		for _, t := range tapes {
 			t.close()
 		}
 	}()
-	for i := range keys {
+	for i, pair := range mix.Pairs {
+		key := mixStreamKey(pair, i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways)
 		t := &mixTape{
 			ring:     ring,
 			measured: -1,
 			markAt:   -1,
 			ctx:      ctx,
-			o:        &mixOrigin{st: st, key: keys[i], idx: i, cfg: feCfg, spec: specs[i]},
+			o:        &mixOrigin{st: st, key: pinMonitorGeometry(key, rec, geom.MonitorConfig()), idx: i, cfg: feCfg, spec: specs[i]},
 		}
 		tapes = append(tapes, t)
-		if err := t.open(forceCold[i]); err != nil {
-			return nil, false, false, err
+		if err := t.open(); err != nil {
+			return nil, stats, false, err
 		}
 	}
 
@@ -1060,7 +1020,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 		s, err := sim.New(mixSimConfig(opts, kind, scale), laneSpecs)
 		if err != nil {
-			return nil, false, false, fmt.Errorf("mix %d, %v: %w", mix.ID, kind, err)
+			return nil, stats, false, fmt.Errorf("mix %d, %v: %w", mix.ID, kind, err)
 		}
 		l.sim = s
 		lanes[i] = l
@@ -1068,12 +1028,13 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 
 	// Rounds: every live lane steps to the same simulated time, then the
 	// chunks all of them have passed go back to the ring. A failed tape
-	// spoils the attempt; stop stepping then.
+	// poisons every lane that fed from it: stop stepping and surface the
+	// cause.
 	jobs := parallel.Jobs(opts.Jobs)
 	live := slices.Clone(lanes)
 	next := make([]int, len(tapes))
 	tasks := make([]func() error, 0, 1+len(lanes))
-	for len(live) > 0 && !mixAttemptSpoiled(tapes) {
+	for len(live) > 0 {
 		for d := range tapes {
 			next[d] = 0
 			for _, l := range live {
@@ -1090,7 +1051,12 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 			tasks = append(tasks, l.step)
 		}
 		if err := runRound(tasks, jobs); err != nil {
-			return nil, false, false, err
+			return nil, stats, false, err
+		}
+		for _, t := range tapes {
+			if t.err != nil {
+				return nil, stats, false, t.err
+			}
 		}
 		live = slices.DeleteFunc(live, func(l *mixLane) bool { return l.res != nil })
 		window := 0
@@ -1104,9 +1070,9 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		if window > mixReplayEventBudget {
 			noteMixOverBudget(scale)
 			if opts.TracerFor == nil {
-				return nil, false, false, nil // oracle, silently
+				return nil, stats, false, nil // oracle, silently
 			}
-			return nil, false, false, errMixOverBudget // retry lands on the oracle via the scale note
+			return nil, stats, false, errMixOverBudget // retry lands on the oracle via the scale note
 		}
 		for d, t := range tapes {
 			keep := t.end()
@@ -1117,36 +1083,6 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 		}
 	}
 
-	// Past the lanes: drain the warm readers, whose entries verify only at
-	// their end. A failed tape poisons every lane that fed from it;
-	// surface the cause, unless it is a corrupt entry the store may
-	// rebuild.
-	retry := false
-	for d, t := range tapes {
-		if t.err == nil && !mixAttemptSpoiled(tapes) {
-			t.finish()
-		}
-		switch {
-		case t.err == nil:
-		case !t.cold && errors.Is(t.err, tracecache.ErrCorrupt) && st.RebuildEnabled():
-			st.NoteRebuild()
-			retry = true
-			forceCold[d] = true
-		default:
-			return nil, false, false, t.err
-		}
-	}
-	if retry {
-		for d, t := range tapes {
-			t.close()
-			if forceCold[d] && !t.cold {
-				unlock := st.Lock(keys[d])
-				os.Remove(st.EntryPath(keys[d]))
-				unlock()
-			}
-		}
-		return nil, true, true, nil
-	}
 	// Leave the streams, asking for a pressure tail of what the hungriest
 	// lane consumed plus slack, so same-options warm runs never run out:
 	// the last consumer of each stream commits it.
@@ -1156,7 +1092,7 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 			consumed = max(consumed, l.srcs[d].pos)
 		}
 		if err := t.detach(consumed + consumed/8 + laneChunk); err != nil {
-			return nil, false, false, err
+			return nil, stats, false, err
 		}
 		stats.produced += t.produced
 		if t.continued {
@@ -1171,27 +1107,13 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, keys [
 	for _, l := range lanes {
 		res.PerScheme[l.kind] = l.res
 	}
-	return res, false, true, nil
-}
-
-// mixAttemptSpoiled reports whether a tape has failed: the attempt's
-// results will be discarded.
-func mixAttemptSpoiled(tapes []*mixTape) bool {
-	for _, t := range tapes {
-		if t.err != nil {
-			return true
-		}
-	}
-	return false
+	return res, stats, true, nil
 }
 
 // openMixEntry opens a domain's cached entry for a warm tape. It returns
-// nil on a miss, when forceCold, or for an entry the store may rebuild:
-// the caller generates.
-func openMixEntry(st *tracecache.Store, key tracecache.Key, forceCold bool) (*tracecache.Reader, error) {
-	if st == nil || forceCold {
-		return nil, nil
-	}
+// nil on a miss or for an entry the store may rebuild: the caller
+// generates.
+func openMixEntry(st *tracecache.Store, key tracecache.Key) (*tracecache.Reader, error) {
 	unlock := st.Lock(key)
 	defer unlock()
 	r, err := st.Open(key)

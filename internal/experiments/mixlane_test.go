@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -268,9 +269,9 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 			t.Fatalf("%s: fused run: ok=%v err=%v", tc.name, ok, err)
 		}
 		requireMixBitwiseEqual(t, tc.name+" continued", warm, oracle)
-		if stats.restarts != 0 || stats.continued != 1 {
-			t.Errorf("%s: warm run discarded %d attempts and continued %d tapes, want 0 and 1 (the short tail must run out)",
-				tc.name, stats.restarts, stats.continued)
+		if stats.continued != 1 {
+			t.Errorf("%s: warm run continued %d tapes, want 1 (the short tail must run out)",
+				tc.name, stats.continued)
 		}
 
 		info, err := tracecache.ReadInfo(path)
@@ -340,14 +341,14 @@ func TestMixTapeResumesOnLiveStream(t *testing.T) {
 		}
 		want := slices.Delete(slices.Clone(full), cut, cut+1)
 
-		newTape := func(forceCold bool) *mixTape {
+		newTape := func() *mixTape {
 			specs, err := BuildDomains(mix, fusionTestScale, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tp := &mixTape{ring: &mixRing{}, measured: -1, markAt: -1, ctx: context.Background(),
 				o: &mixOrigin{st: st, key: key, idx: d, cfg: mixSimConfig(opts, partition.Untangle, fusionTestScale), spec: specs[d]}}
-			if err := tp.open(forceCold); err != nil {
+			if err := tp.open(); err != nil {
 				t.Fatal(err)
 			}
 			return tp
@@ -359,11 +360,14 @@ func TestMixTapeResumesOnLiveStream(t *testing.T) {
 			}
 			return out
 		}
-		warm := newTape(false)
+		warm := newTape()
 		if warm.r == nil {
 			t.Fatalf("%s: the short entry did not open warm", tc.name)
 		}
-		live := newTape(true)
+		if err := os.Remove(st.EntryPath(key)); err != nil { // so the live tape misses and generates
+			t.Fatal(err)
+		}
+		live := newTape()
 		for live.produced < tc.ahead {
 			live.produce()
 		}
@@ -437,7 +441,7 @@ func TestMixStreamFailureFailsConsumers(t *testing.T) {
 	var tapes [2]*mixTape
 	for i := range tapes {
 		tapes[i] = &mixTape{ring: &mixRing{}, measured: -1, markAt: -1, ctx: context.Background(), o: o}
-		if err := tapes[i].open(false); err != nil {
+		if err := tapes[i].open(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -535,21 +539,20 @@ func TestMixStreamsSingleFlight(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var discarded, continued, attached int
+			var continued, attached int
 			for i, r := range runs {
 				requireMixBitwiseEqual(t, fmt.Sprintf("%s workers=%d mix %d", pass, workers, mixes[i].ID), r.res, oracles[i])
-				discarded += r.stats.restarts
 				continued += r.stats.continued
 				attached += r.stats.attached
 			}
 			c := st.Counters()
 			misses, hits := c.Misses-before.Misses, c.Hits-before.Hits
 			t.Logf("%s workers=%d: %d misses, %d hits, %d attached, %d continued", pass, workers, misses, hits, attached, continued)
-			if pass == "cold" && (misses != int64(len(distinct)) || discarded != 0) {
-				t.Errorf("cold workers=%d: %d misses, %d discarded attempts; want %d, 0", workers, misses, discarded, len(distinct))
+			if pass == "cold" && misses != int64(len(distinct)) {
+				t.Errorf("cold workers=%d: %d misses; want %d", workers, misses, len(distinct))
 			}
-			if pass == "warm" && (misses != 0 || hits != 32 || discarded != 0 || continued != 0) {
-				t.Errorf("warm workers=%d: %d misses, %d hits, %d discarded attempts, %d continued; want 0, 32, 0, 0", workers, misses, hits, discarded, continued)
+			if pass == "warm" && (misses != 0 || hits != 32 || continued != 0) {
+				t.Errorf("warm workers=%d: %d misses, %d hits, %d continued; want 0, 32, 0", workers, misses, hits, continued)
 			}
 			if pass == "cold" && int(misses+hits)+attached != 32 {
 				t.Errorf("cold workers=%d: %d misses + %d hits + %d attached, want the 32 domain streams", workers, misses, hits, attached)
@@ -559,11 +562,10 @@ func TestMixStreamsSingleFlight(t *testing.T) {
 }
 
 // TestMixFusionCorruptEntry covers a warm entry damaged mid-file, which
-// the header check at open does not see: the streamed reader reaches the
-// damage, or the footer's CRC at the entry's end, only while or after the
-// lanes run. Without rebuild the mix fails with ErrCorrupt; with it, the
-// attempt is discarded and the domain regenerated, still matching the
-// oracle bitwise.
+// the checks at open do not see: the streamed reader reaches the damaged
+// run only while the lanes run. Without rebuild the mix fails with
+// ErrCorrupt; with it, the tape continues cold in place and regenerates
+// the entry, still matching the oracle bitwise.
 func TestMixFusionCorruptEntry(t *testing.T) {
 	mix, err := workload.MixByID(1)
 	if err != nil {
@@ -605,6 +607,104 @@ func TestMixFusionCorruptEntry(t *testing.T) {
 		}
 		if _, err := tracecache.ReadInfo(path); err != nil {
 			t.Errorf("rebuilt entry: %v", err)
+		}
+	}
+}
+
+// TestMixFusionCorruptEntryContinuesInPlace: a warm reader verifies each
+// run of an entry before it serves the run's events, so a tape whose
+// entry turns out corrupt under the rebuild policy has served only sound
+// events and continues cold in place, regenerating the entry — whether
+// the damage lies in the measured stream, before the tape saw the marker,
+// or in the pressure tail, after it. The mix matches the oracle bitwise,
+// one tape continues, one rebuild is counted, and the rewritten entry
+// holds the same measured stream. A warm rerun then reads less than its
+// entries hold: no tape reads its entry past what the lanes take.
+func TestMixFusionCorruptEntryContinuesInPlace(t *testing.T) {
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Scale: fusionTestScale}
+	oracle, err := RunMix(mix, Options{Scale: fusionTestScale, DisableFusion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetFrontEndCache(nil)
+	key := mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8)
+	for _, tc := range []struct {
+		name   string
+		marked bool // the damage lies past the measured-end marker
+	}{
+		{"measured stream", false},
+		{"pressure tail", true},
+	} {
+		st := newTestStore(t, true)
+		SetFrontEndCache(st)
+		if _, _, ok, err := runMixFused(context.Background(), mix, opts); err != nil || !ok {
+			t.Fatalf("%s: cold run: ok=%v err=%v", tc.name, ok, err)
+		}
+		path := st.EntryPath(key)
+		info, err := tracecache.ReadInfo(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flip a byte at the event share of the measured stream's middle,
+		// or of the first third of the tail, into the data region.
+		frac := float64(info.Measured) / float64(info.Events) / 2
+		if tc.marked {
+			frac = 2*frac + (1-2*frac)/3
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := (12 + int(binary.LittleEndian.Uint32(b[8:12])) + 63) / 64 * 64 // the block after the header
+		b[data+int(frac*float64(len(b)-data))] ^= 0x40
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		r, err := st.Open(key)
+		if err != nil || r == nil {
+			t.Fatalf("%s: open of the damaged entry: r=%v err=%v", tc.name, r, err)
+		}
+		served, err := readEntry(r)
+		if !errors.Is(err, tracecache.ErrCorrupt) || slices.ContainsFunc(served, isMeasuredEnd) != tc.marked {
+			t.Fatalf("%s: damaged entry serves %d events (marker among them: %v) then %v; want ErrCorrupt, marker %v",
+				tc.name, len(served), slices.ContainsFunc(served, isMeasuredEnd), err, tc.marked)
+		}
+
+		before := st.Counters()
+		got, stats, ok, err := runMixFused(context.Background(), mix, opts)
+		if err != nil || !ok {
+			t.Fatalf("%s: warm run: ok=%v err=%v", tc.name, ok, err)
+		}
+		requireMixBitwiseEqual(t, tc.name+" continued", got, oracle)
+		if rebuilds := st.Counters().Rebuilds - before.Rebuilds; stats.continued != 1 || rebuilds != 1 {
+			t.Errorf("%s: %d tapes continued, %d rebuilds; want 1, 1", tc.name, stats.continued, rebuilds)
+		}
+		rewritten, err := tracecache.ReadInfo(path)
+		if err != nil {
+			t.Fatalf("%s: rewritten entry: %v", tc.name, err)
+		}
+		if rewritten.Measured != info.Measured {
+			t.Errorf("%s: rewritten entry measures %d events, want %d", tc.name, rewritten.Measured, info.Measured)
+		}
+
+		var held int64
+		for d, pair := range mix.Pairs {
+			fi, err := os.Stat(st.EntryPath(mixStreamKey(pair, d, fusionTestScale, 0, true, 32<<10, 8)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			held += fi.Size()
+		}
+		before = st.Counters()
+		if _, stats, ok, err = runMixFused(context.Background(), mix, opts); err != nil || !ok || stats.continued != 0 {
+			t.Fatalf("%s: warm rerun: ok=%v err=%v, %d tapes continued", tc.name, ok, err, stats.continued)
+		}
+		if read := st.Counters().BytesRead - before.BytesRead; read >= held {
+			t.Errorf("%s: warm rerun read %d bytes of entries holding %d, want fewer", tc.name, read, held)
 		}
 	}
 }
@@ -751,13 +851,13 @@ func TestWarmMixBuildsNoShadowRecorder(t *testing.T) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	_, stats, ok, err := runMixFused(context.Background(), mix, opts)
+	_, _, ok, err := runMixFused(context.Background(), mix, opts)
 	runtime.ReadMemStats(&m1)
 	if err != nil || !ok {
 		t.Fatalf("warm run: ok=%v err=%v", ok, err)
 	}
-	if hits := st.Counters().Hits - before.Hits; hits != int64(len(mix.Pairs)) || stats.restarts != 0 {
-		t.Fatalf("warm run: %d hits, %d restarts; want %d, 0", hits, stats.restarts, len(mix.Pairs))
+	if hits := st.Counters().Hits - before.Hits; hits != int64(len(mix.Pairs)) {
+		t.Fatalf("warm run: %d hits; want %d", hits, len(mix.Pairs))
 	}
 	if n := m1.TotalAlloc - m0.TotalAlloc; n > maxBytes {
 		t.Errorf("warm Mix 1 allocated %d bytes, want at most %d (re-recording the masks allocated %d)", n, maxBytes, recordingBytes)

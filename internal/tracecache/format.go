@@ -1,3 +1,17 @@
+// The entry file format: the writer, and the reader that serves committed
+// entries and follows staged ones.
+//
+// An entry is verified run by run. The writer folds every sealed data
+// block into a CRC-32C per run of followRun blocks (64 KiB) and Commit
+// writes those CRCs as an index before the footer, whose own CRC covers
+// the index, the event count and the data block count. Opening an entry
+// checks the footer and the index; a committed reader then loads its data
+// a run at a time, by block number, and checks each run against the index
+// before it decodes any of the run's events. So no reader returns an event
+// from bytes it has not verified, and a reader that stops early has
+// verified every event it returned. A follower (Writer.Follow) reads the
+// same blocks while the entry is written, from the writer's own staged
+// file, and checks the event count once the writer has committed.
 package tracecache
 
 import (
@@ -117,9 +131,9 @@ func headerBytes(key Key, rich bool) ([]byte, error) {
 }
 
 // Writer streams events into a staged cache entry. Events accumulate into
-// 64-byte blocks; Commit seals the footer (count + CRC) and atomically
-// publishes the file. Close without Commit discards everything. Follow
-// reads the staged entry while it is written.
+// 64-byte blocks; Commit writes the run index and the footer and
+// atomically publishes the file. Close without Commit discards
+// everything. Follow reads the staged entry while it is written.
 type Writer struct {
 	st   *Store
 	key  Key
@@ -133,7 +147,8 @@ type Writer struct {
 	prevAddr uint64
 	masks    maskList
 	count    uint64
-	crc      uint32
+	crc      uint32 // CRC-32C of the current run's sealed blocks
+	index    []byte // one little-endian CRC-32C per finished run
 	written  int64
 	blocks   int64 // data blocks sealed into bw
 	flushed  int64 // data blocks flushed to the staged file
@@ -261,45 +276,70 @@ func (w *Writer) put(enc []byte) error {
 	return nil
 }
 
-// flushBlock seals the staged payload into one 64-byte record: fold it
-// into the CRC (the payload is exactly its events' bytes, so the streaming
-// CRC equals one over every event), zero the slack, stamp the payload
-// length in the last slot, emit.
+// flushBlock seals the staged payload into one 64-byte record: zero the
+// slack, stamp the payload length in the last slot, fold the whole block
+// into its run's CRC, emit. The run's CRC goes to the index once the run
+// is full.
 func (w *Writer) flushBlock() error {
-	w.crc = crc32.Update(w.crc, castagnoli, w.block[:w.n])
 	for i := w.n; i < payloadMax; i++ {
 		w.block[i] = 0
 	}
 	w.block[payloadMax] = byte(w.n)
+	w.crc = crc32.Update(w.crc, castagnoli, w.block[:])
 	if _, err := w.bw.Write(w.block[:]); err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
 	w.written += blockSize
 	w.blocks++
 	w.n = 0
+	if w.blocks%followRun == 0 {
+		w.sealRun()
+	}
 	return nil
+}
+
+// sealRun appends the current run's CRC to the index.
+func (w *Writer) sealRun() {
+	w.index = binary.LittleEndian.AppendUint32(w.index, w.crc)
+	w.crc = 0
+}
+
+// indexBytes is the size of the run index of an entry of blocks data
+// blocks: one CRC-32C per run, zero-padded to whole blocks.
+func indexBytes(blocks int64) int64 {
+	runs := (blocks + followRun - 1) / followRun
+	return (4*runs + blockSize - 1) / blockSize * blockSize
 }
 
 // Count returns the events written so far.
 func (w *Writer) Count() uint64 { return w.count }
 
-// Commit seals the entry — partial block, footer (sentinel, event count,
-// CRC-32C), flush, fsync, atomic rename — and records the bytes written on
-// the store. After Commit the writer is spent.
+// Commit seals the entry — partial block, run index, footer (sentinel,
+// event count, data block count, CRC-32C of the index and both counts),
+// flush, fsync, atomic rename — and records the bytes written on the
+// store. After Commit the writer is spent.
 func (w *Writer) Commit() error {
 	if w.n > 0 {
 		if err := w.flushBlock(); err != nil {
 			return err
 		}
 	}
+	if w.blocks%followRun != 0 {
+		w.sealRun()
+	}
+	w.index = append(w.index, make([]byte, indexBytes(w.blocks)-int64(len(w.index)))...)
 	var footer [blockSize]byte
 	binary.LittleEndian.PutUint64(footer[0:8], w.count)
-	binary.LittleEndian.PutUint32(footer[8:12], w.crc)
+	binary.LittleEndian.PutUint64(footer[8:16], uint64(w.blocks))
+	binary.LittleEndian.PutUint32(footer[16:20], footerCRC(w.index, footer[:]))
 	footer[payloadMax] = footerSentinel
+	if _, err := w.bw.Write(w.index); err != nil {
+		return fmt.Errorf("tracecache: %w", err)
+	}
 	if _, err := w.bw.Write(footer[:]); err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
-	w.written += blockSize
+	w.written += int64(len(w.index)) + blockSize
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
@@ -324,7 +364,7 @@ func (w *Writer) Commit() error {
 // caller holds the entry's Lock.
 func (w *Writer) CommitLonger() (bool, error) {
 	if r, err := openReader(w.st.EntryPath(w.key), nil); err == nil {
-		longer := r.key == w.key && r.version == FormatVersion && r.rich == w.rich && r.wantCount >= w.count
+		longer := r.key == w.key && r.rich == w.rich && r.wantCount >= w.count
 		r.Close()
 		if longer {
 			return false, w.Close()
@@ -357,7 +397,7 @@ func (w *Writer) Pos() Pos {
 // follower flushes the writer's buffer before it reads the staged file,
 // and reads the writer's unsealed block from memory, so its Read and Seek
 // must not run concurrently with the writer's methods. It checks the
-// event count at the end but not the CRC, which covers the same bytes.
+// event count at the end; the run CRCs are the committed entry's.
 func (w *Writer) Follow(p Pos) (*Reader, error) {
 	if w.sealed {
 		return nil, fmt.Errorf("tracecache: follow of %s after Commit", w.af.Name())
@@ -366,7 +406,7 @@ func (w *Writer) Follow(p Pos) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracecache: %w", err)
 	}
-	r := &Reader{st: w.st, f: f, key: w.key, version: FormatVersion, rich: w.rich, w: w}
+	r := &Reader{st: w.st, f: f, key: w.key, rich: w.rich, hdr: w.hdr, w: w}
 	r.Seek(p)
 	return r, nil
 }
@@ -375,17 +415,16 @@ func (w *Writer) Follow(p Pos) (*Reader, error) {
 // defer next to a conditional Commit.
 func (w *Writer) Close() error { return w.af.Close() }
 
-// Reader streams events back out of a cache entry. The footer's event
-// count and CRC are verified when the stream drains: mid-file bit flips
-// surface as ErrCorrupt from Read, never as silently wrong events.
+// Reader streams events back out of a cache entry, a run of blocks at a
+// time. Each run is checked against the entry's index before any of its
+// events decode, and the footer's event count when the stream drains:
+// bit flips surface as ErrCorrupt from Read, never as wrong events.
 type Reader struct {
 	st *Store
 	f  *os.File
-	br *bufio.Reader
 
-	key     Key
-	version int
-	rich    bool
+	key  Key
+	rich bool
 
 	block    [blockSize]byte
 	pos, n   int
@@ -394,16 +433,19 @@ type Reader struct {
 
 	decoded   uint64
 	wantCount uint64
-	crc       uint32
-	wantCRC   uint32
-	dataLeft  int64
 	read      int64
 	finished  bool
 
+	// The data region's offset, and a committed entry's data blocks and
+	// run index (the CRCs the runs are checked against).
+	hdr    int64
+	blocks int64
+	index  []byte
+
 	// A follower's writer (nil for an entry opened from the store), the
 	// data block in block and whether it was the writer's unsealed one
-	// (so it is loaded again for the events added since), and a run of
-	// sealed blocks read from the staged file.
+	// (so it is loaded again for the events added since), and the run of
+	// sealed blocks last read from the file.
 	w       *Writer
 	cur     int64
 	partial bool
@@ -412,9 +454,15 @@ type Reader struct {
 	runLen  int64 // blocks in run
 }
 
-// followRun is the number of sealed blocks a follower reads from the
-// staged file at once.
+// followRun is the number of data blocks in a run: the unit a reader loads
+// from the file at once, and a committed entry verifies with one CRC.
 const followRun = 1024
+
+// footerCRC is the footer's checksum: a CRC-32C over the run index and the
+// footer's two counts (footer[0:16]).
+func footerCRC(index, footer []byte) uint32 {
+	return crc32.Update(crc32.Checksum(index, castagnoli), castagnoli, footer[:16])
+}
 
 // openReader validates the file's structure and header and positions the
 // stream at the first data block. st may be nil (ReadInfo's path); key
@@ -462,6 +510,9 @@ func prepareReader(f *os.File, st *Store) (*Reader, error) {
 	if err := json.Unmarshal(doc, &h); err != nil {
 		return nil, fmt.Errorf("bad header JSON: %v", err)
 	}
+	if h.Version != FormatVersion {
+		return nil, fmt.Errorf("format v%d, this build reads v%d — rebuild the entry", h.Version, FormatVersion)
+	}
 	if h.Events == retiredRichEvents {
 		return nil, fmt.Errorf("event encoding %q predates persisted monitor masks — rebuild the entry", h.Events)
 	}
@@ -475,29 +526,37 @@ func prepareReader(f *os.File, st *Store) (*Reader, error) {
 	if footer[payloadMax] != footerSentinel {
 		return nil, fmt.Errorf("missing footer sentinel — torn or truncated")
 	}
-	if _, err := f.Seek(headerEnd, io.SeekStart); err != nil {
+	blocks := binary.LittleEndian.Uint64(footer[8:16])
+	if blocks > uint64(size/blockSize) || headerEnd+int64(blocks)*blockSize+indexBytes(int64(blocks))+blockSize != size {
+		return nil, fmt.Errorf("footer's %d data blocks do not fill the file's %d bytes — torn or truncated", blocks, size)
+	}
+	index := make([]byte, indexBytes(int64(blocks)))
+	if _, err := f.ReadAt(index, size-blockSize-int64(len(index))); err != nil {
 		return nil, err
 	}
-	dataLen := size - headerEnd - blockSize
+	if got, want := footerCRC(index, footer[:]), binary.LittleEndian.Uint32(footer[16:20]); got != want {
+		return nil, fmt.Errorf("footer CRC mismatch (%08x != %08x)", got, want)
+	}
 	return &Reader{
 		st:        st,
 		f:         f,
-		br:        bufio.NewReaderSize(io.LimitReader(f, dataLen), 1<<16),
 		key:       h.Key,
-		version:   h.Version,
 		rich:      h.Events == richEvents,
 		wantCount: binary.LittleEndian.Uint64(footer[0:8]),
-		wantCRC:   binary.LittleEndian.Uint32(footer[8:12]),
-		dataLeft:  dataLen,
-		read:      headerEnd + blockSize, // header and footer count as read
+		read:      headerEnd + int64(len(index)) + blockSize, // header, index and footer count as read
+		hdr:       headerEnd,
+		blocks:    int64(blocks),
+		index:     index,
+		cur:       -1,
 	}, nil
 }
 
 // Key returns the key embedded in the entry's header.
 func (r *Reader) Key() Key { return r.key }
 
-// Version returns the format version the entry was written with.
-func (r *Reader) Version() int { return r.version }
+// Version returns the format version the entry was written with: always
+// FormatVersion, as an entry of another version does not open.
+func (r *Reader) Version() int { return FormatVersion }
 
 // Rich reports whether the entry uses the rich event encoding (flags,
 // monitor masks and the measured-end marker; mix streams).
@@ -509,7 +568,8 @@ func (r *Reader) Count() uint64 { return r.wantCount }
 // Read decodes up to len(buf) events, returning the number decoded.
 // io.EOF (possibly alongside a final short batch) signals a cleanly
 // verified end of stream; any structural damage, count or CRC mismatch
-// wraps ErrCorrupt.
+// wraps ErrCorrupt, and the events returned before it are those of the
+// runs verified so far.
 func (r *Reader) Read(buf []Event) (int, error) {
 	if r.finished {
 		return 0, io.EOF
@@ -630,34 +690,11 @@ func (r *Reader) Seek(p Pos) {
 	r.finished = false
 }
 
-// nextBlock loads the next data block; false means the data region is
-// exhausted.
+// nextBlock loads the next data block: the one the reader stands in again
+// while that was a writer's unsealed block, else the one after. False
+// means the reader has read every event of a committed entry, or every
+// event a follower's writer has written so far.
 func (r *Reader) nextBlock() (bool, error) {
-	if r.w != nil {
-		return r.followBlock()
-	}
-	if r.dataLeft == 0 {
-		return false, nil
-	}
-	if _, err := io.ReadFull(r.br, r.block[:]); err != nil {
-		return false, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	r.dataLeft -= blockSize
-	r.read += blockSize
-	n := int(r.block[payloadMax])
-	if n > payloadMax {
-		return false, fmt.Errorf("%w: block payload length %d", ErrCorrupt, n)
-	}
-	r.crc = crc32.Update(r.crc, castagnoli, r.block[:n])
-	r.pos, r.n = 0, n
-	return true, nil
-}
-
-// followBlock loads a follower's next block: the one it stands in again
-// while that was the writer's unsealed block, else the one after. False
-// means the follower has read every event written so far.
-func (r *Reader) followBlock() (bool, error) {
-	w := r.w
 	b := r.cur
 	if !r.partial {
 		b++
@@ -666,19 +703,23 @@ func (r *Reader) followBlock() (bool, error) {
 	if b == r.cur {
 		start = r.pos
 	}
+	sealed := r.blocks
+	if r.w != nil {
+		sealed = r.w.blocks
+	}
 	var n int
 	switch {
-	case b < w.blocks:
+	case b < sealed:
 		if err := r.loadSealed(b); err != nil {
 			return false, err
 		}
 		if n = int(r.block[payloadMax]); n > payloadMax || n < start {
-			return false, fmt.Errorf("%w: followed block %d holds %d payload bytes", ErrCorrupt, b, n)
+			return false, fmt.Errorf("%w: block %d holds %d payload bytes", ErrCorrupt, b, n)
 		}
 		r.partial = false
-	case b == w.blocks && w.n > start:
-		n = w.n
-		copy(r.block[start:n], w.block[start:n])
+	case r.w != nil && b == sealed && r.w.n > start:
+		n = r.w.n
+		copy(r.block[start:n], r.w.block[start:n])
 		r.partial = true
 	default:
 		return false, nil
@@ -687,35 +728,48 @@ func (r *Reader) followBlock() (bool, error) {
 	return true, nil
 }
 
-// loadSealed copies sealed block b into r.block, reading a run of blocks
-// from the staged file when b is not in the last one, after flushing the
-// writer's buffer if b has not reached the file yet.
+// loadSealed copies sealed block b into r.block, reading the run that
+// holds it when b is not in the last one read. A committed entry's runs
+// start at multiples of followRun, and each is checked against its CRC in
+// the index before any block of it is used. A follower reads from b up to
+// what its writer has flushed, flushing the writer's buffer first if b
+// has not reached the file yet.
 func (r *Reader) loadSealed(b int64) error {
 	if b < r.runAt || b >= r.runAt+r.runLen {
-		w := r.w
-		if b >= w.flushed {
-			if err := w.bw.Flush(); err != nil {
-				return fmt.Errorf("tracecache: %w", err)
+		at, end := b-b%followRun, r.blocks
+		if w := r.w; w != nil {
+			if b >= w.flushed {
+				if err := w.bw.Flush(); err != nil {
+					return fmt.Errorf("tracecache: %w", err)
+				}
+				w.flushed = w.blocks
 			}
-			w.flushed = w.blocks
+			at, end = b, w.flushed
 		}
 		if r.run == nil {
 			r.run = make([]byte, followRun*blockSize)
 		}
-		n := min(followRun, w.flushed-b)
+		n := min(followRun, end-at)
 		buf := r.run[:n*blockSize]
-		if _, err := r.f.ReadAt(buf, w.hdr+b*blockSize); err != nil {
+		r.runLen = 0 // until buf holds a run that may be used
+		if _, err := r.f.ReadAt(buf, r.hdr+at*blockSize); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		r.read += int64(len(buf))
-		r.runAt, r.runLen = b, n
+		if r.w == nil {
+			k := at / followRun
+			if got, want := crc32.Checksum(buf, castagnoli), binary.LittleEndian.Uint32(r.index[4*k:]); got != want {
+				return fmt.Errorf("%w: %s: run %d (blocks %d-%d) CRC mismatch (%08x != %08x)", ErrCorrupt, r.f.Name(), k, at, at+n-1, got, want)
+			}
+		}
+		r.runAt, r.runLen = at, n
 	}
 	copy(r.block[:], r.run[(b-r.runAt)*blockSize:])
 	return nil
 }
 
-// finish validates the drained stream against the footer. A follower
-// drains only once its writer has committed; until then it has caught up.
+// finish validates the drained stream's event count. A follower drains
+// only once its writer has committed; until then it has caught up.
 func (r *Reader) finish() error {
 	if r.w != nil {
 		if !r.w.sealed {
@@ -730,9 +784,6 @@ func (r *Reader) finish() error {
 	r.finished = true
 	if r.decoded != r.wantCount {
 		return fmt.Errorf("%w: decoded %d events, footer says %d", ErrCorrupt, r.decoded, r.wantCount)
-	}
-	if r.crc != r.wantCRC {
-		return fmt.Errorf("%w: CRC mismatch (%08x != %08x)", ErrCorrupt, r.crc, r.wantCRC)
 	}
 	return io.EOF
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"slices"
@@ -203,11 +204,17 @@ func TestRichSpareBitRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Set the spare bit on the first control byte of the first data block
-	// (the header is zero-padded to a block boundary). The decoder's
-	// spare-bit check fires before the footer CRC would.
+	// (the header is zero-padded to a block boundary), and stamp the run's
+	// and the footer's CRCs anew, so that only the decoder's spare-bit
+	// check can tell.
 	hlen := int(binary.LittleEndian.Uint32(raw[8:12]))
 	first := (8 + 4 + hlen + 63) / 64 * 64
 	raw[first] |= 1 << 7
+	footer := raw[len(raw)-blockSize:]
+	blocks := int64(binary.LittleEndian.Uint64(footer[8:16]))
+	index := raw[len(raw)-blockSize-int(indexBytes(blocks)) : len(raw)-blockSize]
+	binary.LittleEndian.PutUint32(index, crc32.Checksum(raw[first:first+int(min(blocks, followRun))*blockSize], castagnoli))
+	binary.LittleEndian.PutUint32(footer[16:20], footerCRC(index, footer))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +285,10 @@ func TestRetiredRichEntryRejected(t *testing.T) {
 
 // FuzzRichEntry round-trips random rich streams — masks that hit the
 // move-to-front list, escapes, alphabets past the list's 15 entries, the
-// measured-end marker — and then flips bits in one byte of the data blocks
-// or footer. Decoding must never panic. A flip in a byte the format
-// ignores (a block's zero slack, the footer's unused bytes) must decode
-// the same stream; any other flip must fail with ErrCorrupt.
+// measured-end marker — and then flips bits in one byte of the data
+// blocks, run index or footer. Decoding must never panic. A flip in a byte
+// the format ignores (the footer's unused bytes) must decode the same
+// stream; any other flip must fail with ErrCorrupt.
 func FuzzRichEntry(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(3), uint16(0), uint8(0))
 	f.Add(int64(2), uint16(2000), uint8(40), uint16(517), uint8(0x80))
@@ -333,10 +340,7 @@ func FuzzRichEntry(f *testing.F) {
 		dataStart := (8 + 4 + hlen + blockSize - 1) / blockSize * blockSize
 		off := dataStart + int(at)%(len(raw)-dataStart)
 		within := off % blockSize
-		ignored := within >= 12 && within < payloadMax // footer's unused bytes
-		if off < len(raw)-blockSize {
-			ignored = within >= int(raw[off-within+payloadMax]) && within < payloadMax // block slack
-		}
+		ignored := off >= len(raw)-blockSize && within >= 20 && within < payloadMax // footer's unused bytes
 		raw[off] ^= flip
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)

@@ -17,8 +17,9 @@
 //     silently served; regeneration requires the explicit rebuild flag.
 //   - Files are written via fsutil.CreateAtomic: a crash mid-write leaves
 //     the old entry or none, never a torn one. Torn or bit-flipped files
-//     are caught structurally (size / footer sentinel / per-block bounds)
-//     and by an end-to-end CRC + event count in the footer.
+//     are caught structurally (size / footer sentinel / per-block bounds),
+//     by a CRC-32C per run of 1024 data blocks, checked before any event
+//     of the run is served, and by the footer's event count.
 //   - The replayed stream is proven bitwise equivalent to the cold path
 //     across all 36 benchmarks (TestTraceCacheWarmColdEquivalence).
 //
@@ -32,9 +33,11 @@
 //	  bytes[0:n] = packed events, events never split across blocks
 //	  (the batching discipline of SNIPPETS.md Snippet 3's CacheLineBuffer:
 //	  fixed cache-line-sized records with the size in the last slot)
+//	run index: one CRC-32C per run of 1024 data blocks (64 KiB) over the
+//	  run's whole blocks, zero-padded to a block boundary
 //	footer: one final 64-byte block — byte[63] = 0xFF sentinel,
-//	  bytes[0:8] = event count, bytes[8:12] = CRC-32C over every event's
-//	  encoded bytes
+//	  bytes[0:8] = event count, bytes[8:16] = data block count,
+//	  bytes[16:20] = CRC-32C over the run index and bytes[0:16]
 //
 // Event encoding (within a block's payload): a control byte whose low two
 // bits are the kind and whose high six bits inline non-mem runs < 63 (63
@@ -117,8 +120,10 @@ const (
 const flagsMask uint8 = FlagWrite | FlagMonObserve | FlagPublic | FlagL1Evict | FlagL1Writeback
 
 // FormatVersion is bumped on any change to the file layout or event
-// encoding; entries written by another version fail loudly on open.
-const FormatVersion = 1
+// encoding; entries written by another version open as corrupt: rebuilt
+// under the store's rebuild policy, refused loudly otherwise. Version 2
+// added the run index.
+const FormatVersion = 2
 
 // Key identifies one cacheable front-end stream. Every field that can
 // change the stream participates: the benchmark (its parameter row), the
@@ -175,10 +180,11 @@ func (k Key) String() string {
 }
 
 // Sentinel errors. ErrCorrupt covers structural damage (bad magic, torn
-// size, failed CRC or count); ErrKeyMismatch covers a well-formed entry
-// written under a different key or format version. Both are "the cache
-// cannot serve this" conditions: fatal by default, treated as a miss (and
-// counted as a rebuild) when the store was opened with rebuild enabled.
+// size, failed CRC or count) and entries of another format version;
+// ErrKeyMismatch covers a well-formed entry written under a different
+// key. Both are "the cache cannot serve this" conditions: fatal by
+// default, treated as a miss (and counted as a rebuild) when the store was
+// opened with rebuild enabled.
 var (
 	ErrCorrupt     = errors.New("tracecache: corrupt entry")
 	ErrKeyMismatch = errors.New("tracecache: key mismatch")
@@ -285,15 +291,15 @@ func (s *Store) Open(key Key) (*Reader, error) {
 		}
 		return nil, err
 	}
-	if r.key != key || r.version != FormatVersion {
+	if r.key != key {
 		r.Close()
 		if s.rebuild {
 			s.rebuilds.Add(1)
 			s.misses.Add(1)
 			return nil, nil
 		}
-		return nil, fmt.Errorf("%w: %s holds key %s (format v%d), want %s (format v%d) — delete it or rerun with -fe-cache-rebuild",
-			ErrKeyMismatch, path, r.key, r.version, key, FormatVersion)
+		return nil, fmt.Errorf("%w: %s holds key %s, want %s — delete it or rerun with -fe-cache-rebuild",
+			ErrKeyMismatch, path, r.key, key)
 	}
 	s.hits.Add(1)
 	return r, nil

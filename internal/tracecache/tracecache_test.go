@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -271,6 +272,56 @@ func TestCorruptionDetected(t *testing.T) {
 				t.Fatalf("Read err = %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestReadServesOnlyVerifiedRuns: a committed reader checks each run of
+// followRun blocks against the entry's index before it decodes the run,
+// so with one payload byte flipped in run k, Read returns exactly the
+// events of the runs before k and then ErrCorrupt — never an event of run
+// k, however its batches fall.
+func TestReadServesOnlyVerifiedRuns(t *testing.T) {
+	const k = 2 // the damaged run
+	st, err := NewStore(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("runs")
+	events := randomEvents(60_000, 23)
+	w, err := st.Create(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	before := -1 // events in the runs before k
+	for i := range events {
+		if err := w.WriteEvents(events[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if before < 0 && w.Pos().block == k*followRun {
+			before = int(w.Count()) - 1 // the last event opened run k
+		}
+	}
+	if w.Pos().block <= (k+1)*followRun {
+		t.Fatalf("entry holds %d blocks, want more than %d runs", w.Pos().block, k+1)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	flipDataByte(t, st.EntryPath(key), (k*followRun+followRun/2)*blockSize)
+	for _, batch := range []int{1000, 4096} {
+		r, err := st.Open(key)
+		if err != nil || r == nil {
+			t.Fatalf("open: %v, %v", r, err)
+		}
+		got, err := readAll(r, batch)
+		r.Close()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("batch %d: read error %v, want ErrCorrupt", batch, err)
+		}
+		if len(got) != before || !slices.Equal(got, events[:before]) {
+			t.Errorf("batch %d: read %d events before the error, want the %d of the runs before run %d", batch, len(got), before, k)
+		}
 	}
 }
 

@@ -20,7 +20,8 @@
 #           chunk ring the concurrent lanes share), its fe-cache keys
 #           (pinned monitor geometry), its recorder-free warm tapes, its
 #           one stream per key across concurrent mixes and its warm tapes
-#           continued cold on a live stream, and
+#           continued cold on a live stream or past a corrupt entry run,
+#           and
 #           the cmd-level kill-and-resume, fail-fast, sharded
 #           worker-kill-and-merge, dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
@@ -103,12 +104,14 @@ echo "==> go test -race (mix-fusion equivalence + bounded tape: clean + mid-mix 
 # workers, whose tapes share live streams through followers of the staged
 # entries, and TestMixFusionUnderrunRegenerates and
 # TestMixTapeResumesOnLiveStream continue warm tapes cold past their
-# entry's end, alone and on another tape's live stream, and
+# entry's end, alone and on another tape's live stream,
+# TestMixFusionCorruptEntryContinuesInPlace continues warm tapes cold past
+# a corrupt run of their entry, and
 # TestMixStreamFailureFailsConsumers fails every consumer of a stream
 # whose production failed. The campaign-level
 # check covers cold, warm-cache, and a checkpointed mid-mix
 # kill-and-resume through the fused path.
-go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder|TestMixStreamsSingleFlight|TestMixTapeResumesOnLiveStream|TestMixStreamFailureFailsConsumers' \
+go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder|TestMixStreamsSingleFlight|TestMixTapeResumesOnLiveStream|TestMixFusionCorruptEntryContinuesInPlace|TestMixStreamFailureFailsConsumers' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 
