@@ -713,7 +713,7 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 		if passDone != nil {
 			passDone(experiments.UnitGenerated, err)
 		}
-		return err
+		return experiments.PermanentCacheFailure(err)
 	})
 	if err != nil {
 		return nil, err
@@ -735,7 +735,7 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 			if passDone != nil {
 				passDone(experiments.UnitGenerated, err)
 			}
-			return err
+			return experiments.PermanentCacheFailure(err)
 		})
 		if err != nil {
 			return nil, err

@@ -3,14 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"untangle/internal/experiments"
 	"untangle/internal/faultinject"
+	"untangle/internal/parallel"
+	"untangle/internal/tracecache"
+	"untangle/internal/workload"
 )
 
 func TestParseMixes(t *testing.T) {
@@ -283,5 +288,74 @@ func TestFailedRunPreservesPreviousOutputs(t *testing.T) {
 	}
 	if !bytes.Equal(gotTrace, oldTrace) {
 		t.Error("failed run disturbed the previous telemetry trace")
+	}
+}
+
+// TestCorruptMixEntryFailsOnce: a warm mix whose fe-cache entry has one
+// flipped byte, in a store without rebuild, fails on its first attempt.
+// A retry would read the same damaged entry again, so the unit opens each
+// of its domain entries once and returns the corruption itself, not a
+// retry-exhaustion error.
+func TestCorruptMixEntryFailsOnce(t *testing.T) {
+	st, err := tracecache.NewStore(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiments.SetFrontEndCache(st)
+	defer experiments.SetFrontEndCache(nil)
+	cfg := config{scale: 0.0002, jobs: 1}
+	ctx := context.Background()
+	if _, err := runMixUnit(ctx, cfg, nil, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(st.Dir(), "*.fetrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := ""
+	for _, path := range entries {
+		if strings.HasPrefix(filepath.Base(path), "mix-"+mix.Pairs[0].String()+"-d0-") {
+			damaged = path
+		}
+	}
+	if damaged == "" {
+		t.Fatalf("no entry for Mix 1's first domain among %v", entries)
+	}
+	b, err := os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x40
+	if err := os.WriteFile(damaged, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	attempts := 0
+	experiments.SetUnitObserver(func(phase, _ string) func(string, error) {
+		if phase == "mix/pass" {
+			mu.Lock()
+			attempts++
+			mu.Unlock()
+		}
+		return nil
+	})
+	defer experiments.SetUnitObserver(nil)
+	before := st.Counters()
+	_, err = runMixUnit(ctx, cfg, nil, 1, 1)
+	var re *parallel.RetryExhaustedError
+	if !errors.Is(err, tracecache.ErrCorrupt) || errors.As(err, &re) {
+		t.Fatalf("warm mix over a damaged entry: err = %v, want ErrCorrupt without retries", err)
+	}
+	if attempts != 1 {
+		t.Errorf("mix ran %d attempts, want 1", attempts)
+	}
+	if opened := st.Counters().Hits - before.Hits; opened != int64(len(entries)) {
+		t.Errorf("mix opened %d entries, want each of its %d once", opened, len(entries))
 	}
 }

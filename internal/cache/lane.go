@@ -1,10 +1,12 @@
 package cache
 
-// Lane is a stripped-down set-associative LRU cache for multi-size sweep
-// engines: one Lane per candidate partition size, all fed the same reference
-// stream. It keeps only the state that can influence hit/miss outcomes on
-// the Static single-domain path — packed tags, per-line LRU ticks, and the
-// fastmod reciprocal — and drops everything a full Cache carries that cannot
+// Lane is a stripped-down set-associative LRU cache: the Figure 11 study's
+// private L1, and the per-size LLC lanes of perfbench's re-drive of that
+// study (the study itself resolves its LLC sizes through one ShadowSet,
+// which gives every access the same outcome as a Lane per size). It keeps
+// only the state that can influence hit/miss outcomes on the Static
+// single-domain path — packed tags, per-line LRU ticks, and the fastmod
+// reciprocal — and drops everything a full Cache carries that cannot
 // (dirty/writeback bookkeeping, policy dispatch, statistics, telemetry).
 // Dropping dirty state is exact, not an approximation: LRU victim selection
 // never consults dirty bits, so the hit/miss sequence of a Lane is bitwise

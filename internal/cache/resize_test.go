@@ -239,8 +239,9 @@ func BenchmarkResizeShrink(b *testing.B) { benchmarkResize(b, 4<<20, 2<<20) }
 func BenchmarkResizeGrow(b *testing.B) { benchmarkResize(b, 2<<20, 4<<20) }
 
 // TestAccessAllocs pins the three probe paths the simulator runs per event
-// at zero allocations: the sensitivity lanes' Lane.Access, the L1s' and
-// LLC's Cache.Access, and the monitor's ShadowSet.Access.
+// at zero allocations: the study L1's Lane.Access, the L1s' and LLC's
+// Cache.Access, and ShadowSet.Access (the monitor's, and the study's nine
+// LLC sizes).
 func TestAccessAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")

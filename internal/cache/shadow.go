@@ -61,6 +61,14 @@ func (s *ShadowSet) Sets(i int) int { return int(s.arrays[i].sets) }
 // Ways returns the associativity of every shadow array.
 func (s *ShadowSet) Ways() int { return s.ways }
 
+// Reset empties every shadow array, restoring the freshly-constructed
+// state without reallocating.
+func (s *ShadowSet) Reset() {
+	for i := range s.arrays {
+		clear(s.arrays[i].tags)
+	}
+}
+
 // Warm asks the host to load the set holding addr's line in every shadow
 // array, without changing any state, so that a later Access finds them in
 // the host's caches.

@@ -17,10 +17,14 @@ var (
 	waySizes = []int64{1 << 20, 2 << 20, 3 << 20, 4 << 20, 5 << 20, 6 << 20, 7 << 20, 8 << 20}
 )
 
-// shadowTwin drives a ShadowSet and the reference arrays in lockstep.
+// shadowTwin drives a ShadowSet and the reference arrays in lockstep and,
+// when unsampled, one Lane per size as well: the Figure 11 engine resolves
+// its sizes through an unsampled ShadowSet, and its outcomes must be a
+// per-size Lane's on every access.
 type shadowTwin struct {
-	set *ShadowSet
-	ref []*Cache
+	set   *ShadowSet
+	ref   []*Cache
+	lanes []*Lane // nil when sampled
 }
 
 func newShadowTwin(t testing.TB, sizes []int64, ways int, sampleLog2 uint) *shadowTwin {
@@ -41,13 +45,31 @@ func newShadowTwin(t testing.TB, sizes []int64, ways int, sampleLog2 uint) *shad
 			t.Fatalf("array %d: %d sets, want %d", i, set.Sets(i), c.Sets())
 		}
 	}
-	return &shadowTwin{set: set, ref: ref}
+	w := &shadowTwin{set: set, ref: ref}
+	if sampleLog2 == 0 {
+		for _, c := range ref {
+			w.lanes = append(w.lanes, MustNewLane(Config{SizeBytes: int64(c.Sets() * c.Ways() * LineBytes), Ways: ways}))
+		}
+	}
+	return w
 }
 
 func (w *shadowTwin) access(t testing.TB, step int, addr uint64) {
 	got, want := w.set.Access(addr), referenceHitMask(w.ref, addr)
 	if got != want {
 		t.Fatalf("access %d (addr %#x): mask %#04x, want %#04x", step, addr, got, want)
+	}
+	if w.lanes == nil {
+		return
+	}
+	var lanes uint16
+	for i, l := range w.lanes {
+		if l.Access(addr) {
+			lanes |= 1 << i
+		}
+	}
+	if lanes != want {
+		t.Fatalf("access %d (addr %#x): Lane mask %#04x, want %#04x", step, addr, lanes, want)
 	}
 }
 
@@ -119,6 +141,31 @@ func TestShadowSetMatchesReference(t *testing.T) {
 	}
 }
 
+// TestShadowSetResetEquivalentToFresh: after Reset, a used ShadowSet gives
+// the hit masks of a freshly built one.
+func TestShadowSetResetEquivalentToFresh(t *testing.T) {
+	used, err := NewShadowSet(monitorSizes, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, addr := range randTrace(rng, 30_000) {
+		used.Access(addr)
+	}
+	used.Reset()
+
+	fresh, err := NewShadowSet(monitorSizes, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng = rand.New(rand.NewSource(19))
+	for i, addr := range randTrace(rng, 30_000) {
+		if um, fm := used.Access(addr), fresh.Access(addr); um != fm {
+			t.Fatalf("access %d (addr %#x): reset mask %#04x, fresh mask %#04x", i, addr, um, fm)
+		}
+	}
+}
+
 // TestShadowSetRejectsBadGeometry checks the two errors: more arrays than
 // mask bits, and, as in the reference, a size that is not a whole number
 // of sets.
@@ -136,7 +183,8 @@ func TestShadowSetRejectsBadGeometry(t *testing.T) {
 }
 
 // FuzzShadowSet runs a byte-driven address sequence through a ShadowSet
-// and the reference arrays and requires equal hit masks on every access.
+// and the reference arrays (and, for the unsampled geometries, a Lane per
+// size) and requires equal hit masks on every access.
 // The first byte picks the geometry, each following byte pair is one
 // access to one of 65,536 lines. The geometries are small (4 to 32 sets),
 // so a short sequence fills and conflicts in every set.
@@ -152,6 +200,7 @@ func FuzzShadowSet(f *testing.F) {
 		{monitorSizes, 16, 10},
 		{waySizes, 16, 10},
 		{[]int64{1 << 10, 2 << 10, 3 << 10, 4 << 10, 6 << 10, 8 << 10}, 4, 0},
+		{[]int64{4 << 10, 8 << 10, 12 << 10, 16 << 10, 24 << 10, 32 << 10}, 16, 0},
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 || len(script) > 1<<13 {

@@ -47,6 +47,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // F64 is a float64 that journals as its IEEE-754 bit pattern (a decimal
@@ -181,6 +182,11 @@ type parsed struct {
 // first line that is not a well-formed unit or dead record — the torn final
 // line a crash leaves — and reports how many bytes of data were valid.
 // headerLen is the header line's length including its newline.
+//
+// A line that is not valid UTF-8 is not well-formed either: the journal
+// writes every line through encoding/json, which never emits invalid
+// UTF-8, and decoding one would turn its stray bytes into U+FFFD, a key
+// that no record ever held.
 func parseRecords(data []byte, lines [][]byte, headerLen int) parsed {
 	p := parsed{
 		units: map[string]json.RawMessage{},
@@ -190,7 +196,7 @@ func parseRecords(data []byte, lines [][]byte, headerLen int) parsed {
 scan:
 	for _, line := range lines {
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		if !utf8.Valid(line) || json.Unmarshal(line, &rec) != nil || rec.Key == "" {
 			break
 		}
 		switch rec.Kind {

@@ -13,8 +13,9 @@ import (
 // here decompose those campaigns' study numbers.
 const benchEngineInstructions = 600_000
 
-// BenchmarkEngineCold is one cold multi-lane pass: generator + private L1 +
-// nine-lane block fold, each lane probing its LLC as it folds; no cache.
+// BenchmarkEngineCold is one cold multi-lane pass: generator + private L1,
+// one shadow-set probe per L1 miss for all nine LLC sizes, and the
+// nine-lane block fold; no cache.
 func BenchmarkEngineCold(b *testing.B) {
 	p, err := workload.SPECByName("mcf_0")
 	if err != nil {

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,22 @@ func SetFrontEndCache(st *tracecache.Store) { frontEndCache.Store(st) }
 
 // FrontEndCache returns the installed store, or nil when caching is off.
 func FrontEndCache() *tracecache.Store { return frontEndCache.Load() }
+
+// PermanentCacheFailure marks err never-retry (parallel.Permanent) when
+// it is a front-end cache failure that a retry would only repeat: an entry
+// that fails its checks (tracecache.ErrCorrupt) or was written under
+// another key (tracecache.ErrKeyMismatch), in an installed store that may
+// not rebuild it. A unit's retry closure applies it to its attempt's
+// error; any other error comes back unchanged.
+func PermanentCacheFailure(err error) error {
+	if !errors.Is(err, tracecache.ErrCorrupt) && !errors.Is(err, tracecache.ErrKeyMismatch) {
+		return err
+	}
+	if st := FrontEndCache(); st == nil || st.RebuildEnabled() {
+		return err
+	}
+	return parallel.Permanent(err)
+}
 
 // OpenFrontEndCache opens the store at dir (rebuild: regenerate corrupt or
 // mismatched entries) and installs it. The returned release removes it

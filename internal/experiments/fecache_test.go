@@ -390,7 +390,8 @@ func TestTraceCacheCorruptEntry(t *testing.T) {
 	}
 
 	// Flip one payload byte mid-file: the structure stays parseable, so the
-	// damage is caught by the footer CRC during replay.
+	// damage is caught by its run's CRC during replay, before any event of
+	// that run is decoded.
 	path := st.EntryPath(e.key(p, instructions))
 	raw, err := os.ReadFile(path)
 	if err != nil {

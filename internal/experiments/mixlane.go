@@ -16,15 +16,16 @@
 // counts), and replays the tape into four scheme lanes. The lanes'
 // monitors take the recorded hit vectors and build no shadow arrays.
 //
-// Unlike the sensitivity engine's lean cache.Lane replay, a mix lane is a
-// full sim.Sim fed through its only input seam, sim.ReplaySource
-// (DomainSpec.Replay). The per-scheme oracle (runMixOracle) feeds the same
-// simulator through the live source sim.New builds over the same
-// sim.FrontEnd, so the two paths share the gates and the per-domain loop
-// by construction; TestMixFusionMatchesOracle still requires IPCs,
-// leakage, Table 6 rows, and telemetry buffers to match exactly, cold and
-// fe-cache-warm, inline and concurrent, which pins the tape's chunking,
-// the pressure-tail bookkeeping and the warm decode.
+// Unlike the sensitivity engine's lean lanes, which fold outcome bits from
+// one shadow-set probe per L1 miss, a mix lane is a full sim.Sim fed
+// through its only input seam, sim.ReplaySource (DomainSpec.Replay). The
+// per-scheme oracle (runMixOracle) feeds the same simulator through the
+// live source sim.New builds over the same sim.FrontEnd, so the two paths
+// share the gates and the per-domain loop by construction;
+// TestMixFusionMatchesOracle still requires IPCs, leakage, Table 6 rows,
+// and telemetry buffers to match exactly, cold and fe-cache-warm, inline
+// and concurrent, which pins the tape's chunking, the pressure-tail
+// bookkeeping and the warm decode.
 //
 // The lanes run in rounds: each round, every unfinished lane takes one
 // sim.Step, a quantum, so at every round boundary all lanes stand at the

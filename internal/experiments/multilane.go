@@ -8,17 +8,19 @@
 // whose hit/miss decisions are a pure function of the access order, never of
 // the dirty bits or statistics the full cache also tracks. The engine
 // therefore generates the op stream once, simulates the L1 once, and records
-// a compact event per op (plain run / L1 hit / L1 miss at address); nine
-// lean LLC lanes (cache.Lane) and nine cycle-accounting folds then consume
+// a compact event per op (plain run / L1 hit / L1 miss at address); one
+// shadow-tag set holding all nine LLC sizes (cache.ShadowSet, as in the
+// paper's UMON-style monitor) and nine cycle-accounting folds then consume
 // the identical event sequence.
 //
 // Every pass, cold or warm, has one shape (laneEngine.pass): the front end —
 // the generator and L1 when cold, the trace-cache reader when warm — fills a
-// block of laneChunk events, and each lane in turn folds the whole block,
-// resolving its L1 misses against the lane's LLC into outcome bits. A warm
-// pass with a valid lane-outcome sidecar reads those bits instead of
-// probing; a cold pass's bits are the sidecar. Memory is one block plus the
-// outcome bits, however long the stream.
+// block of laneChunk events. A probing pass first resolves the block's L1
+// misses, one shadow-set probe each, into the nine lanes' outcome bits;
+// then each lane in turn folds the whole block from its bits. A warm pass
+// with a valid lane-outcome sidecar reads those bits instead of probing; a
+// cold pass's bits are the sidecar. Memory is one block plus the outcome
+// bits, however long the stream.
 //
 // The fold is not an approximation of sim.Run — it is a transliteration of
 // the driver's quantum machine (sim.Step's quantum around its one
@@ -42,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,12 +84,11 @@ const (
 // stream, byte-batched (see internal/tracecache).
 type feEvent = tracecache.Event
 
-// laneState is one partition size's replay: its LLC lane plus a private copy
-// of the driver's per-domain quantum state machine. Each lane owns a real
-// cpu.Core, so cycle accumulation uses the very same code path (and float
-// expression shapes) as the oracle simulation.
+// laneState is one partition size's replay: a private copy of the driver's
+// per-domain quantum state machine. Each lane owns a real cpu.Core, so
+// cycle accumulation uses the very same code path (and float expression
+// shapes) as the oracle simulation.
 type laneState struct {
-	llc     *cache.Lane
 	core    *cpu.Core
 	now     time.Duration // end of the current quantum
 	horizon float64       // now, in this core's cycles
@@ -110,12 +112,11 @@ func (l *laneState) endQuantum(warmup uint64, step time.Duration) {
 }
 
 // fold is the lane's one loop: the timing fold over one block of events,
-// the block's first L1 miss at bit cursor of outcomes. A probing fold
-// resolves each miss against the lane's LLC and records a hit in its bit;
-// otherwise it reads the bit a sidecar supplied. LLC outcomes are a pure
-// function of the miss-address order and the lane's geometry — the core,
-// the quantum machine and the timing never feed back into them — so where
-// the bit comes from never changes the charges.
+// the block's first L1 miss at bit cursor of outcomes, each miss charged
+// as an LLC hit or a memory access by its outcome bit. LLC outcomes are a
+// pure function of the miss-address order and the lane's geometry — the
+// core, the quantum machine and the timing never feed back into them — so
+// whether a probe or a sidecar set the bit never changes the charges.
 //
 // The boundary catch-up loop before each event reproduces the driver's
 // "consume ops only while the core is inside the quantum" condition:
@@ -124,7 +125,7 @@ func (l *laneState) endQuantum(warmup uint64, step time.Duration) {
 // runDomainUntil, with an advanced horizon. The charges — RetireNonMem,
 // then the RetireMem level — follow the driver's order, so the
 // floating-point cycle count is the oracle's bit for bit.
-func (l *laneState) fold(events []feEvent, outcomes []uint64, cursor int, probe bool, warmup uint64, step time.Duration) {
+func (l *laneState) fold(events []feEvent, outcomes []uint64, cursor int, warmup uint64, step time.Duration) {
 	core := l.core
 	for _, ev := range events {
 		for core.Cycles() >= l.horizon {
@@ -135,16 +136,7 @@ func (l *laneState) fold(events []feEvent, outcomes []uint64, cursor int, probe 
 		case feL1Hit:
 			core.RetireMem(cpu.L1Hit)
 		case feL1Miss:
-			w, bit := cursor>>6, uint64(1)<<(uint(cursor)&63)
-			var hit bool
-			if probe {
-				if hit = l.llc.Access(ev.Addr); hit {
-					outcomes[w] |= bit
-				}
-			} else {
-				hit = outcomes[w]&bit != 0
-			}
-			if hit {
+			if outcomes[cursor>>6]&(1<<(uint(cursor)&63)) != 0 {
 				core.RetireMem(cpu.LLCHit)
 			} else {
 				core.RetireMem(cpu.Memory)
@@ -173,14 +165,15 @@ func (l *laneState) finish(warmup uint64, step time.Duration) float64 {
 	return 0
 }
 
-// laneEngine holds the shared front-end (L1 lane and the block buffer) and
-// the nine per-size lanes. Engines are reused across benchmarks via
-// resetLanes, so a study allocates its tag arrays once per worker, not 324
-// times.
+// laneEngine holds the shared front-end (L1 lane and the block buffer), the
+// shadow set that resolves every size's LLC outcomes (one unsampled tag
+// array per size), and the nine per-size lanes. Engines are reused across benchmarks via resetLanes, so
+// a study allocates its tag arrays once per worker, not 324 times.
 type laneEngine struct {
 	sizes   []int64
 	step    time.Duration
 	l1      *cache.Lane
+	llc     *cache.ShadowSet
 	l1Bytes int64 // L1 geometry, part of the trace-cache key: a stream is
 	l1Ways  int   // only replayable under the L1 that resolved it
 	llcWays int   // LLC associativity, part of the sidecar geometry check
@@ -188,6 +181,7 @@ type laneEngine struct {
 
 	// Per-pass state (see pass).
 	block  []feEvent  // the front end's block buffer, laneChunk events
+	addrs  []uint64   // the block's miss addresses, capacity laneChunk
 	bits   [][]uint64 // each lane's LLC outcome bits: the sidecar payload
 	misses int        // L1 misses folded so far this pass
 	probe  bool       // the pass resolves outcomes itself (no sidecar)
@@ -200,21 +194,23 @@ type laneEngine struct {
 // supported partition size, and the 100 µs sampling quantum.
 func newLaneEngine() *laneEngine {
 	cfg := sim.DefaultConfig(partition.DefaultScheme(partition.Static))
-	e := &laneEngine{
+	llc, err := cache.NewShadowSet(cfg.Sizes, cfg.LLCWays, 0)
+	if err != nil {
+		panic(err)
+	}
+	return &laneEngine{
 		sizes:   cfg.Sizes,
 		step:    100 * time.Microsecond,
 		l1:      cache.MustNewLane(cache.Config{SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways}),
+		llc:     llc,
 		l1Bytes: cfg.L1Bytes,
 		l1Ways:  cfg.L1Ways,
 		llcWays: cfg.LLCWays,
 		lanes:   make([]laneState, len(cfg.Sizes)),
 		block:   make([]feEvent, laneChunk),
+		addrs:   make([]uint64, 0, laneChunk),
 		bits:    make([][]uint64, len(cfg.Sizes)),
 	}
-	for i, size := range cfg.Sizes {
-		e.lanes[i].llc = cache.MustNewLane(cache.Config{SizeBytes: size, Ways: cfg.LLCWays})
-	}
-	return e
 }
 
 // key is the trace-cache identity of one front-end pass: everything that
@@ -230,15 +226,18 @@ func (e *laneEngine) key(p workload.Params, instructions uint64) tracecache.Key 
 }
 
 // resetLanes puts every lane in the exact state sensitivityPoint's driver
-// starts from: fresh LLC, fresh core, first quantum horizon, measurement
-// armed per the warmup budget (Warmup 0 + WarmupInstructions 0 means the
-// driver begins measurement before the first quantum), and restarts the
-// miss cursor.
+// starts from: fresh core, first quantum horizon, measurement armed per the
+// warmup budget (Warmup 0 + WarmupInstructions 0 means the driver begins
+// measurement before the first quantum), and restarts the miss cursor. A
+// probing pass also starts from a fresh LLC; a sidecar-served pass touches
+// no tag array.
 func (e *laneEngine) resetLanes(p workload.Params, instructions uint64) {
+	if e.probe {
+		e.llc.Reset()
+	}
 	cp := p.CPUParams()
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		l.llc.Reset()
 		l.core = cpu.New(cp)
 		l.now = e.step
 		l.horizon = l.core.DurationToCycles(l.now)
@@ -290,8 +289,8 @@ var errStaleOutcomes = errors.New("experiments: lane-outcome sidecar disagrees w
 // pass probes every block, and keep retains the whole stream's outcome
 // bits in e.bits (e.misses of them) for a sidecar.
 func (e *laneEngine) pass(ctx context.Context, p workload.Params, instructions uint64, side [][]uint64, limit uint64, keep bool, next func([]feEvent) (int, error)) ([]float64, error) {
-	e.resetLanes(p, instructions)
 	e.probe, e.keep, e.limit = side == nil, keep, int(limit)
+	e.resetLanes(p, instructions)
 	if side != nil {
 		e.bits = side
 	}
@@ -317,37 +316,62 @@ func (e *laneEngine) pass(ctx context.Context, p workload.Params, instructions u
 	return e.collect(instructions), nil
 }
 
-// foldBlock folds block into every lane, one lane at a time, after sizing
-// each lane's outcome bits for the block's misses (a probing pass) or
+// foldBlock folds block into every lane, one lane at a time, after
+// resolving the block's misses into outcome bits (a probing pass) or
 // checking that the sidecar still covers them.
 func (e *laneEngine) foldBlock(block []feEvent, instructions uint64) error {
-	misses := 0
+	addrs := e.addrs[:0]
 	for i := range block {
 		if block[i].Kind == feL1Miss {
-			misses++
+			addrs = append(addrs, block[i].Addr)
 		}
 	}
 	base := e.misses // bit index of the block's first miss
 	switch {
-	case !e.probe && base+misses > e.limit:
+	case !e.probe && base+len(addrs) > e.limit:
 		return errStaleOutcomes
 	case e.probe && !e.keep:
 		base = 0 // the bits hold this block only
 	}
-	words := (base + misses + 63) / 64
-	for i := range e.lanes {
-		if e.probe {
-			if base == 0 {
-				e.bits[i] = e.bits[i][:0]
-			}
-			for len(e.bits[i]) < words {
-				e.bits[i] = append(e.bits[i], 0)
-			}
-		}
-		e.lanes[i].fold(block, e.bits[i], base, e.probe, instructions, e.step)
+	if e.probe {
+		e.resolve(addrs, base)
 	}
-	e.misses += misses
+	for i := range e.lanes {
+		e.lanes[i].fold(block, e.bits[i], base, instructions, e.step)
+	}
+	e.misses += len(addrs)
 	return nil
+}
+
+// llcLookahead is how many misses ahead resolve prefetches the shadow sets
+// of a later probe.
+const llcLookahead = 8
+
+// resolve sizes every lane's outcome bits for a block's misses, the first
+// at bit base, and sets them: each miss probes the shadow set once, and
+// bit i of the hit mask is lane i's outcome. The probes run as a pass of
+// their own so that each can prefetch the sets of the miss llcLookahead
+// ahead (cache.ShadowSet.Warm), as sim.FrontEnd does for the monitor.
+func (e *laneEngine) resolve(addrs []uint64, base int) {
+	words := (base + len(addrs) + 63) / 64
+	for i := range e.bits {
+		if base == 0 {
+			e.bits[i] = e.bits[i][:0]
+		}
+		for len(e.bits[i]) < words {
+			e.bits[i] = append(e.bits[i], 0)
+		}
+	}
+	for j, addr := range addrs {
+		if j+llcLookahead < len(addrs) {
+			e.llc.Warm(addrs[j+llcLookahead])
+		}
+		c := base + j
+		w, bit := c>>6, uint64(1)<<(uint(c)&63)
+		for mask := e.llc.Access(addr); mask != 0; mask &= mask - 1 {
+			e.bits[bits.TrailingZeros16(mask)][w] |= bit
+		}
+	}
 }
 
 // run produces the benchmark's IPC at every supported partition size

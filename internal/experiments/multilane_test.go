@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
+	"untangle/internal/cache"
 	"untangle/internal/workload"
 )
 
@@ -152,5 +156,93 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if _, _, err := newLaneEngine().run(ctx, nil, p, 1_000_000); err != context.Canceled {
 		t.Fatalf("engine run under canceled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestColdOutcomesMatchLanes requires, for every Figure 11 benchmark, that
+// the outcome bits a cold pass publishes as its sidecar equal bit for bit
+// what nine cache.Lane probes, one per size, give for the entry's miss
+// stream: the one shadow-set probe per miss that resolves all nine sizes
+// at once decides every miss as a per-size tick-LRU cache would. The
+// study runs through the public parallel path, so the engines come from
+// the pool and reset their shadow set between benchmarks; under -race it
+// also covers that reuse.
+func TestColdOutcomesMatchLanes(t *testing.T) {
+	const instructions = 20_000
+	st := newTestStore(t, false)
+	SetFrontEndCache(st)
+	defer SetFrontEndCache(nil)
+	if _, err := SensitivityStudyContext(context.Background(), instructions, 2); err != nil {
+		t.Fatal(err)
+	}
+	e := newLaneEngine()
+	lanes := make([]*cache.Lane, len(e.sizes))
+	for i, size := range e.sizes {
+		lanes[i] = cache.MustNewLane(cache.Config{SizeBytes: size, Ways: e.llcWays})
+	}
+	events := make([]feEvent, laneChunk)
+	for _, p := range sortedSPECParams() {
+		key := e.key(p, instructions)
+		r, err := st.Open(key)
+		if err != nil || r == nil {
+			t.Fatalf("%s: open entry: r=%v err=%v", p.Name, r, err)
+		}
+		var misses []uint64
+		for {
+			n, err := r.Read(events)
+			for _, ev := range events[:n] {
+				if ev.Kind == feL1Miss {
+					misses = append(misses, ev.Addr)
+				}
+			}
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: read entry: %v", p.Name, err)
+			}
+		}
+		r.Close()
+		got, ok := st.OpenLaneOutcomes(key, e.llcWays, e.sizes, uint64(len(misses)))
+		if !ok {
+			t.Fatalf("%s: no sidecar for the stream's %d misses", p.Name, len(misses))
+		}
+		for i, l := range lanes {
+			l.Reset()
+			for j, addr := range misses {
+				want := l.Access(addr)
+				if hit := got[i][j>>6]&(1<<(uint(j)&63)) != 0; hit != want {
+					t.Fatalf("%s, %d B: miss %d (addr %#x) has outcome hit=%v, Lane probe hit=%v",
+						p.Name, e.sizes[i], j, addr, hit, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineLLCFootprint pins the engine's LLC state at the shadow set's 8
+// B per line: 3,260,416 B for the nine sizes' 407,552 lines. Nine
+// cache.Lanes, with an LRU tick beside every tag, held 6,520,832 B, and a
+// fresh engine must allocate less than that in all, its L1 lane, block
+// buffer and scratch included.
+func TestEngineLLCFootprint(t *testing.T) {
+	const (
+		llcBytes   = 3_260_416
+		lanesBytes = 6_520_832
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := newLaneEngine()
+	runtime.ReadMemStats(&after)
+	lines := 0
+	for i := range e.sizes {
+		lines += e.llc.Sets(i) * e.llc.Ways()
+	}
+	if lines*8 != llcBytes || lines*16 != lanesBytes {
+		t.Fatalf("%d LLC lines, want %d", lines, llcBytes/8)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got < llcBytes || got >= lanesBytes {
+		t.Errorf("fresh engine allocated %d B, want at least the shadow set's %d B and under the lanes' %d B",
+			got, llcBytes, lanesBytes)
 	}
 }

@@ -85,10 +85,11 @@ func (u sensUnit) result() SensitivityResult {
 }
 
 // runSensitivityPass is the one per-unit body of the study, whatever runs
-// the unit: the benchmark's multi-lane engine pass with transient
-// retry, a pooled engine, the unit fault seam, and a "sensitivity/pass"
-// sub-span per attempt. The outcome is UnitReplayed when the front end
-// came from the trace cache, UnitGenerated otherwise.
+// the unit: the benchmark's multi-lane engine pass with transient retry
+// (a damaged fe-cache entry fails at once, PermanentCacheFailure), a
+// pooled engine, the unit fault seam, and a "sensitivity/pass" sub-span
+// per attempt. The outcome is UnitReplayed when the front end came from
+// the trace cache, UnitGenerated otherwise.
 func runSensitivityPass(ctx context.Context, p workload.Params, instructions uint64) (SensitivityResult, string, error) {
 	key := SensitivityKey(p.Name)
 	store := FrontEndCache()
@@ -117,7 +118,7 @@ func runSensitivityPass(ctx context.Context, p workload.Params, instructions uin
 		if passDone != nil {
 			passDone(outcome, err)
 		}
-		return err
+		return PermanentCacheFailure(err)
 	})
 	if err != nil {
 		return SensitivityResult{}, UnitGenerated, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -15,6 +16,8 @@ import (
 	"untangle/internal/checkpoint"
 	"untangle/internal/faultinject"
 	"untangle/internal/parallel"
+	"untangle/internal/tracecache"
+	"untangle/internal/workload"
 )
 
 // equalStudies compares two study outputs bit-for-bit. reflect.DeepEqual
@@ -187,5 +190,42 @@ func TestStudyCheckpointResume(t *testing.T) {
 	}
 	if j2.Len() != 36 {
 		t.Errorf("journal holds %d units after resume, want all 36", j2.Len())
+	}
+}
+
+// TestCorruptStudyEntryFailsOnce: a study unit whose fe-cache entry has
+// one flipped byte, in a store without rebuild, fails on its first
+// attempt with the corruption itself, having opened the entry once.
+func TestCorruptStudyEntryFailsOnce(t *testing.T) {
+	const instructions = 20_000
+	p, err := workload.SPECByName("xz_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, false)
+	SetFrontEndCache(st)
+	defer SetFrontEndCache(nil)
+	ctx := context.Background()
+	if _, _, err := runSensitivityPass(ctx, p, instructions); err != nil {
+		t.Fatal(err)
+	}
+	path := st.EntryPath(newLaneEngine().key(p, instructions))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := st.Counters()
+	_, _, err = runSensitivityPass(ctx, p, instructions)
+	var re *parallel.RetryExhaustedError
+	if !errors.Is(err, tracecache.ErrCorrupt) || errors.As(err, &re) {
+		t.Fatalf("warm pass over a damaged entry: err = %v, want ErrCorrupt without retries", err)
+	}
+	if opened := st.Counters().Hits - before.Hits; opened != 1 {
+		t.Errorf("unit opened its entry %d times, want 1", opened)
 	}
 }

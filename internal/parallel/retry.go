@@ -36,6 +36,23 @@ func (e *RetryExhaustedError) Error() string {
 // Unwrap exposes the final attempt's error to errors.Is/As chains.
 func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 
+// Permanent marks err as a failure that retrying cannot mend, so RetryUnit
+// returns it after the attempt that produced it. The mark passes Error
+// through unchanged, and errors.Is and errors.As see err behind it. A nil
+// err stays nil.
+func Permanent(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &permanentError{err}
+}
+
+// permanentError is Permanent's mark.
+type permanentError struct{ err error }
+
+func (e *permanentError) Error() string { return e.err.Error() }
+func (e *permanentError) Unwrap() error { return e.err }
+
 // RetryUnit runs fn up to attempts times, sleeping between tries with
 // jittered exponential backoff, and returns nil on the first success or
 // the last attempt's error. It is the recovery half of the resilience
@@ -51,11 +68,12 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 // dead-letter records and logs can say which unit burned its attempts
 // without the caller re-wrapping the error.
 //
-// Two error classes are never retried, because retrying cannot help:
+// Three error classes are never retried, because retrying cannot help:
 // context cancellation (the operator or the first-error cancellation asked
-// the run to stop) and *PanicError (a panic is a bug in the point, not a
+// the run to stop), *PanicError (a panic is a bug in the point, not a
 // transient condition; rerunning a deterministic simulation would panic
-// again).
+// again), and an error fn marked with Permanent (a deterministic failure
+// the caller recognizes, such as a damaged input file).
 //
 // The backoff doubles per attempt from the base delay and adds a jitter
 // derived deterministically from the attempt index (splitmix64, no
@@ -65,7 +83,7 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 // A canceled context cuts the sleep short and returns ctx.Err().
 //
 // When every attempt fails, the last error comes back wrapped in a
-// *RetryExhaustedError carrying the unit and the attempt count (the two
+// *RetryExhaustedError carrying the unit and the attempt count (the three
 // never-retried classes above are returned unwrapped).
 func RetryUnit(ctx context.Context, unit string, attempts int, backoff time.Duration, fn func(ctx context.Context, attempt int) error) error {
 	if attempts < 1 {
@@ -83,7 +101,8 @@ func RetryUnit(ctx context.Context, unit string, attempts int, backoff time.Dura
 			return err
 		}
 		var pe *PanicError
-		if errors.As(err, &pe) {
+		var perm *permanentError
+		if errors.As(err, &pe) || errors.As(err, &perm) {
 			return err
 		}
 		if attempt == attempts-1 {

@@ -121,6 +121,30 @@ func TestRetryDoesNotRetryPanics(t *testing.T) {
 	}
 }
 
+// A Permanent error is returned after its first attempt, unwrapped, with
+// the marked error still reachable; a nil error stays nil when marked.
+func TestRetryDoesNotRetryPermanent(t *testing.T) {
+	if Permanent(nil) != nil {
+		t.Fatal("Permanent(nil) != nil")
+	}
+	damaged := errors.New("damaged input")
+	calls := 0
+	err := RetryUnit(context.Background(), "u", 5, time.Nanosecond, func(context.Context, int) error {
+		calls++
+		return fmt.Errorf("reading: %w", Permanent(damaged))
+	})
+	if calls != 1 {
+		t.Errorf("permanent failure ran %d times, want 1", calls)
+	}
+	var re *RetryExhaustedError
+	if errors.As(err, &re) {
+		t.Errorf("permanent failure wrapped as exhaustion: %v", err)
+	}
+	if !errors.Is(err, damaged) || err.Error() != "reading: damaged input" {
+		t.Errorf("err = %v, want the marked error unchanged", err)
+	}
+}
+
 func TestRetryStopsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0

@@ -14,7 +14,8 @@
 #           coordinator (the service's per-unit executor on worker
 #           processes), the fault-injection harness, the checkpoint
 #           journal, the front-end trace cache, the observability layer,
-#           the experiment engine's resilience layer, the fused-mix-engine
+#           the experiment engine's resilience layer and its pooled
+#           study engines' shadow-set outcomes, the fused-mix-engine
 #           equivalence (clean runs, inline and concurrent lane rounds, and
 #           a mid-mix kill-and-resume), its bounded tape window (the
 #           chunk ring the concurrent lanes share), its fe-cache keys
@@ -73,7 +74,10 @@ echo "==> go test -race (kill-and-resume + fail-fast + trace cache + observabili
 # TestFailedRunPreservesPreviousOutputs is the fail-fast proof of the one
 # campaign path: without -dlq, a persistently failing unit fails the job,
 # cancels the rest, and leaves the previous outputs untouched.
-go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestWarmCacheUnitsReportReplayed|TestFailedRunPreservesPreviousOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestTraceCacheStaleSidecar|TestWarmFrontEndCache' \
+# TestColdOutcomesMatchLanes and TestEngineMatchesOracleQuick cover the
+# study engines' shadow sets, which the worker pool's goroutines take
+# from a sync.Pool and reset between benchmarks.
+go test -race -run 'TestColdOutcomesMatchLanes|TestEngineMatchesOracleQuick|TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestWarmCacheUnitsReportReplayed|TestFailedRunPreservesPreviousOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestTraceCacheStaleSidecar|TestWarmFrontEndCache' \
     ./internal/experiments/ ./cmd/experiments/
 
 echo "==> go test -race (sharded worker-kill-and-merge equivalence)"
