@@ -25,10 +25,8 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -72,8 +70,6 @@ type Stats struct {
 	Misses     uint64
 	Evictions  uint64
 	Writebacks uint64
-	// Prefetches counts lines installed by Prefetch (not demand traffic).
-	Prefetches uint64
 }
 
 // Accesses returns total accesses.
@@ -93,7 +89,6 @@ func (s *Stats) Add(other Stats) {
 	s.Misses += other.Misses
 	s.Evictions += other.Evictions
 	s.Writebacks += other.Writebacks
-	s.Prefetches += other.Prefetches
 }
 
 // Sub subtracts a baseline snapshot from s (interval statistics).
@@ -102,11 +97,11 @@ func (s *Stats) Sub(base Stats) {
 	s.Misses -= base.Misses
 	s.Evictions -= base.Evictions
 	s.Writebacks -= base.Writebacks
-	s.Prefetches -= base.Prefetches
 }
 
 // Cache is a set-associative, true-LRU, write-back cache with a resizable
-// number of sets.
+// number of sets. Lines enter only on demand misses (write-allocate); the
+// paper's machine has no prefetcher.
 //
 // State is laid out structure-of-arrays: tags holds lineAddr+1 for valid
 // lines (0 = invalid) so the scan needs no separate valid bit, lru holds
@@ -126,11 +121,6 @@ type Cache struct {
 	modHi, modLo uint64
 	tick         uint64
 	stats        Stats
-	// replacement-policy state (see policy.go); LRU needs none beyond the
-	// per-line tick.
-	policy Policy
-	plru   []uint32
-	rng    uint64
 }
 
 // New builds a cache with the given geometry.
@@ -181,7 +171,6 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".misses", func() float64 { return float64(c.stats.Misses) })
 	reg.GaugeFunc(prefix+".evictions", func() float64 { return float64(c.stats.Evictions) })
 	reg.GaugeFunc(prefix+".writebacks", func() float64 { return float64(c.stats.Writebacks) })
-	reg.GaugeFunc(prefix+".prefetches", func() float64 { return float64(c.stats.Prefetches) })
 	reg.GaugeFunc(prefix+".size_bytes", func() float64 { return float64(c.SizeBytes()) })
 }
 
@@ -230,11 +219,12 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 }
 
 // Access performs a load or store of the line containing addr. It returns
-// true on hit. Misses allocate (write-allocate policy) and evict LRU.
+// true on hit. Misses allocate (write-allocate) and evict the least
+// recently used line.
 //
-// The way scan reads only the packed tag array; LRU/dirty updates and the
-// replacement-policy branches happen after the scan, on the single way
-// involved.
+// The way scan reads only the packed tag array; LRU/dirty updates happen
+// after the scan, on the single way involved, and the LRU ticks are read
+// only when a miss finds no empty way.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	lineAddr := addr / LineBytes
 	set := c.setIndex(lineAddr)
@@ -257,16 +247,13 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		if write {
 			c.dirty[base+hit] = true
 		}
-		if c.policy == TreePLRU {
-			c.plruTouch(set, hit, c.ways)
-		}
 		c.stats.Hits++
 		return true
 	}
 	c.stats.Misses++
 	slot := empty
 	if slot < 0 {
-		slot = c.victimFor(set, base)
+		slot = c.lruVictim(base)
 		c.stats.Evictions++
 		if c.dirty[base+slot] {
 			c.stats.Writebacks++
@@ -275,10 +262,24 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.tags[base+slot] = tag
 	c.lru[base+slot] = c.tick
 	c.dirty[base+slot] = write
-	if c.policy == TreePLRU {
-		c.plruTouch(set, slot, c.ways)
-	}
 	return false
+}
+
+// lruVictim returns the way of the set at base that holds the smallest LRU
+// tick. It stays out of line: inlined into Access, it made
+// BenchmarkAccessStreaming, where every access evicts, about 9% slower
+// (docs/PERFORMANCE.md).
+//
+//go:noinline
+func (c *Cache) lruVictim(base int) int {
+	victim, oldest := 0, ^uint64(0)
+	for i, v := range c.lru[base : base+c.ways] {
+		if v < oldest {
+			oldest = v
+			victim = i
+		}
+	}
+	return victim
 }
 
 // Warm asks the host to load the set that holds addr's line, tags and LRU
@@ -288,51 +289,6 @@ func (c *Cache) Warm(addr uint64) {
 	base := c.setIndex(addr/LineBytes) * c.ways
 	sets := [2]uintptr{uintptr(unsafe.Pointer(&c.tags[base])), uintptr(unsafe.Pointer(&c.lru[base]))}
 	prefetchSets(sets[:])
-}
-
-// Prefetch installs the line containing addr if absent, inserting it in LRU
-// position below the most-recent line (conservative insertion, so useless
-// prefetches are evicted first). It does not touch demand hit/miss counters.
-func (c *Cache) Prefetch(addr uint64) {
-	lineAddr := addr / LineBytes
-	set := c.setIndex(lineAddr)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	tag := lineAddr + 1
-	var victim, empty = -1, -1
-	var oldest uint64 = ^uint64(0)
-	for i, t := range tags {
-		if t == tag {
-			return // already resident; leave LRU state alone
-		}
-		if t == 0 {
-			if empty < 0 {
-				empty = i
-			}
-			continue
-		}
-		if m := c.lru[base+i]; m < oldest {
-			oldest = m
-			victim = i
-		}
-	}
-	slot := empty
-	if slot < 0 {
-		slot = victim
-		c.stats.Evictions++
-		if c.dirty[base+slot] {
-			c.stats.Writebacks++
-		}
-	}
-	c.stats.Prefetches++
-	// Insert one tick below the current time so a demand access dominates.
-	lru := c.tick
-	if lru > 0 {
-		lru--
-	}
-	c.tags[base+slot] = tag
-	c.lru[base+slot] = lru
-	c.dirty[base+slot] = false
 }
 
 // Contains reports whether the line holding addr is present, without
@@ -361,18 +317,15 @@ func (c *Cache) ValidLines() int {
 }
 
 // Reset returns the cache to its freshly-constructed state at the current
-// geometry: all lines invalid, the LRU clock and statistics zeroed, and any
-// replacement-policy state (PLRU tree bits, random seed) back to its initial
-// value. Unlike Flush it counts nothing — it exists so long-running studies
+// geometry: all lines invalid and the LRU clock and statistics zeroed.
+// Unlike Flush it counts nothing — it exists so long-running studies
 // can reuse one allocation across independent runs, and the contract is that
 // a Reset cache behaves bit-identically to a new one.
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.lru)
 	clear(c.dirty)
-	clear(c.plru)
 	c.tick = 0
-	c.rng = 0
 	c.stats = Stats{}
 }
 
@@ -396,8 +349,7 @@ func (c *Cache) Flush() {
 // fills the first empty way of its new set, or, in a full set, replaces
 // the least recently used occupant if that occupant is strictly older. A
 // line that does not fit is dropped, and each dropped dirty line counts as
-// a writeback. The rule does not depend on the replacement policy;
-// TreePLRU bits start cleared.
+// a writeback.
 //
 // No sort runs over the whole partition. A histogram pass hashes each
 // valid line once, keeping its new set, and counts the lines per new set;
@@ -407,13 +359,10 @@ func (c *Cache) Flush() {
 // bucket of b lines leaves line k at way k mod ways with the first
 // b−ways lines dropped, so placeBucket writes that state directly.
 //
-// Equal ticks arise only from Prefetch, which inserts one tick below the
-// clock, and there the order among equal ticks decides which way each
-// takes. If any bucket holds a tie, the keys are instead laid out in
-// old-slot order, sorted once globally with slices.SortFunc and reinserted
-// one by one (reinsert). That is the pdqsort sort.Slice runs (both are
-// generated from one template), so equal ticks keep the relative order a
-// global sort.Slice over the old slots gives them.
+// Every bucket is strictly ascending because no two valid lines share an
+// LRU tick: Access stamps the one line it touches with a fresh tick,
+// Resize moves ticks without changing them, and Flush and Reset invalidate
+// every line.
 func (c *Cache) Resize(newSize int64) error {
 	cfg := Config{SizeBytes: newSize, Ways: c.ways}
 	if err := cfg.Validate(); err != nil {
@@ -429,9 +378,6 @@ func (c *Cache) Resize(newSize int64) error {
 	c.tags = make([]uint64, newSets*c.ways)
 	c.lru = make([]uint64, newSets*c.ways)
 	c.dirty = make([]bool, newSets*c.ways)
-	if c.plru != nil {
-		c.plru = make([]uint32, newSets)
-	}
 
 	sc := resizePool.Get().(*resizeScratch)
 	defer resizePool.Put(sc)
@@ -458,41 +404,23 @@ func (c *Cache) Resize(newSize int64) error {
 	for i, t := range oldTags {
 		if t != 0 {
 			s := sets[i]
-			keys[end[s]] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: s}
+			keys[end[s]] = resizeKey{tick: oldLRU[i], slot: uint32(i)}
 			end[s]++
 		}
 	}
 	sc.keys, sc.end, sc.sets = keys, end, sets
 
-	writebacks := c.stats.Writebacks
 	for s, lo := 0, uint32(0); s < newSets; s++ {
 		b := keys[lo:end[s]]
 		lo = end[s]
-		if sortByTick(b) {
-			// A tie: undo the buckets placed so far and take the global sort.
-			clear(c.tags)
-			clear(c.lru)
-			clear(c.dirty)
-			c.stats.Writebacks = writebacks
-			k := 0
-			for i, t := range oldTags {
-				if t != 0 {
-					keys[k] = resizeKey{tick: oldLRU[i], slot: uint32(i), set: sets[i]}
-					k++
-				}
-			}
-			slices.SortFunc(keys, byTick)
-			c.reinsert(keys, oldTags, oldDirty)
-			return nil
-		}
+		sortByTick(b)
 		c.placeBucket(s, b, oldTags, oldDirty)
 	}
 	return nil
 }
 
-// sortByTick insertion-sorts a bucket by LRU tick. It stops and reports
-// true at the first tick it finds twice.
-func sortByTick(b []resizeKey) bool {
+// sortByTick insertion-sorts a bucket by LRU tick.
+func sortByTick(b []resizeKey) {
 	for i := 1; i < len(b); i++ {
 		k := b[i]
 		j := i
@@ -501,11 +429,7 @@ func sortByTick(b []resizeKey) bool {
 			j--
 		}
 		b[j] = k
-		if j > 0 && b[j-1].tick == k.tick {
-			return true
-		}
 	}
-	return false
 }
 
 // placeBucket installs new set s's strictly ascending bucket b: line k at
@@ -526,54 +450,12 @@ func (c *Cache) placeBucket(s int, b []resizeKey, oldTags []uint64, oldDirty []b
 	}
 }
 
-// reinsert installs keys, oldest first, one by one: a line fills the first
-// empty way of its set, or replaces the set's least recently used occupant
-// if that occupant is strictly older.
-func (c *Cache) reinsert(keys []resizeKey, oldTags []uint64, oldDirty []bool) {
-	for _, k := range keys {
-		base := int(k.set) * c.ways
-		tags, lru, dirty := c.tags[base:base+c.ways], c.lru[base:base+c.ways], c.dirty[base:base+c.ways]
-		tag, isDirty := oldTags[k.slot], oldDirty[k.slot]
-		placed := false
-		slot, oldest := -1, ^uint64(0)
-		for i, t := range tags {
-			if t == 0 {
-				tags[i], lru[i], dirty[i] = tag, k.tick, isDirty
-				placed = true
-				break
-			}
-			if lru[i] < oldest {
-				oldest = lru[i]
-				slot = i
-			}
-		}
-		if placed {
-			continue
-		}
-		// Set over-full after a shrink: replace the LRU occupant only if it
-		// is strictly older (lines arrive oldest-first). The displaced or
-		// refused line is dropped; count its writeback if dirty.
-		if oldest < k.tick {
-			if dirty[slot] {
-				c.stats.Writebacks++
-			}
-			tags[slot], lru[slot], dirty[slot] = tag, k.tick, isDirty
-		} else if isDirty {
-			c.stats.Writebacks++
-		}
-	}
-}
-
-// resizeKey is one surviving line's reinsertion key: its LRU tick, its
-// slot in the pre-resize arrays, and its set in the post-resize geometry.
-// It packs into 16 bytes.
+// resizeKey is one surviving line's reinsertion key: its LRU tick and its
+// slot in the pre-resize arrays.
 type resizeKey struct {
 	tick uint64
 	slot uint32
-	set  uint32
 }
-
-func byTick(a, b resizeKey) int { return cmp.Compare(a.tick, b.tick) }
 
 // resizeScratch holds one Resize's transient buffers: the keys (16 B per
 // valid line), the per-new-set bucket ends (4 B per set) and each old

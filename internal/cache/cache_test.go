@@ -307,58 +307,10 @@ func BenchmarkAccessStreaming(b *testing.B) {
 	}
 }
 
-func TestPrefetchInstallsWithoutDemandStats(t *testing.T) {
-	c := small()
-	c.Prefetch(0x1000)
-	if !c.Contains(0x1000) {
-		t.Fatal("prefetched line absent")
-	}
-	s := c.Stats()
-	if s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("prefetch touched demand stats: %+v", s)
-	}
-	if s.Prefetches != 1 {
-		t.Errorf("prefetches = %d", s.Prefetches)
-	}
-	// The subsequent demand access hits.
-	if !c.Access(0x1000, false) {
-		t.Error("demand access after prefetch missed")
-	}
-	// Prefetching a resident line is a no-op.
-	c.Prefetch(0x1000)
-	if c.Stats().Prefetches != 1 {
-		t.Error("resident prefetch counted")
-	}
-}
-
-func TestPrefetchEvictsLRUAndCountsWriteback(t *testing.T) {
-	c := small() // 4 sets x 2 ways
-	set0 := c.setIndex(0x1000 / LineBytes)
-	var sameSet []uint64
-	for a := uint64(0x1000); len(sameSet) < 3; a += LineBytes {
-		if c.setIndex(a/LineBytes) == set0 {
-			sameSet = append(sameSet, a)
-		}
-	}
-	c.Access(sameSet[0], true) // dirty
-	c.Access(sameSet[1], false)
-	c.Prefetch(sameSet[2]) // evicts the dirty LRU line
-	s := c.Stats()
-	if s.Writebacks != 1 || s.Evictions != 1 {
-		t.Errorf("stats = %+v, want one eviction with writeback", s)
-	}
-	// The prefetched line is below the MRU line in LRU order: another
-	// conflicting demand access should evict the prefetch, not the MRU.
-	c.Access(sameSet[0], false)
-	if !c.Contains(sameSet[1]) {
-		t.Error("MRU demand line evicted instead of the prefetched one")
-	}
-}
-
 func TestStatsSub(t *testing.T) {
-	a := Stats{Hits: 10, Misses: 5, Evictions: 3, Writebacks: 2, Prefetches: 7}
-	a.Sub(Stats{Hits: 4, Misses: 1, Evictions: 1, Writebacks: 1, Prefetches: 2})
-	if a != (Stats{Hits: 6, Misses: 4, Evictions: 2, Writebacks: 1, Prefetches: 5}) {
+	a := Stats{Hits: 10, Misses: 5, Evictions: 3, Writebacks: 2}
+	a.Sub(Stats{Hits: 4, Misses: 1, Evictions: 1, Writebacks: 1})
+	if a != (Stats{Hits: 6, Misses: 4, Evictions: 2, Writebacks: 1}) {
 		t.Errorf("Sub = %+v", a)
 	}
 }

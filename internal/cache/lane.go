@@ -7,10 +7,10 @@ package cache
 // only the state that can influence hit/miss outcomes on the Static
 // single-domain path — packed tags, per-line LRU ticks, and the fastmod
 // reciprocal — and drops everything a full Cache carries that cannot
-// (dirty/writeback bookkeeping, policy dispatch, statistics, telemetry).
+// (dirty/writeback bookkeeping, statistics, telemetry).
 // Dropping dirty state is exact, not an approximation: LRU victim selection
 // never consults dirty bits, so the hit/miss sequence of a Lane is bitwise
-// the sequence a default-policy Cache produces for the same accesses.
+// the sequence a Cache produces for the same accesses.
 //
 // Lane intentionally has no Resize: a sweep fixes each lane's geometry up
 // front and Reset()s it between runs.
@@ -56,7 +56,7 @@ func (l *Lane) Reset() {
 }
 
 // Access performs an access to the line containing addr and reports hit.
-// It mirrors Cache.Access under the default LRU policy exactly — same set
+// It mirrors Cache.Access exactly — same set
 // index (same hash and fastmod reciprocal), same tag encoding, same
 // empty-way preference, and the same min-LRU first-index-wins victim scan —
 // so the returned hit/miss sequence is bit-for-bit what a Cache would give.

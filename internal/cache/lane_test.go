@@ -21,8 +21,8 @@ func randTrace(rng *rand.Rand, n int) []uint64 {
 }
 
 // TestLaneMatchesCache: a Lane must produce the exact hit/miss sequence of a
-// default-policy Cache with the same geometry — including the
-// non-power-of-two set counts of the 3MB/6MB partition sizes.
+// Cache with the same geometry — including the non-power-of-two set counts
+// of the 3MB/6MB partition sizes.
 func TestLaneMatchesCache(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 32 << 10, Ways: 8},   // the L1 geometry
@@ -46,36 +46,30 @@ func TestLaneMatchesCache(t *testing.T) {
 
 // TestCacheResetEquivalentToFresh is the Reset contract: after Reset, a
 // cache must behave bit-identically to a freshly constructed one on an
-// arbitrary trace — hit sequence, statistics, and residency — for every
-// replacement policy (TreePLRU tree bits and the Random policy's RNG are
-// part of the state Reset must rewind).
+// arbitrary trace — hit sequence, statistics, and residency.
 func TestCacheResetEquivalentToFresh(t *testing.T) {
 	cfg := Config{SizeBytes: 64 << 10, Ways: 8}
-	for _, policy := range []Policy{LRU, TreePLRU, Random} {
-		used := MustNew(cfg)
-		used.SetPolicy(policy)
-		// Dirty the state thoroughly, then reset.
-		rng := rand.New(rand.NewSource(11))
-		for _, addr := range randTrace(rng, 30_000) {
-			used.Access(addr, rng.Intn(2) == 0)
-		}
-		used.Reset()
+	used := MustNew(cfg)
+	// Dirty the state thoroughly, then reset.
+	rng := rand.New(rand.NewSource(11))
+	for _, addr := range randTrace(rng, 30_000) {
+		used.Access(addr, rng.Intn(2) == 0)
+	}
+	used.Reset()
 
-		fresh := MustNew(cfg)
-		fresh.SetPolicy(policy)
-		if used.ValidLines() != 0 || used.Stats() != (Stats{}) {
-			t.Fatalf("%v: Reset left %d valid lines, stats %+v", policy, used.ValidLines(), used.Stats())
+	fresh := MustNew(cfg)
+	if used.ValidLines() != 0 || used.Stats() != (Stats{}) {
+		t.Fatalf("Reset left %d valid lines, stats %+v", used.ValidLines(), used.Stats())
+	}
+	rng = rand.New(rand.NewSource(13))
+	for i, addr := range randTrace(rng, 30_000) {
+		write := rng.Intn(3) == 0
+		if uh, fh := used.Access(addr, write), fresh.Access(addr, write); uh != fh {
+			t.Fatalf("access %d (addr %#x): reset cache hit=%v, fresh hit=%v", i, addr, uh, fh)
 		}
-		rng = rand.New(rand.NewSource(13))
-		for i, addr := range randTrace(rng, 30_000) {
-			write := rng.Intn(3) == 0
-			if uh, fh := used.Access(addr, write), fresh.Access(addr, write); uh != fh {
-				t.Fatalf("%v: access %d (addr %#x): reset cache hit=%v, fresh hit=%v", policy, i, addr, uh, fh)
-			}
-		}
-		if used.Stats() != fresh.Stats() {
-			t.Errorf("%v: reset cache stats %+v != fresh %+v", policy, used.Stats(), fresh.Stats())
-		}
+	}
+	if used.Stats() != fresh.Stats() {
+		t.Errorf("reset cache stats %+v != fresh %+v", used.Stats(), fresh.Stats())
 	}
 }
 

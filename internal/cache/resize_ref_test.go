@@ -10,9 +10,10 @@ type refLine struct {
 	dirty    bool
 }
 
-// referenceResize is the original Resize, kept verbatim as the oracle for
-// the bucketed one: it collects every valid line, sorts the survivors
-// globally by LRU tick with sort.Slice, and reinserts them one by one.
+// referenceResize is the original Resize, the oracle for the bucketed one:
+// it collects every valid line, sorts the survivors globally by LRU tick
+// with sort.Slice, and reinserts them one by one. It handles equal ticks
+// too, which the bucketed Resize relies on never meeting.
 func (c *Cache) referenceResize(newSize int64) error {
 	cfg := Config{SizeBytes: newSize, Ways: c.ways}
 	if err := cfg.Validate(); err != nil {
@@ -28,9 +29,6 @@ func (c *Cache) referenceResize(newSize int64) error {
 	c.tags = make([]uint64, newSets*c.ways)
 	c.lru = make([]uint64, newSets*c.ways)
 	c.dirty = make([]bool, newSets*c.ways)
-	if c.plru != nil {
-		c.plru = make([]uint32, newSets)
-	}
 	// Reinsert surviving lines in LRU order (oldest first) so that when a
 	// new set overflows, the most recently used lines win.
 	survivors := make([]refLine, 0, len(oldTags))

@@ -13,20 +13,18 @@ func (c *Cache) clone() *Cache {
 	d.tags = slices.Clone(c.tags)
 	d.lru = slices.Clone(c.lru)
 	d.dirty = slices.Clone(c.dirty)
-	d.plru = slices.Clone(c.plru)
 	return &d
 }
 
 // diffState describes the first difference between two caches' complete
-// state (geometry, clock, counters, policy state and every line), or
-// returns "" if they are identical.
+// state (geometry, clock, counters and every line), or returns "" if they
+// are identical.
 func diffState(got, want *Cache) string {
 	if got.ways != want.ways || got.sets != want.sets || got.modHi != want.modHi || got.modLo != want.modLo {
 		return fmt.Sprintf("geometry %d sets x %d ways, want %d x %d", got.sets, got.ways, want.sets, want.ways)
 	}
-	if got.tick != want.tick || got.rng != want.rng || got.policy != want.policy {
-		return fmt.Sprintf("tick/rng/policy %d/%d/%v, want %d/%d/%v",
-			got.tick, got.rng, got.policy, want.tick, want.rng, want.policy)
+	if got.tick != want.tick {
+		return fmt.Sprintf("tick %d, want %d", got.tick, want.tick)
 	}
 	if got.stats != want.stats {
 		return fmt.Sprintf("stats %+v, want %+v", got.stats, want.stats)
@@ -37,8 +35,23 @@ func diffState(got, want *Cache) string {
 				i, i/want.ways, i%want.ways, got.tags[i], got.lru[i], got.dirty[i], want.tags[i], want.lru[i], want.dirty[i])
 		}
 	}
-	if !slices.Equal(got.plru, want.plru) {
-		return "PLRU bits differ"
+	return ""
+}
+
+// tickTie returns a description of two valid lines of c that hold the
+// same LRU tick, or "" if every valid line's tick is its own. Resize's
+// single bucketed path relies on this: with distinct ticks every bucket
+// sorts strictly ascending, and no order among equals is left to decide.
+func tickTie(c *Cache) string {
+	seen := make(map[uint64]int)
+	for i, t := range c.tags {
+		if t == 0 {
+			continue
+		}
+		if j, ok := seen[c.lru[i]]; ok {
+			return fmt.Sprintf("slots %d and %d share LRU tick %d", j, i, c.lru[i])
+		}
+		seen[c.lru[i]] = i
 	}
 	return ""
 }
@@ -47,9 +60,8 @@ func diffState(got, want *Cache) string {
 // Resize and want with referenceResize.
 type twin struct{ got, want *Cache }
 
-func newTwin(cfg Config, p Policy) twin {
+func newTwin(cfg Config) twin {
 	c := MustNew(cfg)
-	c.SetPolicy(p)
 	return twin{got: c, want: c.clone()}
 }
 
@@ -58,12 +70,8 @@ func (w twin) access(addr uint64, write bool) {
 	w.want.Access(addr, write)
 }
 
-func (w twin) prefetch(addr uint64) {
-	w.got.Prefetch(addr)
-	w.want.Prefetch(addr)
-}
-
-// resize resizes both caches and fails t unless they agree afterwards.
+// resize resizes both caches and fails t unless they agree afterwards and
+// the resized cache's valid lines hold pairwise distinct LRU ticks.
 func (w twin) resize(t testing.TB, size int64) {
 	t.Helper()
 	gotErr, wantErr := w.got.Resize(size), w.want.referenceResize(size)
@@ -73,33 +81,24 @@ func (w twin) resize(t testing.TB, size int64) {
 	if d := diffState(w.got, w.want); d != "" {
 		t.Fatalf("resize to %d: %s", size, d)
 	}
+	if d := tickTie(w.got); d != "" {
+		t.Fatalf("resize to %d: %s", size, d)
+	}
 }
 
 // run applies n random accesses over a pool of span lines; a quarter are
-// writes. With prefetch, each access is followed by a next-line Prefetch,
-// the NextLinePrefetch pattern that gives two lines the same LRU tick, and
-// now and then by a burst of prefetches that all share one tick.
-func (w twin) run(rng *rand.Rand, n, span int, prefetch bool) {
+// writes.
+func (w twin) run(rng *rand.Rand, n, span int) {
 	for i := 0; i < n; i++ {
-		addr := uint64(rng.Intn(span)) * LineBytes
-		w.access(addr, rng.Intn(4) == 0)
-		if !prefetch {
-			continue
-		}
-		w.prefetch(addr + LineBytes)
-		if rng.Intn(64) == 0 {
-			for j := 0; j < 8; j++ {
-				w.prefetch(uint64(rng.Intn(span)) * LineBytes)
-			}
-		}
+		w.access(uint64(rng.Intn(span))*LineBytes, rng.Intn(4) == 0)
 	}
 }
 
 // TestResizeMatchesReference: the bucketed Resize leaves every tag, LRU
-// tick, dirty bit, PLRU bit and counter exactly where the original global
-// sort-based Resize leaves them, for all three policies, with and without
-// prefetch-made tick ties, through shrinks, grows and the non-power-of-two
-// 3 MB and 6 MB partitions, and in a built case of tied lines (tieCase).
+// tick, dirty bit and counter exactly where the original global sort-based
+// Resize leaves them, through shrinks, grows and the non-power-of-two 3 MB
+// and 6 MB partitions, and no two valid lines share an LRU tick after any
+// resize.
 func TestResizeMatchesReference(t *testing.T) {
 	paper := []int64{4 << 20, 2 << 20, 3 << 20, 6 << 20, 1 << 20, 128 << 10, 3 << 20}
 	small := []int64{1 << 10, 3 << 10, 8 << 10, 2 << 10, 6 << 10, 4 << 10, 1 << 10}
@@ -108,62 +107,32 @@ func TestResizeMatchesReference(t *testing.T) {
 		paper = paper[:5]
 		seeds = 10
 	}
-	for _, p := range []Policy{LRU, TreePLRU, Random} {
-		for _, prefetch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/prefetch=%v", p, prefetch), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(p)*2 + 1))
-				w := newTwin(Config{SizeBytes: 2 << 20, Ways: 16}, p)
-				for _, size := range paper {
-					lines := int(w.got.SizeBytes() / LineBytes)
-					w.run(rng, 2*lines, 3*lines, prefetch)
-					w.resize(t, size)
-				}
-				for seed := 0; seed < seeds; seed++ {
-					w := newTwin(Config{SizeBytes: 4 << 10, Ways: 4}, p)
-					for _, size := range small {
-						w.run(rng, 200, 256, prefetch)
-						w.resize(t, size)
-					}
-				}
-			})
+	// The subtest keeps the name it had when the cache also offered other
+	// replacement policies and a prefetch fill: LRU, demand fills only.
+	t.Run("LRU/prefetch=false", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		w := newTwin(Config{SizeBytes: 2 << 20, Ways: 16})
+		for _, size := range paper {
+			lines := int(w.got.SizeBytes() / LineBytes)
+			w.run(rng, 2*lines, 3*lines)
+			w.resize(t, size)
 		}
-		t.Run(fmt.Sprintf("%v/tie", p), func(t *testing.T) { tieCase(t, p) })
-	}
+		for seed := 0; seed < seeds; seed++ {
+			w := newTwin(Config{SizeBytes: 4 << 10, Ways: 4})
+			for _, size := range small {
+				w.run(rng, 200, 256)
+				w.resize(t, size)
+			}
+		}
+	})
 }
 
-// tieCase builds the case the tie rule exists for: eight prefetched lines
-// share one LRU tick and one set of the new geometry, among thousands of
-// other survivors, so a global sort reorders them the way only the
-// fallback path reproduces. The order decides which way each tied line
-// takes in its new set.
-func tieCase(t *testing.T, p Policy) {
-	const from, to = 256 << 10, 128 << 10
-	rng := rand.New(rand.NewSource(11))
-	w := newTwin(Config{SizeBytes: from, Ways: 16}, p)
-	w.run(rng, 3*from/LineBytes, 2*from/LineBytes, false)
-	probe := MustNew(Config{SizeBytes: to, Ways: 16})
-	const target = 5
-	var tied []uint64
-	for line := uint64(1 << 30); len(tied) < 8; line++ {
-		if probe.setIndex(line) == target {
-			tied = append(tied, line)
-			w.prefetch(line * LineBytes)
-		}
-	}
-	for _, line := range tied {
-		base := w.got.setIndex(line) * w.got.ways
-		i := slices.Index(w.got.tags[base:base+w.got.ways], line+1)
-		if i < 0 || w.got.lru[base+i] != w.got.tick-1 {
-			t.Fatalf("prefetched line %#x not resident at tick %d", line, w.got.tick-1)
-		}
-	}
-	w.resize(t, to)
-}
-
-// FuzzResize runs a byte-driven script of accesses, writes, prefetches and
-// resizes on a small 4-way cache and checks the bucketed Resize against
-// the reference after every resize. The first byte picks the policy; each
-// following byte pair is one operation on one of 16,384 lines.
+// FuzzResize runs a byte-driven script of reads, writes and resizes on a
+// small 4-way cache. It checks the bucketed Resize against the reference
+// after every resize, and after every operation that no two valid lines
+// share an LRU tick. The first byte is ignored, so that the committed
+// seeds keep their meaning; each following byte pair is one operation on
+// one of 16,384 lines.
 func FuzzResize(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 4, 2, 8, 3, 3, 1, 2, 5, 7, 0, 3, 1})
 	f.Add([]byte{1, 2, 9, 2, 9, 2, 10, 0, 4, 3, 0, 1, 1, 3, 5})
@@ -173,17 +142,18 @@ func FuzzResize(f *testing.F) {
 		if len(script) == 0 || len(script) > 1<<13 {
 			return
 		}
-		w := newTwin(Config{SizeBytes: 4 << 10, Ways: 4}, Policy(script[0]%3))
+		w := newTwin(Config{SizeBytes: 4 << 10, Ways: 4})
 		for i := 1; i+1 < len(script); i += 2 {
 			op, arg := script[i], script[i+1]
 			addr := (uint64(op>>2)<<8 | uint64(arg)) * LineBytes
 			switch op & 3 {
-			case 0, 1:
-				w.access(addr, op&1 == 1)
-			case 2:
-				w.prefetch(addr)
+			case 0, 1, 2:
+				w.access(addr, op&3 == 1)
 			case 3:
 				w.resize(t, sizes[int(arg)%len(sizes)])
+			}
+			if d := tickTie(w.got); d != "" {
+				t.Fatalf("op %d: %s", i/2, d)
 			}
 		}
 	})

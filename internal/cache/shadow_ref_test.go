@@ -34,9 +34,9 @@ func referenceHitMask(shadows []*Cache, addr uint64) uint16 {
 	return mask
 }
 
-// referenceShadowAccess is the original Cache.ShadowAccess, kept verbatim:
-// Access's lookup, LRU bookkeeping and replacement decisions, with no
-// statistics or dirty-line tracking.
+// referenceShadowAccess is the original Cache.ShadowAccess: Access's
+// lookup, LRU bookkeeping and victim scan, with no statistics or
+// dirty-line tracking.
 func (c *Cache) referenceShadowAccess(addr uint64) bool {
 	lineAddr := addr / LineBytes
 	set := c.setIndex(lineAddr)
@@ -56,19 +56,13 @@ func (c *Cache) referenceShadowAccess(addr uint64) bool {
 	}
 	if hit >= 0 {
 		c.lru[base+hit] = c.tick
-		if c.policy == TreePLRU {
-			c.plruTouch(set, hit, c.ways)
-		}
 		return true
 	}
 	slot := empty
 	if slot < 0 {
-		slot = c.victimFor(set, base)
+		slot = c.lruVictim(base)
 	}
 	c.tags[base+slot] = tag
 	c.lru[base+slot] = c.tick
-	if c.policy == TreePLRU {
-		c.plruTouch(set, slot, c.ways)
-	}
 	return false
 }

@@ -19,6 +19,18 @@ import (
 //     must be left on a clean line boundary).
 //   - Recovery never invents state: every recovered unit key/value pair and
 //     dead letter must literally appear in some line of the input prefix.
+//
+// Every execution reuses one journal path in a directory made once per
+// fuzzing process: the input overwrites the file, and Open's create path
+// truncates it, so an execution sees nothing of the one before. Making and
+// removing a directory per execution would double its cost.
+//
+// An execution still creates, truncates and fsyncs a real file, a few
+// hundred microseconds, so Go's minimizer, which runs the target about
+// n²/2 times for an n-byte input, would spend tens of seconds on each
+// input that adds coverage. scripts/ci.sh therefore runs this target with
+// -fuzzminimizetime 0: new inputs join the corpus unminimized, and a
+// failing input is written as found.
 func FuzzJournalRecovery(f *testing.F) {
 	fp := Fingerprint{Scale: 0.5, Instructions: 1000, Units: "fuzz", ParamsTag: "tag"}
 	header := func() []byte {
@@ -50,9 +62,8 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)-1]) // newline-only tear: last record complete, unterminated
 
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

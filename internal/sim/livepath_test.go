@@ -103,23 +103,21 @@ func TestLivePathDigest(t *testing.T) {
 		noPressure bool
 		want       string
 	}{
-		{name: "static", kind: partition.Static, want: "67702ecaef06a55a"},
-		{name: "shared", kind: partition.Shared, want: "4aeaef94cd2a1822"},
-		{name: "time", kind: partition.TimeBased, want: "d94aa8e9e1013ff3"},
-		{name: "untangle", kind: partition.Untangle, want: "e8a493663cccf9a5"},
+		{name: "static", kind: partition.Static, want: "0a1dd8564d3cc872"},
+		{name: "shared", kind: partition.Shared, want: "7b8ea5edd85d2e1c"},
+		{name: "time", kind: partition.TimeBased, want: "867d7f1eb6b0bea3"},
+		{name: "untangle", kind: partition.Untangle, want: "9d0dff3dff130c78"},
 		{name: "untangle-unannotated", kind: partition.Untangle,
-			mutate: func(c *Config) { c.Scheme.Annotated = false }, want: "16675055835eea02"},
+			mutate: func(c *Config) { c.Scheme.Annotated = false }, want: "b4969b421d625595"},
 		{name: "time-unannotated", kind: partition.TimeBased,
-			mutate: func(c *Config) { c.Scheme.Annotated = false }, want: "cd9b972b83658421"},
+			mutate: func(c *Config) { c.Scheme.Annotated = false }, want: "056871316da4aca0"},
 		{name: "untangle-way", kind: partition.Untangle,
-			mutate: func(c *Config) { c.WayPartitioned = true; c.Sizes = c.WaySizes() }, want: "efc1307188a694ec"},
-		{name: "untangle-prefetch", kind: partition.Untangle,
-			mutate: func(c *Config) { c.NextLinePrefetch = true }, want: "488b8c0611e1c295"},
+			mutate: func(c *Config) { c.WayPartitioned = true; c.Sizes = c.WaySizes() }, want: "cd1231ba69973b9b"},
 		{name: "time-bandwidth", kind: partition.TimeBased,
-			mutate: func(c *Config) { c.MemBandwidth = 2e9 }, want: "5bacaad1716757e4"},
+			mutate: func(c *Config) { c.MemBandwidth = 2e9 }, want: "4a48abaa159182d5"},
 		{name: "untangle-tiers", kind: partition.Untangle,
-			mutate: func(c *Config) { c.Tiers = []core.Tier{0, 1} }, want: "047af8addfef7f4b"},
-		{name: "untangle-no-pressure", kind: partition.Untangle, noPressure: true, want: "0676efa4da6d4815"},
+			mutate: func(c *Config) { c.Tiers = []core.Tier{0, 1} }, want: "9f5941b847a191e2"},
+		{name: "untangle-no-pressure", kind: partition.Untangle, noPressure: true, want: "178c597fc8a92e6f"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,22 +63,11 @@ type Config struct {
 	// SampleEvery is the partition-size sampling period (paper: 100 µs) and
 	// also the simulator's scheduling quantum.
 	SampleEvery time.Duration
-	// TableConfig parameterizes the covert-channel rate table used by the
-	// Untangle accountant. Leave zero to derive it from the scheme's
-	// cooldown and delay (the usual case).
-	TableConfig covert.TableConfig
 	// WayPartitioned switches the LLC from set partitioning (the paper's
 	// evaluation) to classic way partitioning: partition sizes move in
 	// whole-way (1MB) steps and Sizes must be Config.WaySizes(). It exists
 	// for the granularity ablation.
 	WayPartitioned bool
-	// NextLinePrefetch enables a simple hardware prefetcher: every LLC
-	// demand miss also installs the next sequential line into the domain's
-	// partition. Off by default (the paper does not model one); streaming
-	// workloads gain, random-access workloads are unaffected. Prefetching
-	// is a pure function of the access sequence, so Untangle's guarantees
-	// are untouched.
-	NextLinePrefetch bool
 	// MemBandwidth, when positive, models a finite shared memory bandwidth
 	// in bytes per simulated second: all domains' LLC misses draw from one
 	// DRAM channel pool, and when a quantum's demand exceeds the pool the
@@ -196,22 +185,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// rateTableConfig derives the covert table configuration from the scheme if
-// the caller did not provide one.
+// rateTableConfig derives the covert table configuration from the scheme's
+// cooldown and delay width.
 func (c Config) rateTableConfig() covert.TableConfig {
-	tc := c.TableConfig
-	if tc.Cooldown == 0 {
-		tc.Cooldown = c.Scheme.Cooldown
-		tc.DelayWidth = c.Scheme.DelayWidth
-		// 1/40th of the cooldown keeps the discretization identical across
-		// scales (the channel bound depends only on the ratios).
-		tc.Unit = c.Scheme.Cooldown / 40
-		if tc.Unit <= 0 {
-			tc.Unit = time.Microsecond
-		}
-		tc.MaxMaintains = 16
+	// 1/40th of the cooldown keeps the discretization identical across
+	// scales (the channel bound depends only on the ratios).
+	unit := c.Scheme.Cooldown / 40
+	if unit <= 0 {
+		unit = time.Microsecond
 	}
-	return tc
+	return covert.TableConfig{
+		Cooldown:     c.Scheme.Cooldown,
+		DelayWidth:   c.Scheme.DelayWidth,
+		Unit:         unit,
+		MaxMaintains: 16,
+	}
 }
 
 // WarmRateTables builds the process-wide covert rate table this
@@ -578,7 +566,6 @@ func (s *Sim) registerMetrics(reg *telemetry.Registry) {
 		reg.GaugeFunc(prefix+".misses", func() float64 { return float64(d.l1Stats.Misses) })
 		reg.GaugeFunc(prefix+".evictions", func() float64 { return float64(d.l1Stats.Evictions) })
 		reg.GaugeFunc(prefix+".writebacks", func() float64 { return float64(d.l1Stats.Writebacks) })
-		reg.GaugeFunc(prefix+".prefetches", func() float64 { return float64(d.l1Stats.Prefetches) })
 		reg.GaugeFunc(prefix+".size_bytes", func() float64 { return float64(s.cfg.L1Bytes) })
 		if d.part != nil {
 			d.part.RegisterMetrics(reg, fmt.Sprintf("cache.llc.d%d", d.idx))
@@ -682,9 +669,6 @@ func (s *Sim) runDomainUntil(d *domain, horizon time.Duration) {
 				} else {
 					d.core.RetireMem(cpu.Memory)
 					d.dramInQuantum++
-					if cfg.NextLinePrefetch && d.part != nil {
-						d.part.Prefetch(ev.Addr + cache.LineBytes)
-					}
 				}
 			}
 			// The front end applied the Principle 1 gate and resolved the

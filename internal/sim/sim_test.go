@@ -562,48 +562,6 @@ func TestIPCSamplesAlignWithPartitionSamples(t *testing.T) {
 	}
 }
 
-func TestNextLinePrefetchHelpsStreaming(t *testing.T) {
-	// A streaming-heavy workload gains from next-line prefetch; the action
-	// sequence of Untangle does not change (prefetching is pure timing).
-	mk := func(prefetch bool) (float64, []int64) {
-		cfg := testConfig(partition.Untangle)
-		cfg.NextLinePrefetch = prefetch
-		p, err := workload.SPECByName("bwaves_0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.StreamFrac = 0.6 // amplify the sequential component
-		g, err := workload.NewGenerator(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, []DomainSpec{{
-			Name: "stream", Stream: isa.NewLimited(g, 400_000), CPU: p.CPUParams(),
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Domains[0].IPC, res.Domains[0].Trace.ActionSizes()
-	}
-	offIPC, offActions := mk(false)
-	onIPC, onActions := mk(true)
-	if onIPC <= offIPC {
-		t.Errorf("prefetch did not help streaming: %v <= %v", onIPC, offIPC)
-	}
-	if len(offActions) != len(onActions) {
-		t.Fatalf("action counts differ: %d vs %d", len(offActions), len(onActions))
-	}
-	for i := range offActions {
-		if offActions[i] != onActions[i] {
-			t.Fatalf("action %d changed with prefetching", i)
-		}
-	}
-}
-
 func TestTieredDomainsChargeAsymmetrically(t *testing.T) {
 	// Section 6.4 end to end: a low-tier domain among strictly-higher-tier
 	// peers resizes for free; the high-tier domain is charged because the

@@ -126,8 +126,12 @@ echo "==> go test -fuzz (bounded, 10s per target)"
 # (round trip, and ErrCorrupt for every damaged byte the format reads),
 # the trace-file round trip, the bucketed cache resize against
 # the original sort-based one, and the monitor's recency-ordered shadow
-# set against the original per-size tick-LRU caches.
-go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s ./internal/checkpoint/
+# set against the original per-size tick-LRU caches. The journal target
+# runs without minimization: each of its executions writes and fsyncs a
+# file, and Go's default 60 s of minimizing one new input (about n²/2
+# executions for n bytes) held the stage at 0 execs/sec for most of
+# its 10 s.
+go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s -fuzzminimizetime 0 ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLaneSidecar$' -fuzztime 10s ./internal/tracecache/
 go test -run '^$' -fuzz '^FuzzRichEntry$' -fuzztime 10s ./internal/tracecache/
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/isa/
