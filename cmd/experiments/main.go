@@ -9,7 +9,8 @@
 // campaign runs as jobs on the campaign service (internal/campaign): the
 // sensitivity phase's 36 benchmark units (each one a single multi-lane pass
 // covering all 9 partition sizes), then the mix phase's units (each mix's
-// four schemes plus its active-attacker rerun). -jobs bounds the service's
+// four schemes, with the active-attacker leakage re-accounted from its
+// Untangle run's assessment trace). -jobs bounds the service's
 // worker pool; 0 uses every core and 1 runs the units one at a time in
 // order. The report is identical for every -jobs value: each phase is
 // assembled from the campaign's journal in canonical order.
@@ -45,7 +46,7 @@
 //	experiments -scale 0.01 -jobs 1         # sequential legacy execution
 //	experiments -scale 0.01 -mixes 1,2,3,4  # just the Figure 10 mixes
 //	experiments -mixes none -sensitivity-instructions 3000000  # Figure 11 alone
-//	experiments -scale 0.01 -mixes 1 -sensitivity-instructions 0 -skip-active  # one mix
+//	experiments -scale 0.01 -mixes 1 -sensitivity-instructions 0  # one mix
 //	experiments -scale 1.0 -checkpoint run.ckpt -out report.txt
 //	experiments -scale 0.01 -telemetry run.jsonl -pprof localhost:6060
 //	experiments -scale 1.0 -checkpoint run.ckpt -shards 8   # N worker processes
@@ -68,6 +69,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -98,7 +100,6 @@ type config struct {
 	sensIns  uint64
 	jobs     int
 	shards   int
-	active   bool
 	traced   bool
 	outPath  string
 	telePath string
@@ -160,7 +161,6 @@ type savedMix struct {
 	Row        savedRow          `json:"table6"`
 	Events     []json.RawMessage `json:"events,omitempty"`
 	ActiveRate checkpoint.F64    `json:"active_rate"`
-	HaveActive bool              `json:"have_active"`
 }
 
 // savedRow is experiments.Table6Row in journal encoding.
@@ -258,7 +258,6 @@ func campaignFlags(fs *flag.FlagSet) func() (config, error) {
 		mixList  = fs.String("mixes", "", "comma-separated mix ids, or none (default: all 16)")
 		sensIns  = fs.Uint64("sensitivity-instructions", 1_500_000, "instructions per sensitivity run (0 skips Figure 11)")
 		outPath  = fs.String("out", "", "also write the report to this file (atomically)")
-		skipAct  = fs.Bool("skip-active", false, "skip the active-attacker accounting runs")
 		telemOut = fs.String("telemetry", "", "stream a JSONL telemetry event trace of every mix to this file")
 		jobs     = fs.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 		shards   = fs.Int("shards", 0, "split the campaign across N worker processes (requires -checkpoint; 0/1 = in-process)")
@@ -284,7 +283,6 @@ func campaignFlags(fs *flag.FlagSet) func() (config, error) {
 			sensIns:        *sensIns,
 			jobs:           *jobs,
 			shards:         *shards,
-			active:         !*skipAct,
 			traced:         *telemOut != "",
 			outPath:        *outPath,
 			telePath:       *telemOut,
@@ -306,7 +304,7 @@ func campaignFlags(fs *flag.FlagSet) func() (config, error) {
 // validate rejects configurations that would otherwise panic deep in the
 // engine or silently simulate nothing.
 func (c config) validate() error {
-	if c.scale <= 0 || c.scale > 1 {
+	if !(c.scale > 0 && c.scale <= 1) { // also rejects NaN
 		return fmt.Errorf("-scale must be in (0, 1], got %v", c.scale)
 	}
 	if c.jobs < 0 {
@@ -347,7 +345,7 @@ func (c config) fingerprint() checkpoint.Fingerprint {
 		Scale:        c.scale,
 		Instructions: c.sensIns,
 		Schemes:      schemes,
-		Units:        fmt.Sprintf("mixes=%v active=%t telemetry=%t", c.ids, c.active, c.traced),
+		Units:        fmt.Sprintf("mixes=%v telemetry=%t", c.ids, c.traced),
 		ParamsTag:    experiments.ParamsFingerprint(),
 	}
 }
@@ -497,8 +495,8 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		return commit(telemSink, telemFile, outFile)
 	}
 
-	// Figures 10 and 12-17 plus Table 6 inputs: one unit per mix, each
-	// running its four schemes and then the worst-case accounting rerun.
+	// Figures 10 and 12-17, Table 6 and the active-attacker rate: one unit
+	// per mix, each running its four schemes.
 	mixKeys := make([]string, len(cfg.ids))
 	for i, id := range cfg.ids {
 		mixKeys[i] = mixKey(id)
@@ -535,9 +533,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		row := sv.Row.row()
 		rows = append(rows, row)
 		maintainFracs = append(maintainFracs, row.UntangleMaintainFrac)
-		if sv.HaveActive {
-			activeRates = append(activeRates, float64(sv.ActiveRate))
-		}
+		activeRates = append(activeRates, float64(sv.ActiveRate))
 	}
 	if done < len(cfg.ids) {
 		if dead := journal.DeadLen(); dead > 0 {
@@ -556,8 +552,6 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		fmt.Fprintf(w, "Average per-assessment leakage reduction (Untangle vs Time): %.0f%%\n",
 			100*redSum/float64(len(rows)))
 		fmt.Fprintf(w, "Average Untangle Maintain fraction: %.0f%%\n", 100*stats.Mean(maintainFracs))
-	}
-	if len(activeRates) > 0 {
 		fmt.Fprintf(w, "Active attacker (no Maintain optimization): %.1f bits per assessment on average\n",
 			stats.Mean(activeRates))
 	}
@@ -660,22 +654,16 @@ func (u *unitExec) exec(ctx context.Context, key string) (json.RawMessage, error
 	if err != nil {
 		return nil, err
 	}
-	if u.cfg.active && !sv.HaveActive {
-		// Cancellation landed between the main run and the active rerun;
-		// journaling the truncated unit would poison every future resume.
-		return nil, fmt.Errorf("mix %d interrupted before the active-attacker rerun: %w", id, ctx.Err())
-	}
 	return json.Marshal(sv)
 }
 
 // runMixUnit simulates one mix in full — the four-scheme run with
-// per-scheme telemetry buffers, the worst-case accounting rerun, and the
-// rendered report group — and returns the unit's journal value. It is the
-// single execution path for a mix whether the unit runs in-process or
-// inside a shard worker, which is what makes the two journals
-// byte-identical. A cancellation that lands between the main run and the
-// active rerun returns sv with HaveActive false; callers must not journal
-// such a truncated unit (a resume re-runs it in full).
+// per-scheme telemetry buffers — and returns the unit's journal value: the
+// rendered report group, the Table 6 row, and the active-attacker rate,
+// which re-accounts the Untangle run's assessment trace under worst-case
+// accounting (MixResult.Reaccount). It is the single execution path for a
+// mix whether the unit runs in-process or inside a shard worker, which is
+// what makes the two journals byte-identical.
 func runMixUnit(ctx context.Context, cfg config, study []experiments.SensitivityResult, id, innerJobs int) (*savedMix, error) {
 	key := mixKey(id)
 	mix, err := workload.MixByID(id)
@@ -718,35 +706,15 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 	if err != nil {
 		return nil, err
 	}
-	var sv savedMix
-	if cfg.active && ctx.Err() == nil {
-		log.Printf("running mix %d with worst-case (active-attacker) accounting...", id)
-		var act *experiments.MixResult
-		err = parallel.RetryUnit(ctx, key, experiments.RetryAttempts, experiments.RetryBackoff, func(ctx context.Context, attempt int) error {
-			passDone := experiments.ObserveUnit("mix/active", fmt.Sprintf("%s#%d", key, attempt))
-			var err error
-			act, err = experiments.RunMixContext(ctx, mix, experiments.Options{
-				Scale:               cfg.scale,
-				Kinds:               []partition.Kind{partition.Untangle},
-				WorstCaseAccounting: true,
-				Jobs:                innerJobs,
-				DisableFusion:       cfg.oracleMixes,
-			})
-			if passDone != nil {
-				passDone(experiments.UnitGenerated, err)
-			}
-			return experiments.PermanentCacheFailure(err)
-		})
-		if err != nil {
-			return nil, err
-		}
-		leak, err := act.LeakagePerAssessment(partition.Untangle)
-		if err != nil {
-			return nil, err
-		}
-		sv.ActiveRate = checkpoint.F64(stats.Mean(leak))
-		sv.HaveActive = true
+	leak, err := res.Reaccount(partition.Untangle, experiments.Options{WorstCaseAccounting: true})
+	if err != nil {
+		return nil, err
 	}
+	rates := make([]float64, len(leak))
+	for i, l := range leak {
+		rates[i] = l.PerAssessment()
+	}
+	sv := savedMix{ActiveRate: checkpoint.F64(stats.Mean(rates))}
 	if sv.Group, err = report.MixGroup(res, study); err != nil {
 		return nil, err
 	}
@@ -770,8 +738,8 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 }
 
 // parseMixes expands and validates the -mixes flag: every id must be an
-// integer naming one of the paper's mixes, "" is all of them, and "none"
-// is none (a sensitivity-only campaign).
+// integer naming one of the paper's mixes, at most once, "" is all of
+// them, and "none" is none (a sensitivity-only campaign).
 func parseMixes(s string) ([]int, error) {
 	if s == "none" {
 		return nil, nil
@@ -791,6 +759,9 @@ func parseMixes(s string) ([]int, error) {
 		}
 		if _, err := workload.MixByID(id); err != nil {
 			return nil, fmt.Errorf("bad mix id %d: %w", id, err)
+		}
+		if slices.Contains(ids, id) {
+			return nil, fmt.Errorf("mix id %d repeated", id)
 		}
 		ids = append(ids, id)
 	}

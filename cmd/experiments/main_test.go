@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,6 +46,11 @@ func TestParseMixes(t *testing.T) {
 	if _, err := parseMixes("none,1"); err == nil {
 		t.Error("none mixed with ids accepted")
 	}
+	for _, dup := range []string{"1,1", "2,1,2"} {
+		if _, err := parseMixes(dup); err == nil {
+			t.Errorf("repeated id in %q accepted", dup)
+		}
+	}
 }
 
 func TestValidateConfig(t *testing.T) {
@@ -65,6 +71,7 @@ func TestValidateConfig(t *testing.T) {
 		{"zero scale", config{scale: 0}, "-scale"},
 		{"negative scale", config{scale: -1}, "-scale"},
 		{"scale above 1", config{scale: 1.5}, "-scale"},
+		{"NaN scale", config{scale: math.NaN(), ids: []int{1}}, "-scale"},
 		{"negative jobs", config{scale: 0.01, jobs: -2}, "-jobs"},
 		{"negative shards", config{scale: 0.01, shards: -1}, "-shards"},
 		{"shards without checkpoint", config{scale: 0.01, shards: 4}, "-checkpoint"},
@@ -78,15 +85,13 @@ func TestValidateConfig(t *testing.T) {
 }
 
 // equivalenceConfig is the smallest campaign that exercises every unit kind:
-// the sensitivity study, two mixes, the active-attacker reruns, and a
-// telemetry stream.
+// the sensitivity study, two mixes, and a telemetry stream.
 func equivalenceConfig(dir string) config {
 	return config{
 		scale:    0.0002,
 		ids:      []int{1, 2},
 		sensIns:  20_000,
 		jobs:     1, // deterministic unit order, so the kill point is exact
-		active:   true,
 		traced:   true,
 		outPath:  filepath.Join(dir, "report.txt"),
 		telePath: filepath.Join(dir, "trace.jsonl"),
@@ -192,9 +197,8 @@ func TestMixFusionCampaignOutputsMatchOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six small campaigns")
 	}
-	// sensIns 0 drops the sensitivity study: the campaign is mix units and
-	// their active-attacker reruns, so every byte under test flows through
-	// the mix path.
+	// sensIns 0 drops the sensitivity study: the campaign is mix units
+	// alone, so every byte under test flows through the mix path.
 	oracleCfg := equivalenceConfig(t.TempDir())
 	oracleCfg.sensIns = 0
 	oracleCfg.oracleMixes = true

@@ -119,7 +119,6 @@ func TestWarmCacheUnitsReportReplayed(t *testing.T) {
 	campaignCfg := func() config {
 		cfg := equivalenceConfig(t.TempDir())
 		cfg.ids = []int{1}
-		cfg.active = false
 		cfg.feCacheDir = cacheDir
 		cfg.ckptPath = filepath.Join(filepath.Dir(cfg.outPath), "run.ckpt")
 		return cfg

@@ -244,7 +244,6 @@ type campaignRequest struct {
 	Scale      float64 `json:"scale"`
 	Mixes      string  `json:"mixes,omitempty"`
 	SensIns    uint64  `json:"sensitivity_instructions,omitempty"`
-	SkipActive bool    `json:"skip_active,omitempty"`
 	Out        string  `json:"out,omitempty"`
 	Telemetry  string  `json:"telemetry,omitempty"`
 	Checkpoint string  `json:"checkpoint"`
@@ -269,7 +268,6 @@ func (r campaignRequest) config(st *serveState) (config, error) {
 		scale:     r.Scale,
 		ids:       ids,
 		sensIns:   r.SensIns,
-		active:    !r.SkipActive,
 		traced:    r.Telemetry != "",
 		outPath:   r.Out,
 		telePath:  r.Telemetry,

@@ -94,9 +94,6 @@ func (c config) workerArgs() []string {
 		"-mixes", mixes,
 		"-checkpoint", c.ckptPath,
 	}
-	if !c.active {
-		args = append(args, "-skip-active")
-	}
 	if c.traced {
 		args = append(args, "-telemetry", c.telePath)
 	}

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"untangle/internal/core"
 	"untangle/internal/partition"
+	"untangle/internal/sim"
 	"untangle/internal/workload"
 )
 
@@ -235,9 +239,74 @@ func TestWorstCaseAccountingRaisesLeakage(t *testing.T) {
 	}
 	nl, _ := normal.LeakagePerAssessment(partition.Untangle)
 	wl, _ := worst.LeakagePerAssessment(partition.Untangle)
+	derived, err := normal.Reaccount(partition.Untangle, Options{WorstCaseAccounting: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range nl {
 		if wl[i] <= nl[i] {
 			t.Errorf("workload %d: worst-case %v not above optimized %v", i, wl[i], nl[i])
+		}
+		if dl := derived[i].PerAssessment(); math.Float64bits(dl) != math.Float64bits(wl[i]) {
+			t.Errorf("workload %d: re-accounted worst case %v, rerun %v", i, dl, wl[i])
+		}
+	}
+}
+
+// TestReaccountMatchesRerun pins MixResult.Reaccount to the simulations it
+// stands in for. Worst-case accounting re-accounted from a mix's Untangle
+// trace equals a WorstCaseAccounting rerun's leakage bit for bit, and every
+// scheme's trace re-accounted under its own config reproduces the leakage
+// its run charged.
+func TestReaccountMatchesRerun(t *testing.T) {
+	for _, id := range []int{1, 2, 3, 4} {
+		id := id
+		t.Run(fmt.Sprintf("mix%d", id), func(t *testing.T) {
+			t.Parallel()
+			mix, err := workload.MixByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, jobs := range fusionTestJobs {
+				res, err := RunMix(mix, Options{Scale: fusionTestScale, Jobs: jobs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				worst, err := RunMix(mix, Options{
+					Scale:               fusionTestScale,
+					Kinds:               []partition.Kind{partition.Untangle},
+					WorstCaseAccounting: true,
+					Jobs:                jobs,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				derived, err := res.Reaccount(partition.Untangle, Options{WorstCaseAccounting: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireLeakageEqual(t, fmt.Sprintf("jobs=%d worst case", jobs), derived, worst.PerScheme[partition.Untangle])
+				for kind, r := range res.PerScheme {
+					own, err := res.Reaccount(kind, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireLeakageEqual(t, fmt.Sprintf("jobs=%d %v", jobs, kind), own, r)
+				}
+			}
+		})
+	}
+}
+
+// requireLeakageEqual asserts got is want's per-domain leakage, bit for bit.
+func requireLeakageEqual(t *testing.T, label string, got []core.DomainLeakage, want *sim.Result) {
+	t.Helper()
+	if len(got) != len(want.Domains) {
+		t.Fatalf("%s: %d domains, want %d", label, len(got), len(want.Domains))
+	}
+	for i, d := range want.Domains {
+		if math.Float64bits(got[i].TotalBits) != math.Float64bits(d.Leakage.TotalBits) || !reflect.DeepEqual(got[i], d.Leakage) {
+			t.Errorf("%s: domain %d (%s) re-accounted %+v, run charged %+v", label, i, d.Name, got[i], d.Leakage)
 		}
 	}
 }

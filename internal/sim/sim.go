@@ -202,6 +202,51 @@ func (c Config) rateTableConfig() covert.TableConfig {
 	}
 }
 
+// NewAccountant builds the leakage accountant a run of this configuration
+// over the given number of domains charges: Time's fixed per-assessment
+// rate, Untangle's rate table, or nothing for the static schemes, wrapped in
+// the Section 6.4 tier rule when Tiers is set. New builds its accountant
+// here, so replaying a run's assessment trace through a fresh one gives the
+// same charges whenever no budget froze a domain.
+func (c Config) NewAccountant(domains int) (core.Accountant, error) {
+	var acct core.Accountant
+	var err error
+	switch c.Scheme.Kind {
+	case partition.TimeBased:
+		acct, err = core.NewTimeAccountant(core.AccountantConfig{
+			Domains: domains,
+			Actions: len(c.Sizes),
+			Budget:  c.Budget,
+		})
+	case partition.Untangle:
+		var tbl *covert.RateTable
+		if tbl, err = covert.Shared(c.rateTableConfig()); err != nil {
+			return nil, err
+		}
+		acct, err = core.NewUntangleAccountant(core.AccountantConfig{
+			Domains:          domains,
+			Table:            tbl,
+			OptimizeMaintain: c.OptimizeMaintain,
+			Budget:           c.Budget,
+		})
+	default:
+		acct = core.NewNullAccountant(domains)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.Tiers == nil {
+		return acct, nil
+	}
+	if len(c.Tiers) != domains {
+		return nil, fmt.Errorf("sim: %d tiers for %d domains", len(c.Tiers), domains)
+	}
+	if acct, err = core.NewTieredAccountant(acct, c.Tiers); err != nil {
+		return nil, err
+	}
+	return acct, nil
+}
+
 // WarmRateTables builds the process-wide covert rate table this
 // configuration's Untangle accountant consults (covert.Shared). For the
 // default schemes at any scale the table comes from covert's offline memo
@@ -489,40 +534,8 @@ func New(cfg Config, specs []DomainSpec) (*Sim, error) {
 		}
 		s.domains = append(s.domains, d)
 	}
-	// Build the accountant.
-	switch cfg.Scheme.Kind {
-	case partition.TimeBased:
-		s.acct, err = core.NewTimeAccountant(core.AccountantConfig{
-			Domains: len(specs),
-			Actions: len(cfg.Sizes),
-			Budget:  cfg.Budget,
-		})
-	case partition.Untangle:
-		var tbl *covert.RateTable
-		tbl, err = covert.Shared(cfg.rateTableConfig())
-		if err != nil {
-			return nil, err
-		}
-		s.acct, err = core.NewUntangleAccountant(core.AccountantConfig{
-			Domains:          len(specs),
-			Table:            tbl,
-			OptimizeMaintain: cfg.OptimizeMaintain,
-			Budget:           cfg.Budget,
-		})
-	default:
-		s.acct = core.NewNullAccountant(len(specs))
-	}
-	if err != nil {
+	if s.acct, err = cfg.NewAccountant(len(specs)); err != nil {
 		return nil, err
-	}
-	if cfg.Tiers != nil {
-		if len(cfg.Tiers) != len(specs) {
-			return nil, fmt.Errorf("sim: %d tiers for %d domains", len(cfg.Tiers), len(specs))
-		}
-		s.acct, err = core.NewTieredAccountant(s.acct, cfg.Tiers)
-		if err != nil {
-			return nil, err
-		}
 	}
 	// Telemetry wiring. The tracer's fallback clock is the global simulated
 	// time; per-domain events stamp their own (cycle-derived) times.

@@ -112,10 +112,12 @@ echo "==> go test -race (mix-fusion equivalence + bounded tape: clean + mid-mix 
 # TestMixFusionCorruptEntryContinuesInPlace continues warm tapes cold past
 # a corrupt run of their entry, and
 # TestMixStreamFailureFailsConsumers fails every consumer of a stream
-# whose production failed. The campaign-level
+# whose production failed, and TestReaccountMatchesRerun requires the
+# active-attacker leakage re-accounted from each of Mixes 1-4's Untangle
+# trace to equal a worst-case rerun's, bit for bit. The campaign-level
 # check covers cold, warm-cache, and a checkpointed mid-mix
 # kill-and-resume through the fused path.
-go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder|TestMixStreamsSingleFlight|TestMixTapeResumesOnLiveStream|TestMixFusionCorruptEntryContinuesInPlace|TestMixStreamFailureFailsConsumers' \
+go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates|TestMixTapeFollowsWindow|TestMixEntryKeyPinsMonitorGeometry|TestWarmMixBuildsNoShadowRecorder|TestMixStreamsSingleFlight|TestMixTapeResumesOnLiveStream|TestMixFusionCorruptEntryContinuesInPlace|TestMixStreamFailureFailsConsumers|TestReaccountMatchesRerun' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
 
