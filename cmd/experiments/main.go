@@ -32,13 +32,13 @@
 // about what it covered.
 //
 // Long runs can be watched and profiled: -telemetry streams each mix's
-// structured events as JSONL while the run progresses, and the
-// -cpuprofile/-memprofile/-trace/-pprof flags profile the simulator
-// process itself. SIGINT stops cleanly: in-flight mixes finish, unstarted
-// ones are abandoned, and every writer is flushed and committed, so an
-// interrupted run leaves a valid (truncated but parseable) report and
-// JSONL stream rather than torn lines. A second SIGINT kills the process
-// immediately.
+// structured events as JSONL while the run progresses, the
+// -cpuprofile/-memprofile/-trace flags profile the simulator process
+// itself, and -http serves /debug/pprof alongside the live metrics.
+// SIGINT stops cleanly: in-flight mixes finish, unstarted ones are
+// abandoned, and every writer is flushed and committed, so an interrupted
+// run leaves a valid (truncated but parseable) report and JSONL stream
+// rather than torn lines. A second SIGINT kills the process immediately.
 //
 // Usage:
 //
@@ -48,7 +48,7 @@
 //	experiments -mixes none -sensitivity-instructions 3000000  # Figure 11 alone
 //	experiments -scale 0.01 -mixes 1 -sensitivity-instructions 0  # one mix
 //	experiments -scale 1.0 -checkpoint run.ckpt -out report.txt
-//	experiments -scale 0.01 -telemetry run.jsonl -pprof localhost:6060
+//	experiments -scale 0.01 -telemetry run.jsonl -http localhost:6060
 //	experiments -scale 1.0 -checkpoint run.ckpt -shards 8   # N worker processes
 //
 // -shards N executes the service's units on N worker processes (re-execs
@@ -115,9 +115,12 @@ type config struct {
 	// a poisoned unit dead-letters into the checkpoint journal and the run
 	// completes degraded instead of failing; -replay re-drives exactly the
 	// journaled dead letters.
-	dlq      bool // -dlq: dead-letter poisoned units (requires -checkpoint)
-	replay   bool // -replay: re-drive dead-lettered units (implies -dlq)
-	priority int  // -priority: unit priority on a shared campaign service
+	dlq    bool // -dlq: dead-letter poisoned units (requires -checkpoint)
+	replay bool // -replay: re-drive dead-lettered units (implies -dlq)
+
+	// priority (serve mode) orders this campaign's units against other
+	// served campaigns' on the shared service queue.
+	priority int
 
 	// service, when set (serve mode), is the shared resident service this
 	// campaign's jobs are submitted to; nil makes run build (and drain) its
@@ -151,13 +154,15 @@ type config struct {
 }
 
 // savedMix is one mix's journaled outcome: everything the final report
-// needs, in rendered or JSON-stable form, so a resumed run can replay the
-// unit byte-for-byte without re-simulating. Events holds the telemetry
+// needs from the simulation, in rendered or JSON-stable form, so a resumed
+// run can replay the unit byte-for-byte without re-simulating. Charts is
+// the group's rendered charts; its caption depends on the Figure 11 study,
+// so run renders it when it assembles the report. Events holds the telemetry
 // lines exactly as the JSONL sink would write them; all floats journal as
 // IEEE-754 bit patterns (checkpoint.F64) so the round trip is bit-exact and
 // a NaN outcome — possible at extreme scales — still journals.
 type savedMix struct {
-	Group      string            `json:"group"`
+	Charts     string            `json:"charts"`
 	Row        savedRow          `json:"table6"`
 	Events     []json.RawMessage `json:"events,omitempty"`
 	ActiveRate checkpoint.F64    `json:"active_rate"`
@@ -267,7 +272,6 @@ func campaignFlags(fs *flag.FlagSet) func() (config, error) {
 		feRebld  = fs.Bool("fe-cache-rebuild", false, "regenerate corrupt or key-mismatched -fe-cache entries instead of failing")
 		dlqRun   = fs.Bool("dlq", false, "dead-letter poisoned units into the journal and complete degraded instead of failing (requires -checkpoint)")
 		replay   = fs.Bool("replay", false, "re-drive units the checkpoint journal holds dead letters for (implies -dlq)")
-		priority = fs.Int("priority", 0, "unit priority on the campaign service queue (higher dequeues first)")
 		httpAddr = fs.String("http", "", "serve /metrics, /progress, /healthz and pprof on this address (e.g. :8080)")
 		obsTrace = fs.String("obs-trace", "", "write a wall-clock span trace (JSONL) of the campaign to this file")
 		quiet    = fs.Bool("quiet", false, "suppress the live progress line on stderr")
@@ -289,7 +293,6 @@ func campaignFlags(fs *flag.FlagSet) func() (config, error) {
 			ckptPath:       *ckpt,
 			dlq:            *dlqRun || *replay,
 			replay:         *replay,
-			priority:       *priority,
 			feCacheDir:     *feCache,
 			feCacheRebuild: *feRebld,
 			oracleMixes:    *oracleMx,
@@ -335,7 +338,10 @@ func (c config) validate() error {
 
 // fingerprint pins the checkpoint journal to this exact campaign: results
 // journaled under any other scale, instruction budget, unit set, or
-// compiled-in parameter table must not be resumed.
+// compiled-in parameter table must not be resumed. "mix=charts" names the
+// mix unit's journal value, the group's charts without their caption, so a
+// journal whose mix units hold captioned groups refuses to resume rather
+// than print each caption twice.
 func (c config) fingerprint() checkpoint.Fingerprint {
 	schemes := make([]string, len(mixKinds))
 	for i, k := range mixKinds {
@@ -345,7 +351,7 @@ func (c config) fingerprint() checkpoint.Fingerprint {
 		Scale:        c.scale,
 		Instructions: c.sensIns,
 		Schemes:      schemes,
-		Units:        fmt.Sprintf("mixes=%v telemetry=%t", c.ids, c.traced),
+		Units:        fmt.Sprintf("mixes=%v telemetry=%t mix=charts", c.ids, c.traced),
 		ParamsTag:    experiments.ParamsFingerprint(),
 	}
 }
@@ -401,9 +407,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 	// installed process-wide before the study so every engine pass sees it,
 	// and cleared on exit so tests driving run() back-to-back never leak a
 	// store into the next campaign.
-	units := &unitExec{cfg: cfg}
-	exec, workers := units.exec, cfg.jobs
-	var coord *shard.Coordinator
+	exec, workers := unitExec(cfg), cfg.jobs
 	var feStore *tracecache.Store
 	if cfg.shards > 1 {
 		c, err := shard.Launch(journal, cfg.shards, cfg.workerArgs(), log.Printf)
@@ -411,7 +415,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 			return err
 		}
 		defer c.Close()
-		coord, exec, workers = c, c.Exec, cfg.shards
+		exec, workers = c.Exec, cfg.shards
 	} else if cfg.feCacheDir != "" {
 		st, release, err := experiments.OpenFrontEndCache(cfg.feCacheDir, cfg.feCacheRebuild, log.Printf)
 		if err != nil {
@@ -457,33 +461,20 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		return ctx.Err() != nil || errors.Is(err, campaign.ErrInterrupted)
 	}
 
-	// Figure 11. The phase's Done assembles the study that mix units caption
-	// against and, under -shards, hands it to the workers.
+	// Figure 11. The assembled study also captions the mix groups below.
+	var study []experiments.SensitivityResult
 	if cfg.sensIns > 0 && ctx.Err() == nil {
 		log.Printf("running Figure 11 sensitivity study (%d instructions per benchmark pass, %d jobs)...",
 			cfg.sensIns, cfg.jobs)
-		var study []experiments.SensitivityResult
-		err := runPhase("sens", campaign.PhaseSpec{Name: "sensitivity", Keys: experiments.SensitivityKeys(), Done: func() error {
-			var err error
-			if study, err = experiments.StudyFromJournal(journal); err != nil {
-				return err
-			}
-			units.study = study
-			if coord == nil {
-				return nil
-			}
-			raw, err := experiments.EncodeStudy(study)
-			if err != nil {
-				return err
-			}
-			return coord.Broadcast("study", raw)
-		}})
-		if err != nil {
+		if err := runPhase("sens", campaign.PhaseSpec{Name: "sensitivity", Keys: experiments.SensitivityKeys()}); err != nil {
 			if interrupted(err) {
 				log.Print("interrupted during the sensitivity study")
 				writeManifest(w, cfg, journal, 0)
 				return commit(telemSink, telemFile, outFile)
 			}
+			return err
+		}
+		if study, err = experiments.StudyFromJournal(journal); err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report.Figure11(study))
@@ -511,7 +502,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 	var rows []experiments.Table6Row
 	var activeRates, maintainFracs []float64
 	done := 0
-	for _, key := range mixKeys {
+	for i, key := range mixKeys {
 		var sv savedMix
 		ok, err := journal.Lookup(key, &sv)
 		if err != nil {
@@ -529,7 +520,12 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 				return err
 			}
 		}
-		fmt.Fprintln(w, sv.Group)
+		mix, err := workload.MixByID(cfg.ids[i])
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, report.MixCaption(mix, study))
+		fmt.Fprintln(w, sv.Charts)
 		row := sv.Row.row()
 		rows = append(rows, row)
 		maintainFracs = append(maintainFracs, row.UntangleMaintainFrac)
@@ -620,51 +616,45 @@ func (c config) observeUnit(phase, key string) func(outcome string, err error) {
 func unitName(key string) string { return strings.TrimPrefix(key, "sens/") }
 
 // unitExec is the campaign's unit executor — the one "sens/" and "mix/"
-// dispatch, behind both the service's in-process Exec and a shard worker's
-// — so a unit's journal value is byte-identical wherever it ran.
-type unitExec struct {
-	cfg config
-	// study is the assembled Figure 11 study mix units caption against. The
-	// sensitivity phase's Done sets it before the service enqueues any mix
-	// unit (in a worker, SetContext sets it on the unit loop's goroutine),
-	// so the queue orders it before every read.
-	study []experiments.SensitivityResult
-}
-
-// exec runs one unit by key. Retries live inside the executors; an error
-// escaping here is terminal, and the job's failure policy settles it.
-func (u *unitExec) exec(ctx context.Context, key string) (json.RawMessage, error) {
-	idStr, isMix := strings.CutPrefix(key, "mix/")
-	if !isMix {
-		raw, outcome, err := experiments.RunSensitivityUnit(ctx, key, u.cfg.sensIns)
-		campaign.ReportOutcome(ctx, outcome)
-		return raw, err
+// dispatch, behind both the service's in-process Exec and a shard worker's.
+// A unit is a function of its key and the fingerprinted configuration
+// alone, so its journal value is byte-identical wherever it ran. Retries
+// live inside the executors; an error escaping here is terminal, and the
+// job's failure policy settles it.
+func unitExec(cfg config) func(ctx context.Context, key string) (json.RawMessage, error) {
+	return func(ctx context.Context, key string) (json.RawMessage, error) {
+		idStr, isMix := strings.CutPrefix(key, "mix/")
+		if !isMix {
+			raw, outcome, err := experiments.RunSensitivityUnit(ctx, key, cfg.sensIns)
+			campaign.ReportOutcome(ctx, outcome)
+			return raw, err
+		}
+		id, err := strconv.Atoi(idStr)
+		if err != nil {
+			return nil, fmt.Errorf("bad mix key %q", key)
+		}
+		// Scheme-level concurrency only helps when the mixes themselves
+		// cannot fill the pool.
+		innerJobs := 1
+		if len(cfg.ids) == 1 {
+			innerJobs = cfg.jobs
+		}
+		sv, err := runMixUnit(ctx, cfg, id, innerJobs)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(sv)
 	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		return nil, fmt.Errorf("bad mix key %q", key)
-	}
-	// Scheme-level concurrency only helps when the mixes themselves cannot
-	// fill the pool.
-	innerJobs := 1
-	if len(u.cfg.ids) == 1 {
-		innerJobs = u.cfg.jobs
-	}
-	sv, err := runMixUnit(ctx, u.cfg, u.study, id, innerJobs)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(sv)
 }
 
 // runMixUnit simulates one mix in full — the four-scheme run with
 // per-scheme telemetry buffers — and returns the unit's journal value: the
-// rendered report group, the Table 6 row, and the active-attacker rate,
+// rendered report charts, the Table 6 row, and the active-attacker rate,
 // which re-accounts the Untangle run's assessment trace under worst-case
 // accounting (MixResult.Reaccount). It is the single execution path for a
 // mix whether the unit runs in-process or inside a shard worker, which is
 // what makes the two journals byte-identical.
-func runMixUnit(ctx context.Context, cfg config, study []experiments.SensitivityResult, id, innerJobs int) (*savedMix, error) {
+func runMixUnit(ctx context.Context, cfg config, id, innerJobs int) (*savedMix, error) {
 	key := mixKey(id)
 	mix, err := workload.MixByID(id)
 	if err != nil {
@@ -715,7 +705,7 @@ func runMixUnit(ctx context.Context, cfg config, study []experiments.Sensitivity
 		rates[i] = l.PerAssessment()
 	}
 	sv := savedMix{ActiveRate: checkpoint.F64(stats.Mean(rates))}
-	if sv.Group, err = report.MixGroup(res, study); err != nil {
+	if sv.Charts, err = report.MixCharts(res); err != nil {
 		return nil, err
 	}
 	row, err := res.Table6()

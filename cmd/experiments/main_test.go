@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"untangle/internal/checkpoint"
 	"untangle/internal/experiments"
 	"untangle/internal/faultinject"
 	"untangle/internal/parallel"
@@ -81,6 +83,43 @@ func TestValidateConfig(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// Mix units journal their charts and no caption. A journal from a build
+// whose mix units journaled the captioned group must not resume, or every
+// resumed group would print its caption twice. Such a journal's unit set
+// lacks "mix=charts", so run refuses it and names both configurations.
+func TestCaptionedMixJournalRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config{
+		scale:    0.0002,
+		ids:      []int{1},
+		jobs:     1,
+		outPath:  filepath.Join(dir, "report.txt"),
+		ckptPath: filepath.Join(dir, "run.ckpt"),
+	}
+	captioned := cfg.fingerprint()
+	captioned.Units = fmt.Sprintf("mixes=%v telemetry=%t", cfg.ids, cfg.traced)
+	j, err := checkpoint.Open(cfg.ckptPath, captioned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run(context.Background(), cfg, io.Discard)
+	if err == nil {
+		t.Fatal("a journal of captioned mix groups resumed")
+	}
+	for _, fp := range []checkpoint.Fingerprint{captioned, cfg.fingerprint()} {
+		if !strings.Contains(err.Error(), fp.String()) {
+			t.Errorf("error does not name configuration %s:\n%v", fp, err)
+		}
+	}
+	if _, err := os.Stat(cfg.outPath); !os.IsNotExist(err) {
+		t.Errorf("refused run wrote a report (stat err = %v)", err)
 	}
 }
 
@@ -309,7 +348,7 @@ func TestCorruptMixEntryFailsOnce(t *testing.T) {
 	defer experiments.SetFrontEndCache(nil)
 	cfg := config{scale: 0.0002, jobs: 1}
 	ctx := context.Background()
-	if _, err := runMixUnit(ctx, cfg, nil, 1, 1); err != nil {
+	if _, err := runMixUnit(ctx, cfg, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -351,7 +390,7 @@ func TestCorruptMixEntryFailsOnce(t *testing.T) {
 	})
 	defer experiments.SetUnitObserver(nil)
 	before := st.Counters()
-	_, err = runMixUnit(ctx, cfg, nil, 1, 1)
+	_, err = runMixUnit(ctx, cfg, 1, 1)
 	var re *parallel.RetryExhaustedError
 	if !errors.Is(err, tracecache.ErrCorrupt) || errors.As(err, &re) {
 		t.Fatalf("warm mix over a damaged entry: err = %v, want ErrCorrupt without retries", err)

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +23,9 @@ import (
 // (stdout is the protocol stream). Besides its shard index, the worker
 // parses the campaign flags the coordinator passes down (workerArgs), so
 // it builds the identical config and checkpoint fingerprint, and runs units
-// with the in-process campaign's executor.
+// with the in-process campaign's executor. That config is all the campaign
+// state a worker holds: a unit is a function of its key and the
+// fingerprinted flags, so a respawned worker needs nothing replayed.
 func workerMain(args []string) int {
 	log.SetFlags(0)
 	fs := flag.NewFlagSet("shard-worker", flag.ContinueOnError)
@@ -55,18 +56,9 @@ func workerMain(args []string) int {
 		}
 		defer release()
 	}
-	units := &unitExec{cfg: cfg}
 	err = shard.ServeWorker(cfg.ckptPath, cfg.fingerprint(), shard.WorkerConfig{
 		Shard: *shardIdx,
-		Exec:  units.exec,
-		SetContext: func(name string, value json.RawMessage) error {
-			if name != "study" {
-				return fmt.Errorf("unknown campaign context %q", name)
-			}
-			study, err := experiments.DecodeStudy(value)
-			units.study = study
-			return err
-		},
+		Exec:  unitExec(cfg),
 	})
 	if err != nil {
 		log.Print(err)

@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"untangle/internal/checkpoint"
 	"untangle/internal/experiments"
+	"untangle/internal/faultinject"
 	"untangle/internal/shard"
+	"untangle/internal/workload"
 )
 
 // The worker-kill injection hooks the sharded equivalence test arms.
@@ -114,5 +120,85 @@ func TestShardedStudyEquivalence(t *testing.T) {
 	}
 	if !bytes.HasPrefix(want, []byte("Figure 11:")) || bytes.Contains(want, []byte("Table 6")) {
 		t.Errorf("sensitivity-only report is not Figure 11 and the manifest:\n%s", want)
+	}
+}
+
+// A mix unit is a function of its key and the fingerprinted flags: it
+// journals the group's charts, and the report assembly renders the caption
+// from the Figure 11 study. So Mix 1's journal value is byte-identical
+// whether the campaign ran no study, a full study on shard workers (which
+// never see the study), or a study with a dead-lettered benchmark, while
+// the caption in each report follows that campaign's study.
+func TestMixUnitIndependentOfStudy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three small campaigns")
+	}
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadKey := experiments.SensitivityKey(mix.Pairs[0].SPEC)
+	campaignConfig := func(dir string, sensIns uint64) config {
+		cfg := equivalenceConfig(dir)
+		cfg.ids = []int{1}
+		cfg.sensIns = sensIns
+		cfg.ckptPath = filepath.Join(dir, "run.ckpt")
+		return cfg
+	}
+	// mixUnit runs cfg and returns Mix 1's journal value and the caption's
+	// second line, which carries the demand.
+	mixUnit := func(t *testing.T, cfg config) (json.RawMessage, string) {
+		t.Helper()
+		report, _ := runCampaignFiles(t, context.Background(), cfg)
+		j, err := checkpoint.Open(cfg.ckptPath, cfg.fingerprint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, dead := j.Dead(deadKey); dead != cfg.dlq {
+			t.Fatalf("%s dead-lettered = %v, want %v", deadKey, dead, cfg.dlq)
+		}
+		var raw json.RawMessage
+		if ok, err := j.Lookup(mixKey(1), &raw); err != nil || !ok {
+			t.Fatalf("journal %s: ok=%v err=%v", mixKey(1), ok, err)
+		}
+		for _, line := range strings.Split(string(report), "\n") {
+			if strings.HasPrefix(line, "Total LLC size:") {
+				return raw, line
+			}
+		}
+		t.Fatalf("report has no caption:\n%s", report)
+		return nil, ""
+	}
+
+	noStudy, noCaption := mixUnit(t, campaignConfig(t.TempDir(), 0))
+	if noCaption != "Total LLC size: 16MB" {
+		t.Errorf("caption without a study = %q", noCaption)
+	}
+
+	// At this scale 200k instructions give the benchmark dead-lettered
+	// below an adequate size; at 100k its curve is NaN, and dead-lettering
+	// it would not move the demand.
+	sharded := campaignConfig(t.TempDir(), 200_000)
+	sharded.shards = 2
+	fullStudy, fullCaption := mixUnit(t, sharded)
+
+	poisoned := campaignConfig(t.TempDir(), 200_000)
+	poisoned.dlq = true
+	experiments.SetUnitFaultHook(faultinject.KeyedError(deadKey, errors.New("injected poison")).Fire)
+	defer experiments.SetUnitFaultHook(nil)
+	zeroRow, zeroCaption := mixUnit(t, poisoned)
+
+	if !strings.Contains(fullCaption, "; Total LLC demand: ") || !strings.Contains(zeroCaption, "; Total LLC demand: ") {
+		t.Errorf("captions with a study lack the demand: %q, %q", fullCaption, zeroCaption)
+	}
+	if zeroCaption == fullCaption {
+		t.Errorf("dead-lettering %s left the demand at %q", deadKey, fullCaption)
+	}
+	if !bytes.Equal(fullStudy, noStudy) {
+		t.Errorf("mix/1 journal value differs between a full study and none (%d vs %d bytes)", len(fullStudy), len(noStudy))
+	}
+	if !bytes.Equal(zeroRow, noStudy) {
+		t.Errorf("mix/1 journal value differs between a study with a dead row and none (%d vs %d bytes)", len(zeroRow), len(noStudy))
 	}
 }

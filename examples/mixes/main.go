@@ -38,11 +38,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	group, err := report.MixGroup(res, nil)
+	charts, err := report.MixCharts(res)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(group)
+	fmt.Print(report.MixCaption(mix, nil), charts)
 	row, err := res.Table6()
 	if err != nil {
 		log.Fatal(err)

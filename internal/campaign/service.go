@@ -68,16 +68,11 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// PhaseSpec is one stage of a job: an ordered key list plus an optional
-// assembly callback that runs after every key has settled and before the
-// next phase's units are enqueued — the seam where a campaign assembles
-// phase-1 results (the sensitivity study) that phase-2 units consume.
+// PhaseSpec is one stage of a job: an ordered key list. Every key of a
+// phase settles before the next phase's units are enqueued.
 type PhaseSpec struct {
 	Name string
 	Keys []string
-	// Done runs on the job's feeder goroutine once the phase settles. An
-	// error fails the job.
-	Done func() error
 }
 
 // JobSpec describes one submitted campaign.
@@ -354,7 +349,7 @@ func (s *Service) Drain(ctx context.Context) error {
 
 // feed is the job's feeder goroutine: it walks the phases, skips keys the
 // journal already settles (done or dead), pushes the rest through the
-// queue, waits for the phase to settle, and runs the phase's assembly.
+// queue, and waits for the phase to settle before starting the next.
 func (s *Service) feed(job *Job) {
 	defer s.feederWG.Done()
 	defer job.finish()
@@ -393,12 +388,6 @@ func (s *Service) feed(job *Job) {
 		job.waitPhase()
 		if job.ctx.Err() != nil || job.Err() != nil || s.isDraining() {
 			return
-		}
-		if ph.Done != nil {
-			if err := ph.Done(); err != nil {
-				job.fail(fmt.Errorf("campaign: job %s phase %s: %w", job.spec.ID, ph.Name, err))
-				return
-			}
 		}
 	}
 }

@@ -46,29 +46,22 @@ func TestServiceRunsPhasesInOrder(t *testing.T) {
 	s := New(Options{Workers: 4, QueueDepth: 8})
 	defer drainAll(t, s)
 
-	var mu sync.Mutex
-	var order []string
-	assembled := false
+	sensKeys := []string{"sens/a", "sens/b", "sens/c"}
 	job, err := s.Submit(JobSpec{
 		ID:      "c1",
 		Journal: j,
 		Phases: []PhaseSpec{
-			{Name: "sens", Keys: []string{"sens/a", "sens/b", "sens/c"}, Done: func() error {
-				mu.Lock()
-				assembled = true
-				mu.Unlock()
-				return nil
-			}},
+			{Name: "sens", Keys: sensKeys},
 			{Name: "mix", Keys: []string{"mix/1", "mix/2"}},
 		},
 		Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
-			mu.Lock()
-			if strings.HasPrefix(key, "mix/") && !assembled {
-				mu.Unlock()
-				return nil, errors.New("mix unit ran before phase-1 assembly")
+			if strings.HasPrefix(key, "mix/") {
+				for _, sk := range sensKeys {
+					if !j.Done(sk) {
+						return nil, fmt.Errorf("mix unit %s ran before %s was journaled", key, sk)
+					}
+				}
 			}
-			order = append(order, key)
-			mu.Unlock()
 			return okExec(ctx, key)
 		},
 	})

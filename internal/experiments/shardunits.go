@@ -1,7 +1,7 @@
 // Campaign-executor entry points: the pieces of the evaluation a campaign
 // job executes one unit at a time — on the service's goroutines or inside a
-// shard worker process — plus the journal encodings that cross the process
-// boundary. Everything here reuses the exact retry/engine/assembly path of
+// shard worker process — plus the study's assembly from the journal those
+// units fill. Everything here reuses the exact retry/engine/assembly path of
 // the in-process study, so a unit's journal bytes are identical whether it
 // ran in-process, checkpointed, or on a worker three respawns deep — the
 // byte-equality the shard coordinator verifies on every duplicate result.
@@ -67,33 +67,4 @@ func RunSensitivityUnit(ctx context.Context, key string, instructions uint64) (j
 		return raw, outcome, err
 	}
 	return nil, UnitGenerated, fmt.Errorf("experiments: unknown sensitivity unit %q", key)
-}
-
-// EncodeStudy packs an assembled study for broadcast to shard workers (mix
-// units need it for report captions). The curve goes through
-// checkpoint.F64 like every journaled float, so NaN points survive the
-// trip.
-func EncodeStudy(study []SensitivityResult) (json.RawMessage, error) {
-	units := make([]sensUnit, len(study))
-	for i, r := range study {
-		units[i] = toSensUnit(r)
-	}
-	raw, err := json.Marshal(units)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: encode study: %w", err)
-	}
-	return raw, nil
-}
-
-// DecodeStudy reverses EncodeStudy.
-func DecodeStudy(raw json.RawMessage) ([]SensitivityResult, error) {
-	var units []sensUnit
-	if err := json.Unmarshal(raw, &units); err != nil {
-		return nil, fmt.Errorf("experiments: decode study: %w", err)
-	}
-	study := make([]SensitivityResult, len(units))
-	for i, u := range units {
-		study[i] = u.result()
-	}
-	return study, nil
 }

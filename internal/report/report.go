@@ -11,6 +11,7 @@ import (
 	"untangle/internal/experiments"
 	"untangle/internal/partition"
 	"untangle/internal/stats"
+	"untangle/internal/workload"
 )
 
 // mb formats bytes as megabytes.
@@ -18,17 +19,24 @@ func mb(v float64) string {
 	return fmt.Sprintf("%.2f", v/(1<<20))
 }
 
-// MixGroup renders one Figure 10/12-17 group: the caption line, the
-// partition-size distribution chart, the leakage-per-assessment chart, and
-// the normalized-IPC chart, one row per workload plus the geometric mean.
-func MixGroup(res *experiments.MixResult, study []experiments.SensitivityResult) (string, error) {
-	var b strings.Builder
+// MixCaption renders the caption of one Figure 10/12-17 group: the mix's
+// LLC-sensitive count and, given the Figure 11 study, its total LLC demand
+// (the sum of its members' adequate sizes), then the blank line that
+// separates the caption from the charts. A nil study omits the demand.
+func MixCaption(mix workload.Mix, study []experiments.SensitivityResult) string {
 	demand := ""
 	if study != nil {
-		demand = fmt.Sprintf("; Total LLC demand: %sMB", mb(float64(experiments.TotalLLCDemand(res.Mix, study))))
+		demand = fmt.Sprintf("; Total LLC demand: %sMB", mb(float64(experiments.TotalLLCDemand(mix, study))))
 	}
-	fmt.Fprintf(&b, "Mix %d: %d LLC-sensitive benchmarks\n", res.Mix.ID, res.Mix.SensitiveCount())
-	fmt.Fprintf(&b, "Total LLC size: 16MB%s\n\n", demand)
+	return fmt.Sprintf("Mix %d: %d LLC-sensitive benchmarks\nTotal LLC size: 16MB%s\n\n",
+		mix.ID, mix.SensitiveCount(), demand)
+}
+
+// MixCharts renders the charts of one Figure 10/12-17 group: the
+// partition-size distribution chart, the leakage-per-assessment chart, and
+// the normalized-IPC chart, one row per workload plus the geometric mean.
+func MixCharts(res *experiments.MixResult) (string, error) {
+	var b strings.Builder
 
 	// Chart 1: partition-size distribution under Time and Untangle.
 	fmt.Fprintf(&b, "Partition size distribution (MB)  [min  q1  median  q3  max]\n")

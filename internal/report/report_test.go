@@ -25,35 +25,50 @@ func smallMixResult(t *testing.T) *experiments.MixResult {
 	return res
 }
 
+// A Figure 10/12-17 group is its caption followed by its charts. The two
+// halves together must reproduce the single render they were split from:
+// the caption is exactly the group's first two lines and the blank line
+// after them, the charts carry everything else, and only the caption
+// depends on the study.
 func TestMixGroupRendersAllSections(t *testing.T) {
 	res := smallMixResult(t)
-	out, err := MixGroup(res, nil)
+	charts, err := MixCharts(res)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !strings.HasPrefix(charts, "Partition size distribution (MB)") {
+		t.Errorf("charts do not open with the first chart:\n%s", firstLines(charts, 3))
+	}
 	for _, want := range []string{
-		"Mix 1: 2 LLC-sensitive benchmarks",
-		"Partition size distribution",
 		"Leakage per assessment",
 		"IPC normalized to Static",
 		"Geo. Mean",
 		"parest_0+ECDSA",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
+		if !strings.Contains(charts, want) {
+			t.Errorf("charts missing %q", want)
 		}
 	}
+	if strings.Contains(charts, "Mix 1") || strings.Contains(charts, "Total LLC") {
+		t.Errorf("charts carry caption text:\n%s", firstLines(charts, 3))
+	}
+
 	// With a sensitivity study the caption gains a demand figure.
 	study := []experiments.SensitivityResult{}
 	for _, p := range workload.SPECBenchmarks {
 		study = append(study, experiments.SensitivityResult{Name: p.Name, Adequate: 1 << 20})
 	}
-	out2, err := MixGroup(res, study)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out2, "Total LLC demand: 8.00MB") {
-		t.Errorf("demand caption missing:\n%s", firstLines(out2, 3))
+	for _, tc := range []struct {
+		name  string
+		study []experiments.SensitivityResult
+		want  string
+	}{
+		{"no study", nil, "Mix 1: 2 LLC-sensitive benchmarks\nTotal LLC size: 16MB\n\n"},
+		{"study", study, "Mix 1: 2 LLC-sensitive benchmarks\nTotal LLC size: 16MB; Total LLC demand: 8.00MB\n\n"},
+	} {
+		if got := MixCaption(res.Mix, tc.study); got != tc.want {
+			t.Errorf("%s: caption = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -66,8 +81,8 @@ func TestMixGroupMissingSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MixGroup(res, nil); err == nil {
-		t.Error("MixGroup without dynamic schemes accepted")
+	if _, err := MixCharts(res); err == nil {
+		t.Error("MixCharts without dynamic schemes accepted")
 	}
 }
 

@@ -74,9 +74,8 @@ type Stats struct {
 // time. It schedules nothing: its caller — the campaign service, whose
 // Exec it is, or Run — decides which unit runs when, and Exec only finds an
 // idle live worker for it, waits for the result, and recovers from the
-// worker's death. Exec and Stats are safe for concurrent use; Broadcast
-// belongs between phases, when no unit is in flight, and Shutdown after
-// the last Exec.
+// worker's death. Exec and Stats are safe for concurrent use, and Shutdown
+// belongs after the last Exec.
 type Coordinator struct {
 	spawn Spawn
 	opts  Options
@@ -87,7 +86,6 @@ type Coordinator struct {
 
 	mu       sync.Mutex // guards everything below
 	workers  []*workerState
-	contexts []message // broadcasts, replayed to respawned workers
 	respawns int
 
 	// results holds every completed unit, to verify that duplicates
@@ -137,8 +135,8 @@ type event struct {
 	err error
 }
 
-// New spawns the workers and returns a coordinator ready for Broadcast,
-// Exec and Run. On error, any workers already spawned are killed.
+// New spawns the workers and returns a coordinator ready for Exec and Run.
+// On error, any workers already spawned are killed.
 func New(spawn Spawn, opts Options) (*Coordinator, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("shard: Workers = %d, need at least 1", opts.Workers)
@@ -156,7 +154,7 @@ func New(spawn Spawn, opts Options) (*Coordinator, error) {
 		results: make(map[string]json.RawMessage),
 	}
 	for i := 0; i < opts.Workers; i++ {
-		w, err := c.startWorker(i, nil)
+		w, err := c.startWorker(i)
 		if err != nil {
 			c.Shutdown()
 			return nil, err
@@ -167,9 +165,8 @@ func New(spawn Spawn, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// startWorker spawns the process for a shard index and replays the
-// campaign context broadcast so far to it.
-func (c *Coordinator) startWorker(shard int, contexts []message) (*workerState, error) {
+// startWorker spawns the process for a shard index.
+func (c *Coordinator) startWorker(shard int) (*workerState, error) {
 	proc, err := c.spawn(shard)
 	if err != nil {
 		return nil, fmt.Errorf("shard: spawn worker %d: %w", shard, err)
@@ -177,9 +174,8 @@ func (c *Coordinator) startWorker(shard int, contexts []message) (*workerState, 
 	w := &workerState{
 		shard: shard,
 		proc:  proc,
-		// One assignment + context replays + shutdown all fit with room to
-		// spare; see enqueue.
-		sendq: make(chan message, len(contexts)+16),
+		// One assignment + shutdown fit with room to spare; see enqueue.
+		sendq: make(chan message, 16),
 		// A unit's answer plus the heartbeats of an idle stretch; beyond
 		// that, heartbeats are dropped (see the reader).
 		events: make(chan event, 16),
@@ -237,31 +233,7 @@ func (c *Coordinator) startWorker(shard int, contexts []message) (*workerState, 
 		}
 		deliver(event{err: err})
 	}()
-	for _, m := range contexts {
-		w.sendq <- m // sized to hold them all: never blocks
-	}
 	return w, nil
-}
-
-// Broadcast sends shared campaign state (e.g. the assembled sensitivity
-// study) to every live worker and stores it for replay to respawns.
-func (c *Coordinator) Broadcast(name string, value json.RawMessage) error {
-	m := message{Kind: kindContext, Name: name, Value: value}
-	var full []int
-	c.mu.Lock()
-	c.contexts = append(c.contexts, m)
-	for _, w := range c.workers {
-		if !w.dead && !w.enqueue(m) {
-			full = append(full, w.shard)
-		}
-	}
-	c.mu.Unlock()
-	for _, shard := range full {
-		// The worker will be declared dead when its next unit sees the
-		// stream end or the lease expire; don't fail the campaign.
-		c.opts.Logf("shard: broadcast %q to worker %d: queue full", name, shard)
-	}
-	return nil
 }
 
 // Exec runs one unit on an idle live worker and returns its journal value.
@@ -363,7 +335,7 @@ func (c *Coordinator) ready(slot int) (*workerState, error) {
 	if dead && !spent {
 		c.respawns++
 	}
-	used, contexts := c.respawns, c.contexts
+	used := c.respawns
 	c.mu.Unlock()
 	switch {
 	case !dead:
@@ -372,7 +344,7 @@ func (c *Coordinator) ready(slot int) (*workerState, error) {
 		return nil, fmt.Errorf("shard: worker %d dead and the respawn budget (%d) exhausted", slot, c.opts.MaxRespawns)
 	}
 	c.opts.Logf("shard: respawning worker %d (%d/%d respawns used)", slot, used, c.opts.MaxRespawns)
-	nw, err := c.startWorker(slot, contexts)
+	nw, err := c.startWorker(slot)
 	if err != nil {
 		return nil, err
 	}

@@ -109,8 +109,8 @@ func (c *Coordinator) Close() {
 
 // ServeWorker is the body of a `-shard-worker` process for the campaign
 // journaled at ckpt under fp: it opens the shard journal and its heartbeat
-// sidecar, arms the kill-injection hook, and runs cfg (its Shard, Exec and
-// SetContext; ServeWorker fills the rest) on stdin/stdout — log lines go to
+// sidecar, arms the kill-injection hook, and runs cfg (its Shard and Exec;
+// ServeWorker fills the rest) on stdin/stdout — log lines go to
 // stderr — until the coordinator says shutdown.
 func ServeWorker(ckpt string, fp checkpoint.Fingerprint, cfg WorkerConfig) error {
 	// The coordinator owns the campaign's lifecycle: a terminal ^C reaches

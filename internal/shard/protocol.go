@@ -20,7 +20,6 @@
 //
 // Coordinator → worker:
 //
-//	{"kind":"context","name":"study","value":...}   // shared campaign state
 //	{"kind":"assign","key":"mix/3"}                  // execute one unit
 //	{"kind":"shutdown"}                              // finish and exit
 //
@@ -61,7 +60,6 @@ import (
 
 // Message kinds, coordinator → worker.
 const (
-	kindContext  = "context"
 	kindAssign   = "assign"
 	kindShutdown = "shutdown"
 )
@@ -78,9 +76,7 @@ type message struct {
 	Kind string `json:"kind"`
 	// Key names the unit (assign, result, error).
 	Key string `json:"key,omitempty"`
-	// Name labels a context broadcast ("study").
-	Name string `json:"name,omitempty"`
-	// Value carries the unit result or the context payload, verbatim.
+	// Value carries the unit result, verbatim.
 	Value json.RawMessage `json:"value,omitempty"`
 	// Error is the unit's failure, rendered (error values don't cross
 	// process boundaries).

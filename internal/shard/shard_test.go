@@ -440,84 +440,6 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}
 }
 
-// Broadcast state must reach workers spawned after the broadcast (respawn
-// replay) — mix units need the sensitivity study no matter which
-// incarnation runs them.
-func TestBroadcastReplaysToRespawnedWorker(t *testing.T) {
-	h := newHarness(t, nil)
-	var contexts sync.Map // shard*100+incarnation → value
-	// Worker 1 holds its first unit until worker 0's respawned incarnation
-	// has received the replayed broadcast. Otherwise worker 1 could finish
-	// every unit before a unit is handed to slot 0 again, and the respawn
-	// under test would never happen.
-	respawned := make(chan struct{})
-	var held atomic.Bool
-	var replayed sync.Once
-	h.exec = func(ctx context.Context, shard, incarnation int, key string) (json.RawMessage, error) {
-		if shard == 1 && held.CompareAndSwap(false, true) {
-			select {
-			case <-respawned:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		v, ok := contexts.Load(shard*100 + incarnation)
-		if !ok {
-			return nil, fmt.Errorf("worker %d/%d executing %s without campaign context", shard, incarnation, key)
-		}
-		raw, _ := json.Marshal(map[string]string{"unit": key, "study": v.(string)})
-		return raw, nil
-	}
-	var killed atomic.Bool
-	h.tweak = func(shard, incarnation int, cfg *WorkerConfig) {
-		cfg.SetContext = func(name string, value json.RawMessage) error {
-			var s string
-			if err := json.Unmarshal(value, &s); err != nil {
-				return err
-			}
-			contexts.Store(shard*100+incarnation, s)
-			if shard == 0 && incarnation == 2 {
-				replayed.Do(func() { close(respawned) })
-			}
-			return nil
-		}
-		if incarnation == 1 {
-			cfg.PostRecord = func(key string) {
-				if shard == 0 && killed.CompareAndSwap(false, true) {
-					h.kill(shard, incarnation)
-				}
-			}
-		}
-	}
-	c, err := New(h.spawn, Options{Workers: 2, Recover: h.recover, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-
-	study, _ := json.Marshal("figure-11-study")
-	if err := c.Broadcast("study", study); err != nil {
-		t.Fatal(err)
-	}
-	ks := keys(8)
-	results, err := c.Run(context.Background(), ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range ks {
-		var got map[string]string
-		if err := json.Unmarshal(results[k], &got); err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if got["study"] != "figure-11-study" {
-			t.Errorf("%s: study = %q", k, got["study"])
-		}
-	}
-	if st := c.Stats(); st.Died != 1 || st.Spawned != 3 {
-		t.Errorf("stats = %+v, want one death and one respawn", st)
-	}
-}
-
 // Workers replay their own journals: a unit already journaled by a previous
 // session is streamed back without re-execution and flagged resumed.
 func TestWorkerReplaysOwnJournal(t *testing.T) {

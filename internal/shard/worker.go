@@ -32,11 +32,6 @@ type WorkerConfig struct {
 	// campaign.ReportOutcome travels back with the result.
 	Exec func(ctx context.Context, key string) (json.RawMessage, error)
 
-	// SetContext receives campaign state broadcast by the coordinator
-	// before it is needed (e.g. the assembled sensitivity study that mix
-	// units consume). May be nil if the campaign has no shared state.
-	SetContext func(name string, value json.RawMessage) error
-
 	// HeartbeatEvery is the liveness pulse interval; zero disables the
 	// heartbeat goroutine (tests that drive the loop synchronously).
 	HeartbeatEvery time.Duration
@@ -104,13 +99,6 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer, cfg WorkerConfi
 		switch m.Kind {
 		case kindShutdown:
 			return nil
-		case kindContext:
-			if cfg.SetContext == nil {
-				return fmt.Errorf("shard: worker %d received context %q but has no SetContext", cfg.Shard, m.Name)
-			}
-			if err := cfg.SetContext(m.Name, m.Value); err != nil {
-				return fmt.Errorf("shard: worker %d context %q: %w", cfg.Shard, m.Name, err)
-			}
 		case kindAssign:
 			if err := w.send(runUnit(ctx, cfg, m.Key)); err != nil {
 				return fmt.Errorf("shard: worker %d stream %s: %w", cfg.Shard, m.Key, err)

@@ -3,9 +3,6 @@ package telemetry
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers the /debug/pprof handlers
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -23,25 +20,22 @@ type ProfileConfig struct {
 	CPUProfile string
 	MemProfile string
 	Trace      string
-	// PprofAddr, when non-empty, serves net/http/pprof on this address
-	// (e.g. "localhost:6060") for live inspection of long runs.
-	PprofAddr string
 }
 
-// AddProfileFlags registers -cpuprofile, -memprofile, -trace and -pprof on
-// fs and returns the config they populate.
+// AddProfileFlags registers -cpuprofile, -memprofile and -trace on fs and
+// returns the config they populate. Live inspection of a long run goes
+// through the observability server's /debug/pprof (cmd/experiments -http).
 func AddProfileFlags(fs *flag.FlagSet) *ProfileConfig {
 	c := &ProfileConfig{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	fs.StringVar(&c.Trace, "trace", "", "write a runtime execution trace to this file")
-	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	return c
 }
 
 // Enabled reports whether any profiling output is requested.
 func (c *ProfileConfig) Enabled() bool {
-	return c != nil && (c.CPUProfile != "" || c.MemProfile != "" || c.Trace != "" || c.PprofAddr != "")
+	return c != nil && (c.CPUProfile != "" || c.MemProfile != "" || c.Trace != "")
 }
 
 // Start begins the requested profiling and returns a stop function that
@@ -52,7 +46,6 @@ func (c *ProfileConfig) Start() (stop func() error, err error) {
 	var (
 		cpuFile   *os.File
 		traceFile *os.File
-		listener  net.Listener
 	)
 	cleanup := func() {
 		if cpuFile != nil {
@@ -64,10 +57,6 @@ func (c *ProfileConfig) Start() (stop func() error, err error) {
 			trace.Stop()
 			traceFile.Close()
 			traceFile = nil
-		}
-		if listener != nil {
-			listener.Close()
-			listener = nil
 		}
 	}
 	if c.CPUProfile != "" {
@@ -94,15 +83,6 @@ func (c *ProfileConfig) Start() (stop func() error, err error) {
 			cleanup()
 			return nil, fmt.Errorf("telemetry: trace: %w", err)
 		}
-	}
-	if c.PprofAddr != "" {
-		listener, err = net.Listen("tcp", c.PprofAddr)
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("telemetry: pprof listener: %w", err)
-		}
-		srv := &http.Server{Handler: http.DefaultServeMux}
-		go srv.Serve(listener) //nolint:errcheck // closed by stop
 	}
 	stopped := false
 	return func() error {
@@ -140,10 +120,6 @@ func (c *ProfileConfig) Start() (stop func() error, err error) {
 					firstErr = err
 				}
 			}
-		}
-		if listener != nil {
-			listener.Close()
-			listener = nil
 		}
 		return firstErr
 	}, nil

@@ -24,7 +24,9 @@
 #           continued cold on a live stream or past a corrupt entry run,
 #           and
 #           the cmd-level kill-and-resume, fail-fast, sharded
-#           worker-kill-and-merge, dead-letter-and-replay, serve-mode
+#           worker-kill-and-merge, mix-unit independence from the study
+#           (a unit is a function of its key and the fingerprinted
+#           flags), dead-letter-and-replay, serve-mode
 #           submit/drain-and-restart, warm-cache, and
 #           observability-equivalence tests; then each fuzz target (journal
 #           recovery, lane sidecar, rich fe-cache entry, trace round trip,
@@ -80,10 +82,14 @@ echo "==> go test -race (kill-and-resume + fail-fast + trace cache + observabili
 go test -race -run 'TestColdOutcomesMatchLanes|TestEngineMatchesOracleQuick|TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestWarmCacheUnitsReportReplayed|TestFailedRunPreservesPreviousOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestTraceCacheStaleSidecar|TestWarmFrontEndCache' \
     ./internal/experiments/ ./cmd/experiments/
 
-echo "==> go test -race (sharded worker-kill-and-merge equivalence)"
+echo "==> go test -race (sharded worker-kill-and-merge equivalence + stateless units)"
 # TestShardedStudyEquivalence shards a sensitivity-only campaign
 # (-mixes none) and kills a worker on a sens/ unit.
-go test -race -run 'TestShardedCampaignEquivalence|TestShardedStudyEquivalence' \
+# TestMixUnitIndependentOfStudy requires Mix 1's journal value to be
+# byte-identical with no study, a full study run on shard workers (which
+# are never sent it), and a study with a dead-lettered row: workers hold
+# no campaign state, and the caption is rendered at report assembly.
+go test -race -run 'TestShardedCampaignEquivalence|TestShardedStudyEquivalence|TestMixUnitIndependentOfStudy' \
     ./cmd/experiments/
 
 echo "==> go test -race (dead-letter-and-replay + serve submit and drain-and-restart)"
