@@ -26,6 +26,7 @@ func TestDeadLetterCampaignEquivalence(t *testing.T) {
 		t.Skip("runs three small campaigns")
 	}
 	freshReport, freshTrace := runCampaignFiles(t, context.Background(), equivalenceConfig(t.TempDir()))
+	requireMix1Measured(t, freshReport)
 
 	cfg := equivalenceConfig(t.TempDir())
 	cfg.ckptPath = filepath.Join(filepath.Dir(cfg.outPath), "run.ckpt")

@@ -124,16 +124,46 @@ func TestCaptionedMixJournalRefused(t *testing.T) {
 }
 
 // equivalenceConfig is the smallest campaign that exercises every unit kind:
-// the sensitivity study, two mixes, and a telemetry stream.
+// the sensitivity study, two mixes, and a telemetry stream. At 20,000
+// instructions every Figure 11 row is n/a and every demand caption 0.00MB,
+// so the study runs 200,000, where Mix 1's members are all measured
+// (requireMix1Measured).
 func equivalenceConfig(dir string) config {
 	return config{
 		scale:    0.0002,
 		ids:      []int{1, 2},
-		sensIns:  20_000,
+		sensIns:  200_000,
 		jobs:     1, // deterministic unit order, so the kill point is exact
 		traced:   true,
 		outPath:  filepath.Join(dir, "report.txt"),
 		telePath: filepath.Join(dir, "trace.jsonl"),
+	}
+}
+
+// requireMix1Measured fails unless report's Figure 11 gives every Mix 1
+// member an adequate size: an equivalence test that compares n/a rows and
+// a 0.00MB demand compares nothing the study measured.
+func requireMix1Measured(t *testing.T, report []byte) {
+	t.Helper()
+	adequate := map[string]string{}
+	rows := false
+	for _, line := range strings.Split(string(report), "\n") {
+		if strings.HasPrefix(line, "(* = ") {
+			break
+		}
+		if f := strings.Fields(strings.TrimPrefix(line, "*")); rows && len(f) > 1 {
+			adequate[f[0]] = f[1]
+		}
+		rows = rows || strings.HasPrefix(line, "  benchmark ")
+	}
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range mix.Pairs {
+		if a, ok := adequate[p.SPEC]; !ok || a == "n/a" {
+			t.Errorf("Figure 11 row of Mix 1 member %s is not measured (adequate %q)", p.SPEC, a)
+		}
 	}
 }
 
@@ -164,6 +194,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		t.Skip("runs five small campaigns")
 	}
 	freshReport, freshTrace := runCampaignFiles(t, context.Background(), equivalenceConfig(t.TempDir()))
+	requireMix1Measured(t, freshReport)
 
 	t.Run("kill-in-sensitivity-study", func(t *testing.T) {
 		cfg := equivalenceConfig(t.TempDir())

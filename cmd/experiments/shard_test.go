@@ -46,6 +46,7 @@ func TestShardedCampaignEquivalence(t *testing.T) {
 		t.Skip("runs three small campaigns")
 	}
 	freshReport, freshTrace := runCampaignFiles(t, context.Background(), equivalenceConfig(t.TempDir()))
+	requireMix1Measured(t, freshReport)
 
 	check := func(t *testing.T, gotReport, gotTrace []byte) {
 		t.Helper()
@@ -95,7 +96,7 @@ func TestShardedStudyEquivalence(t *testing.T) {
 	studyConfig := func(dir string) config {
 		return config{
 			scale:    0.0002,
-			sensIns:  20_000,
+			sensIns:  200_000,
 			jobs:     1,
 			outPath:  filepath.Join(dir, "report.txt"),
 			telePath: filepath.Join(dir, "trace.jsonl"),
@@ -103,6 +104,7 @@ func TestShardedStudyEquivalence(t *testing.T) {
 		}
 	}
 	want, _ := runCampaignFiles(t, context.Background(), studyConfig(t.TempDir()))
+	requireMix1Measured(t, want)
 
 	dir := t.TempDir()
 	sentinel := filepath.Join(dir, "killed")

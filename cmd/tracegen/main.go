@@ -4,39 +4,26 @@
 // the generators (isa.NewTraceReader is an isa.Stream), which is how users
 // plug real program traces into the framework.
 //
-// It also pre-populates the front-end trace cache (internal/tracecache):
-// -fe-cache warms the named benchmarks (or all 36) at the given instruction
-// budget for the sensitivity study, and -fe-cache with -mixes warms the
-// fused mix engine's per-domain streams (workload + private L1, including
-// the pressure-variant tails) for the named mixes at the given -scale — so
-// a later `experiments -fe-cache` campaign replays every pass, Figure 11
-// and Figures 10-17/Table 6 alike. -info understands both formats — an isa
-// trace gets the op statistics and MRC curve, a cache entry gets its record
-// counts and embedded key (mix-keyed rich entries additionally report the
-// measured/pressure split).
+// -info understands both formats — an isa trace gets the op statistics and
+// MRC curve, a front-end trace cache entry (internal/tracecache) gets its
+// record counts and embedded key (mix-keyed rich entries additionally
+// report the measured/pressure split). The cache itself is warmed by
+// `experiments -fe-cache`.
 //
 // Usage:
 //
 //	tracegen -bench mcf_0 -instructions 1000000 -out mcf.trace
 //	tracegen -info mcf.trace
-//	tracegen -fe-cache dir -instructions 1500000            # warm all 36
-//	tracegen -fe-cache dir -bench mcf_0,xz_1 -instructions 1500000
-//	tracegen -fe-cache dir -mixes all -scale 0.01           # warm all 16 mixes
-//	tracegen -fe-cache dir -mixes 1,7 -scale 0.01
 //	tracegen -info dir/mcf_0-1500000.fetrace
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
-	"untangle/internal/experiments"
 	"untangle/internal/fsutil"
 	"untangle/internal/isa"
 	"untangle/internal/monitor"
@@ -49,38 +36,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
 	var (
-		bench        = flag.String("bench", "", "benchmark to record (SPEC or crypto name); for -fe-cache, a comma-separated list (default: all 36)")
+		bench        = flag.String("bench", "", "benchmark to record (SPEC or crypto name)")
 		instructions = flag.Uint64("instructions", 1_000_000, "instructions to record")
 		out          = flag.String("out", "", "output trace file")
 		info         = flag.String("info", "", "print statistics of an existing trace or cache file")
 		secret       = flag.Uint64("secret", 0, "secret salt for crypto benchmarks")
-		feCache      = flag.String("fe-cache", "", "pre-populate this front-end trace cache directory instead of recording")
-		feRebuild    = flag.Bool("fe-cache-rebuild", false, "regenerate corrupt or key-mismatched -fe-cache entries instead of failing")
-		jobs         = flag.Int("jobs", 0, "worker pool size for -fe-cache warming (0 = GOMAXPROCS)")
-		mixList      = flag.String("mixes", "", "with -fe-cache: warm the fused mix engine's domain streams for these mix ids (comma-separated, or \"all\")")
-		mixScale     = flag.Float64("scale", 0.01, "scale factor for -mixes warming (must match the campaign's -scale)")
 	)
 	flag.Parse()
 
 	switch {
 	case *info != "":
 		if err := printInfo(*info); err != nil {
-			log.Fatal(err)
-		}
-	case *feCache != "":
-		if *out != "" {
-			log.Fatal("-fe-cache warms a cache directory; it cannot be combined with -out")
-		}
-		if *mixList != "" {
-			if *bench != "" {
-				log.Fatal("-mixes warms whole mixes; it cannot be combined with -bench")
-			}
-			if err := warmMixes(*feCache, *feRebuild, *mixList, *mixScale, *secret, *jobs); err != nil {
-				log.Fatal(err)
-			}
-			break
-		}
-		if err := warm(*feCache, *feRebuild, *bench, *instructions, *jobs); err != nil {
 			log.Fatal(err)
 		}
 	case *bench != "" && *out != "":
@@ -91,60 +57,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// warm pre-populates the front-end trace cache for the comma-separated
-// benchmark list (empty = every SPEC benchmark) at the given budget.
-// Existing intact entries are replayed (verified), not regenerated.
-func warm(dir string, rebuild bool, benchList string, instructions uint64, jobs int) error {
-	st, err := tracecache.NewStore(dir, rebuild)
-	if err != nil {
-		return err
-	}
-	var names []string
-	if benchList != "" {
-		for _, name := range strings.Split(benchList, ",") {
-			names = append(names, strings.TrimSpace(name))
-		}
-	}
-	generated, err := experiments.WarmFrontEndCache(context.Background(), st, names, instructions, jobs)
-	if err != nil {
-		return err
-	}
-	c := st.Counters()
-	log.Printf("warmed %s: %d streams generated, %d already present, %d bytes written",
-		dir, generated, c.Hits, c.BytesWritten)
-	return nil
-}
-
-// warmMixes pre-populates the front-end trace cache with the fused mix
-// engine's per-domain streams ("all" or a comma-separated id list). Each
-// mix runs once through the fused engine, so the persisted pressure tails
-// are sized to real lane consumption; streams shared between mixes are
-// generated once and replayed by the rest.
-func warmMixes(dir string, rebuild bool, mixList string, scale float64, secret uint64, jobs int) error {
-	st, err := tracecache.NewStore(dir, rebuild)
-	if err != nil {
-		return err
-	}
-	var ids []int
-	if mixList != "all" {
-		for _, part := range strings.Split(mixList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return fmt.Errorf("bad mix id %q (want numbers or \"all\")", part)
-			}
-			ids = append(ids, id)
-		}
-	}
-	generated, err := experiments.WarmMixFrontEnds(context.Background(), st, ids, scale, secret, jobs)
-	if err != nil {
-		return err
-	}
-	c := st.Counters()
-	log.Printf("warmed %s: %d mix streams generated, %d replayed, %d bytes written",
-		dir, generated, c.Hits, c.BytesWritten)
-	return nil
 }
 
 func record(bench string, instructions uint64, out string, secret uint64) error {

@@ -208,10 +208,11 @@ func BenchmarkResizeShrink(b *testing.B) { benchmarkResize(b, 4<<20, 2<<20) }
 // BenchmarkResizeGrow doubles a full 2 MB 16-way partition.
 func BenchmarkResizeGrow(b *testing.B) { benchmarkResize(b, 2<<20, 4<<20) }
 
-// TestAccessAllocs pins the three probe paths the simulator runs per event
-// at zero allocations: the study L1's Lane.Access, the L1s' and LLC's
-// Cache.Access, and ShadowSet.Access (the monitor's, and the study's nine
-// LLC sizes).
+// TestAccessAllocs pins the probe paths run per event at zero
+// allocations: the L1s' and LLC's Cache.Access, ShadowSet.Access (every
+// tag-only cache: the monitor's shadow arrays and filter L1, the study's
+// L1 and nine LLC sizes, the TLB monitor), and the Lane adapter over it
+// that perfbench's study re-drive runs.
 func TestAccessAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")

@@ -9,8 +9,12 @@ import (
 // of Access's hit mask each.
 const maxShadows = 16
 
-// ShadowSet is the utility monitor's shadow-tag state: one true-LRU,
-// tag-only array per candidate partition size, all probed by one access.
+// ShadowSet is the repository's one tag-only true-LRU cache: one array per
+// candidate partition size, all probed by one access. It is the utility
+// monitor's shadow-tag state (and, over page lines, the TLB monitor's),
+// the Figure 11 study's nine LLC sizes, and, as a one-array set, every
+// cache whose dirty state nobody reads: the study's private L1, the
+// monitor's filter L1, and Lane.
 // Shadow arrays have no lower level and no statistics, so an array keeps
 // nothing but tags. Each set holds its valid tags most-recent-first, with
 // the empty ways (tag 0) at the end: a hit moves its tag to the front, and
@@ -36,14 +40,18 @@ type shadowArray struct {
 // NewShadowSet builds one shadow array per candidate size in sizes (bytes),
 // each with the given associativity. sampleLog2 is the monitor's set
 // sampling: every array is shrunk by 2^sampleLog2, but never below four
-// sets.
+// sets. An unsampled array (sampleLog2 0) takes exactly the geometry it
+// is given.
 func NewShadowSet(sizes []int64, ways int, sampleLog2 uint) (*ShadowSet, error) {
 	if len(sizes) > maxShadows {
 		return nil, fmt.Errorf("cache: %d shadow arrays exceed the %d-bit hit mask", len(sizes), maxShadows)
 	}
 	s := &ShadowSet{ways: ways, arrays: make([]shadowArray, len(sizes))}
 	for i, size := range sizes {
-		cfg := Config{SizeBytes: max(size>>sampleLog2, int64(ways*LineBytes*4)), Ways: ways}
+		cfg := Config{SizeBytes: size, Ways: ways}
+		if sampleLog2 > 0 {
+			cfg.SizeBytes = max(size>>sampleLog2, int64(ways*LineBytes*4))
+		}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("shadow for size %d: %w", size, err)
 		}

@@ -2,15 +2,16 @@ package cache
 
 import "fmt"
 
-// referenceShadows is the original monitor's shadow arrays, kept verbatim
-// as the oracle for ShadowSet: monitor.New's construction loop, one full
-// Cache per candidate size.
+// referenceShadows is the original monitor's shadow arrays, kept as the
+// oracle for ShadowSet: monitor.New's construction loop, one full Cache per
+// candidate size. As in ShadowSet, only a sampled array is kept to four
+// sets or more.
 func referenceShadows(sizes []int64, ways int, sampleLog2 uint) ([]*Cache, error) {
 	var shadows []*Cache
 	for _, size := range sizes {
 		shadowSize := size >> sampleLog2
 		minSize := int64(ways * LineBytes * 4) // keep >= 4 sets
-		if shadowSize < minSize {
+		if sampleLog2 > 0 && shadowSize < minSize {
 			shadowSize = minSize
 		}
 		c, err := New(Config{SizeBytes: shadowSize, Ways: ways})

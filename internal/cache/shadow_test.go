@@ -18,13 +18,14 @@ var (
 )
 
 // shadowTwin drives a ShadowSet and the reference arrays in lockstep and,
-// when unsampled, one Lane per size as well: the Figure 11 engine resolves
-// its sizes through an unsampled ShadowSet, and its outcomes must be a
-// per-size Lane's on every access.
+// when unsampled, one Cache per size through the Access the simulator runs
+// (never written, so its dirty state stays empty) as well: the Figure 11
+// engine resolves its sizes through an unsampled ShadowSet, and its
+// outcomes must be a per-size Cache's on every access.
 type shadowTwin struct {
-	set   *ShadowSet
-	ref   []*Cache
-	lanes []*Lane // nil when sampled
+	set    *ShadowSet
+	ref    []*Cache
+	caches []*Cache // nil when sampled
 }
 
 func newShadowTwin(t testing.TB, sizes []int64, ways int, sampleLog2 uint) *shadowTwin {
@@ -48,7 +49,7 @@ func newShadowTwin(t testing.TB, sizes []int64, ways int, sampleLog2 uint) *shad
 	w := &shadowTwin{set: set, ref: ref}
 	if sampleLog2 == 0 {
 		for _, c := range ref {
-			w.lanes = append(w.lanes, MustNewLane(Config{SizeBytes: int64(c.Sets() * c.Ways() * LineBytes), Ways: ways}))
+			w.caches = append(w.caches, MustNew(Config{SizeBytes: int64(c.Sets() * c.Ways() * LineBytes), Ways: ways}))
 		}
 	}
 	return w
@@ -59,17 +60,17 @@ func (w *shadowTwin) access(t testing.TB, step int, addr uint64) {
 	if got != want {
 		t.Fatalf("access %d (addr %#x): mask %#04x, want %#04x", step, addr, got, want)
 	}
-	if w.lanes == nil {
+	if w.caches == nil {
 		return
 	}
-	var lanes uint16
-	for i, l := range w.lanes {
-		if l.Access(addr) {
-			lanes |= 1 << i
+	var caches uint16
+	for i, c := range w.caches {
+		if c.Access(addr, false) {
+			caches |= 1 << i
 		}
 	}
-	if lanes != want {
-		t.Fatalf("access %d (addr %#x): Lane mask %#04x, want %#04x", step, addr, lanes, want)
+	if caches != want {
+		t.Fatalf("access %d (addr %#x): Cache mask %#04x, want %#04x", step, addr, caches, want)
 	}
 }
 
@@ -87,7 +88,8 @@ func conflictLines(c *Cache, n int) []uint64 {
 // TestShadowSetMatchesReference requires ShadowSet's hit mask to equal the
 // original per-size Cache shadows' on every access, over random, strided
 // and single-set-conflict sequences, for the monitor's size lists with and
-// without sampling, including the four-set floor of heavy sampling.
+// without sampling, including the four-set floor of heavy sampling, and
+// for an unsampled array below four sets, which no floor enlarges.
 func TestShadowSetMatchesReference(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -103,6 +105,7 @@ func TestShadowSetMatchesReference(t *testing.T) {
 		{"way/sample4", waySizes, 16, 4},
 		{"default/4-way", monitorSizes, 4, 4},
 		{"default/direct-mapped", monitorSizes, 1, 6},
+		{"unsampled/two-set", []int64{1 << 10}, 8, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,15 +186,16 @@ func TestShadowSetRejectsBadGeometry(t *testing.T) {
 }
 
 // FuzzShadowSet runs a byte-driven address sequence through a ShadowSet
-// and the reference arrays (and, for the unsampled geometries, a Lane per
+// and the reference arrays (and, for the unsampled geometries, a Cache per
 // size) and requires equal hit masks on every access.
 // The first byte picks the geometry, each following byte pair is one
-// access to one of 65,536 lines. The geometries are small (4 to 32 sets),
+// access to one of 65,536 lines. The geometries are small (2 to 32 sets),
 // so a short sequence fills and conflicts in every set.
 func FuzzShadowSet(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1})
 	f.Add([]byte{1, 9, 9, 8, 8, 9, 9, 7, 7, 9, 9, 0, 0})
 	f.Add([]byte{2, 255, 255, 0, 0, 255, 255, 1, 1, 0, 0})
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12, 0, 13, 0, 14, 0, 15, 0, 16, 0, 17, 0, 1, 0, 2})
 	geometries := []struct {
 		sizes      []int64
 		ways       int
@@ -201,6 +205,7 @@ func FuzzShadowSet(f *testing.F) {
 		{waySizes, 16, 10},
 		{[]int64{1 << 10, 2 << 10, 3 << 10, 4 << 10, 6 << 10, 8 << 10}, 4, 0},
 		{[]int64{4 << 10, 8 << 10, 12 << 10, 16 << 10, 24 << 10, 32 << 10}, 16, 0},
+		{[]int64{1 << 10}, 8, 0},
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 || len(script) > 1<<13 {

@@ -80,7 +80,9 @@ func cachedParamsTag() string { return paramsTagOnce() }
 // rather than regenerated, so re-warming an intact cache is cheap and a
 // corrupt entry surfaces (or is rebuilt, per the store's policy) right here
 // instead of mid-campaign. It returns how many streams were freshly
-// generated.
+// generated. perfbench's warm workloads fill their cache with it and
+// WarmMixFrontEnds; a cold `experiments -fe-cache` run of the same study
+// or mixes runs the same engine passes.
 func WarmFrontEndCache(ctx context.Context, st *tracecache.Store, names []string, instructions uint64, jobs int) (int, error) {
 	if st == nil {
 		return 0, fmt.Errorf("experiments: WarmFrontEndCache needs a store")
@@ -115,8 +117,8 @@ func WarmFrontEndCache(ctx context.Context, st *tracecache.Store, names []string
 }
 
 // WarmMixFrontEnds populates st with the fused mix engine's per-domain
-// streams (tracegen -mixes) for the given mix IDs — nil or empty means all
-// of workload.Mixes — at the given scale and secret. Each mix runs once
+// streams for the given mix IDs — nil or empty means all of
+// workload.Mixes — at the given scale and secret. Each mix runs once
 // through the fused engine with st installed, so the persisted pressure
 // tails are sized to what the scheme lanes actually consume (plus the
 // engine's slack) rather than a guess; a stream shared between mixes (same

@@ -428,7 +428,7 @@ func TestTraceCacheCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestWarmFrontEndCache covers the tracegen warm path: duplicate names
+// TestWarmFrontEndCache covers the study's warm path: duplicate names
 // single-flight into one generation, a second warm run generates nothing,
 // and the entries round-trip through ReadInfo with the engine's key.
 func TestWarmFrontEndCache(t *testing.T) {

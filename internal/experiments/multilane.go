@@ -11,7 +11,11 @@
 // a compact event per op (plain run / L1 hit / L1 miss at address); one
 // shadow-tag set holding all nine LLC sizes (cache.ShadowSet, as in the
 // paper's UMON-style monitor) and nine cycle-accounting folds then consume
-// the identical event sequence.
+// the identical event sequence. The L1 is a one-array cache.ShadowSet too,
+// the tag-only LRU under sim.FrontEnd's monitor filter: the study keeps its
+// own front-end loop rather than a sim.FrontEnd because a FrontEnd's L1
+// keeps dirty state for its eviction and writeback event flags, which the
+// study's classic trace encoding refuses and its fold never reads.
 //
 // Every pass, cold or warm, has one shape (laneEngine.pass): the front end —
 // the generator and L1 when cold, the trace-cache reader when warm — fills a
@@ -165,14 +169,15 @@ func (l *laneState) finish(warmup uint64, step time.Duration) float64 {
 	return 0
 }
 
-// laneEngine holds the shared front-end (L1 lane and the block buffer), the
-// shadow set that resolves every size's LLC outcomes (one unsampled tag
-// array per size), and the nine per-size lanes. Engines are reused across benchmarks via resetLanes, so
-// a study allocates its tag arrays once per worker, not 324 times.
+// laneEngine holds the shared front-end (the L1, a one-array shadow set,
+// and the block buffer), the shadow set that resolves every size's LLC
+// outcomes (one unsampled tag array per size), and the nine per-size
+// lanes. Engines are reused across benchmarks via resetLanes, so a study
+// allocates its tag arrays once per worker, not 324 times.
 type laneEngine struct {
 	sizes   []int64
 	step    time.Duration
-	l1      *cache.Lane
+	l1      *cache.ShadowSet
 	llc     *cache.ShadowSet
 	l1Bytes int64 // L1 geometry, part of the trace-cache key: a stream is
 	l1Ways  int   // only replayable under the L1 that resolved it
@@ -194,6 +199,10 @@ type laneEngine struct {
 // supported partition size, and the 100 µs sampling quantum.
 func newLaneEngine() *laneEngine {
 	cfg := sim.DefaultConfig(partition.DefaultScheme(partition.Static))
+	l1, err := cache.NewShadowSet([]int64{cfg.L1Bytes}, cfg.L1Ways, 0)
+	if err != nil {
+		panic(err)
+	}
 	llc, err := cache.NewShadowSet(cfg.Sizes, cfg.LLCWays, 0)
 	if err != nil {
 		panic(err)
@@ -201,7 +210,7 @@ func newLaneEngine() *laneEngine {
 	return &laneEngine{
 		sizes:   cfg.Sizes,
 		step:    100 * time.Microsecond,
-		l1:      cache.MustNewLane(cache.Config{SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways}),
+		l1:      l1,
 		llc:     llc,
 		l1Bytes: cfg.L1Bytes,
 		l1Ways:  cfg.L1Ways,
@@ -450,7 +459,7 @@ func (e *laneEngine) generateRun(ctx context.Context, st *tracecache.Store, key 
 			ev := feEvent{NonMem: op.NonMem}
 			if op.IsMem() {
 				addr := op.Addr + offset
-				if e.l1.Access(addr) {
+				if e.l1.Access(addr) != 0 {
 					ev.Kind = feL1Hit
 				} else {
 					ev.Kind = feL1Miss

@@ -161,12 +161,12 @@ func TestEngineCancellation(t *testing.T) {
 
 // TestColdOutcomesMatchLanes requires, for every Figure 11 benchmark, that
 // the outcome bits a cold pass publishes as its sidecar equal bit for bit
-// what nine cache.Lane probes, one per size, give for the entry's miss
+// what nine cache.Cache probes, one per size, give for the entry's miss
 // stream: the one shadow-set probe per miss that resolves all nine sizes
-// at once decides every miss as a per-size tick-LRU cache would. The
-// study runs through the public parallel path, so the engines come from
-// the pool and reset their shadow set between benchmarks; under -race it
-// also covers that reuse.
+// at once decides every miss as the simulator's per-size tick-LRU cache
+// would. The study runs through the public parallel path, so the engines
+// come from the pool and reset their shadow set between benchmarks; under
+// -race it also covers that reuse.
 func TestColdOutcomesMatchLanes(t *testing.T) {
 	const instructions = 20_000
 	st := newTestStore(t, false)
@@ -176,9 +176,9 @@ func TestColdOutcomesMatchLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newLaneEngine()
-	lanes := make([]*cache.Lane, len(e.sizes))
+	caches := make([]*cache.Cache, len(e.sizes))
 	for i, size := range e.sizes {
-		lanes[i] = cache.MustNewLane(cache.Config{SizeBytes: size, Ways: e.llcWays})
+		caches[i] = cache.MustNew(cache.Config{SizeBytes: size, Ways: e.llcWays})
 	}
 	events := make([]feEvent, laneChunk)
 	for _, p := range sortedSPECParams() {
@@ -207,12 +207,12 @@ func TestColdOutcomesMatchLanes(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no sidecar for the stream's %d misses", p.Name, len(misses))
 		}
-		for i, l := range lanes {
-			l.Reset()
+		for i, c := range caches {
+			c.Reset()
 			for j, addr := range misses {
-				want := l.Access(addr)
+				want := c.Access(addr, false)
 				if hit := got[i][j>>6]&(1<<(uint(j)&63)) != 0; hit != want {
-					t.Fatalf("%s, %d B: miss %d (addr %#x) has outcome hit=%v, Lane probe hit=%v",
+					t.Fatalf("%s, %d B: miss %d (addr %#x) has outcome hit=%v, Cache probe hit=%v",
 						p.Name, e.sizes[i], j, addr, hit, want)
 				}
 			}
@@ -223,7 +223,7 @@ func TestColdOutcomesMatchLanes(t *testing.T) {
 // TestEngineLLCFootprint pins the engine's LLC state at the shadow set's 8
 // B per line: 3,260,416 B for the nine sizes' 407,552 lines. Nine
 // cache.Lanes, with an LRU tick beside every tag, held 6,520,832 B, and a
-// fresh engine must allocate less than that in all, its L1 lane, block
+// fresh engine must allocate less than that in all, its L1, block
 // buffer and scratch included.
 func TestEngineLLCFootprint(t *testing.T) {
 	const (

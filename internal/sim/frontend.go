@@ -32,15 +32,17 @@ type ReplaySource interface {
 
 // FrontEnd is one domain's front end: the private L1 and, for a dynamic
 // scheme, the monitor's own L1-sized filter cache (Section 7) and the
-// shadow-array recorder. It resolves retired ops into the events a
-// ReplaySource delivers, and it is the only place the paper's two
-// enforcement points are applied. Scheme.Annotated=false is the ablation
-// that disables both gates.
+// shadow-array recorder. The filter needs only hits and misses, so it is a
+// one-array cache.ShadowSet; the L1 is a full cache.Cache, whose dirty
+// state the eviction and writeback flags need. It resolves retired ops
+// into the events a ReplaySource delivers, and it is the only place the
+// paper's two enforcement points are applied. Scheme.Annotated=false is
+// the ablation that disables both gates.
 type FrontEnd struct {
 	l1 *cache.Cache
 	// monL1 and rec are nil for a static scheme, which has no monitor: its
 	// events never carry FlagMonObserve.
-	monL1     *cache.Cache
+	monL1     *cache.ShadowSet
 	rec       *monitor.Monitor
 	offset    uint64
 	annotated bool
@@ -64,7 +66,7 @@ func NewFrontEnd(cfg Config, idx int) (*FrontEnd, error) {
 		return nil, err
 	}
 	if cfg.Scheme.Dynamic() {
-		if fe.monL1, err = cache.New(l1Geom); err != nil {
+		if fe.monL1, err = cache.NewShadowSet([]int64{cfg.L1Bytes}, cfg.L1Ways, 0); err != nil {
 			return nil, err
 		}
 		if fe.rec, err = monitor.New(cfg.MonitorConfig()); err != nil {
@@ -110,7 +112,7 @@ func (fe *FrontEnd) Resolve(ops []isa.Op, out []tracecache.Event) []tracecache.E
 			// utilization metric, and the private-cache filter is the
 			// monitor's own — fed only what the monitor may see, so its
 			// state never carries secret history.
-			if fe.rec != nil && (!op.SecretUse() || !fe.annotated) && !fe.monL1.Access(addr, write) {
+			if fe.rec != nil && (!op.SecretUse() || !fe.annotated) && fe.monL1.Access(addr) == 0 {
 				ev.Flags |= tracecache.FlagMonObserve
 				ev.Addr = addr
 				fe.observed = append(fe.observed, i)

@@ -8,7 +8,8 @@
 //  1. a timing-independent utilization metric — here, shadow-TLB hits over
 //     the last Mw retired public memory instructions, with the same
 //     annotations-based exclusion of secret-dependent accesses ("we can
-//     trivially extend the LLC utilization metric to the TLB"), and
+//     trivially extend the LLC utilization metric to the TLB": Monitor is
+//     that metric, monitor.Monitor, over one line per page), and
 //  2. reuse of the static analyses for caches to annotate secret-dependent
 //     usage (the isa flags carry over unchanged).
 //
@@ -22,6 +23,7 @@ import (
 
 	"untangle/internal/cache"
 	"untangle/internal/isa"
+	"untangle/internal/monitor"
 )
 
 // PageBytes is the translation granularity (4 KiB pages).
@@ -111,15 +113,14 @@ func (t *TLB) Stats() cache.Stats { return t.inner.Stats() }
 
 // Monitor is the timing-independent TLB utilization metric: per candidate
 // entry count, the TLB hits the domain would have had over the last Window
-// retired public memory instructions. Accesses annotated secret-dependent
-// must not be passed in (Principle 1), exactly as with the LLC monitor.
+// retired public memory instructions. It is the LLC monitor itself
+// (monitor.Monitor, unsampled) over page lines: a candidate of n entries is
+// a shadow array of n lines, and each access is observed as the line that
+// represents its page. Accesses annotated secret-dependent must not be
+// passed in (Principle 1), exactly as with the LLC monitor.
 type Monitor struct {
-	sizes    []int
-	shadows  []*TLB
-	ring     [][]uint64
-	bucket   uint64
-	cur      int
-	curCount uint64
+	sizes []int
+	inner *monitor.Monitor
 }
 
 // MonitorConfig configures the metric.
@@ -136,55 +137,19 @@ type MonitorConfig struct {
 
 // NewMonitor builds the metric.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
-	if len(cfg.Sizes) == 0 {
-		return nil, fmt.Errorf("tlb: no candidate sizes")
-	}
-	if cfg.Window == 0 {
-		return nil, fmt.Errorf("tlb: zero window")
-	}
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = 8
-	}
-	m := &Monitor{sizes: append([]int(nil), cfg.Sizes...)}
+	lines := make([]int64, len(cfg.Sizes))
 	for i, s := range cfg.Sizes {
-		if i > 0 && s <= cfg.Sizes[i-1] {
-			return nil, fmt.Errorf("tlb: sizes must be strictly increasing")
-		}
-		sh, err := New(Config{Entries: s, Ways: cfg.Ways})
-		if err != nil {
-			return nil, err
-		}
-		m.shadows = append(m.shadows, sh)
+		lines[i] = int64(s) * cache.LineBytes
 	}
-	m.ring = make([][]uint64, cfg.Buckets)
-	for i := range m.ring {
-		m.ring[i] = make([]uint64, len(cfg.Sizes))
+	inner, err := monitor.New(monitor.Config{Sizes: lines, Ways: cfg.Ways, Window: cfg.Window, Buckets: cfg.Buckets})
+	if err != nil {
+		return nil, fmt.Errorf("tlb: %w", err)
 	}
-	m.bucket = cfg.Window / uint64(cfg.Buckets)
-	if m.bucket == 0 {
-		m.bucket = 1
-	}
-	return m, nil
+	return &Monitor{sizes: append([]int(nil), cfg.Sizes...), inner: inner}, nil
 }
 
 // Observe records one retired public memory access in program order.
-func (m *Monitor) Observe(addr uint64) {
-	m.curCount++
-	if m.curCount >= m.bucket {
-		m.cur = (m.cur + 1) % len(m.ring)
-		row := m.ring[m.cur]
-		for i := range row {
-			row[i] = 0
-		}
-		m.curCount = 0
-	}
-	row := m.ring[m.cur]
-	for i, sh := range m.shadows {
-		if sh.Access(addr) {
-			row[i]++
-		}
-	}
-}
+func (m *Monitor) Observe(addr uint64) { m.inner.Observe(pageKey(addr), false) }
 
 // ObserveOp records the memory access of an op if it is public and a memory
 // op, applying the Principle 1 exclusion in one place.
@@ -198,13 +163,10 @@ func (m *Monitor) ObserveOp(op isa.Op) {
 // order of the configured sizes — directly consumable by
 // partition.Allocator.GlobalAllocate (utilities are resource-agnostic).
 func (m *Monitor) Utilities() []float64 {
-	out := make([]float64, len(m.sizes))
-	for i := range out {
-		var hits uint64
-		for b := range m.ring {
-			hits += m.ring[b][i]
-		}
-		out[i] = float64(hits)
+	u := m.inner.Utilities()
+	out := make([]float64, len(u))
+	for i, v := range u {
+		out[i] = v.Hits
 	}
 	return out
 }

@@ -5,7 +5,8 @@
 #           every change must keep green (see ROADMAP.md) — plus vet and
 #           tests of the nested perfbench module (perfbench/go.mod, which
 #           the root ./... never compiles but which imports the sim and
-#           monitor seams the root module exports)
+#           monitor seams the root module exports), and one run of each
+#           examples/* program, which must exit 0
 #   tier 2  the race detector over the concurrency-bearing packages: the
 #           worker pool, the campaign service (the only unit scheduler:
 #           every campaign of cmd/experiments, the sensitivity study
@@ -59,6 +60,14 @@ go test -short ./...
 
 echo "==> perfbench module: go vet + go test"
 (cd perfbench && go vet ./... && go test ./...)
+
+echo "==> examples: run each once"
+# The build only compiles the examples; running them catches a demo that
+# fails at run time (examples/otherresources drives the TLB metric).
+for dir in examples/*/; do
+    echo "    $dir"
+    go run "./$dir" >/dev/null
+done
 
 echo "==> go test -race (concurrency-bearing packages)"
 go test -race -short \
