@@ -18,15 +18,19 @@
 //
 // Access is the simulator's hottest Cache method (every simulated memory
 // reference passes through an L1, and often an LLC partition), so its
-// state is laid out for the scan, not the object model: tags live in a
-// packed []uint64 scanned 8-per-cache-line, LRU/dirty metadata is only
-// touched on the way that hits, and the set index uses a precomputed
-// Lemire reciprocal instead of a hardware divide.
+// state is laid out for the scan, not the object model: 12 B per line in
+// two packed arrays, the tag words (scanned 8 per host cache line, each
+// carrying its line's dirty bit) and the 32-bit LRU ticks (written only on
+// the way the access uses); the set index uses a precomputed Lemire
+// reciprocal instead of a hardware divide.
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -103,25 +107,32 @@ func (s *Stats) Sub(base Stats) {
 // number of sets. Lines enter only on demand misses (write-allocate); the
 // paper's machine has no prefetcher.
 //
-// State is laid out structure-of-arrays: tags holds lineAddr+1 for valid
-// lines (0 = invalid) so the scan needs no separate valid bit, lru holds
-// the per-line LRU tick (scanned only on eviction), and dirty the
-// write-back flag (read only for the evicted way). All are sets*ways,
-// set-major, and each scan — tag match, LRU victim — walks one packed
-// array: 8 entries per cache line instead of the 2⅔ the old
-// array-of-structs layout gave.
+// State is laid out structure-of-arrays, 12 B per line: tags holds
+// lineAddr+1 for valid lines (0 = invalid), so the scan needs no separate
+// valid bit, with the write-back flag in bit 63 (dirtyBit), and lru holds
+// the per-line 32-bit LRU tick, read only to choose a victim. Both are
+// sets*ways, set-major, and each scan — tag match, LRU victim — walks one
+// packed array: 8 tags or 16 ticks per host cache line.
 type Cache struct {
-	ways  int
-	sets  int
-	tags  []uint64
-	lru   []uint64
-	dirty []bool
+	ways int
+	sets int
+	tags []uint64
+	lru  []uint32
+	// spareTags/spareLRU are the arrays the last Resize replaced; the next
+	// Resize clears and reuses them when they are large enough, so resizing
+	// back and forth between two sizes allocates nothing.
+	spareTags []uint64
+	spareLRU  []uint32
 	// modHi/modLo form the 128-bit Lemire reciprocal ceil(2^128/sets),
 	// recomputed on Resize; setIndex uses it to replace the % divide.
 	modHi, modLo uint64
-	tick         uint64
+	tick         uint32
 	stats        Stats
 }
+
+// dirtyBit marks a valid line's tag word as written since it was filled.
+// A tag is lineAddr+1 <= 2^58 for any 64-bit address, so bit 63 is free.
+const dirtyBit = 1 << 63
 
 // New builds a cache with the given geometry.
 func New(cfg Config) (*Cache, error) {
@@ -130,8 +141,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{ways: cfg.Ways, sets: cfg.Sets()}
 	c.tags = make([]uint64, c.sets*c.ways)
-	c.lru = make([]uint64, c.sets*c.ways)
-	c.dirty = make([]bool, c.sets*c.ways)
+	c.lru = make([]uint32, c.sets*c.ways)
 	c.modHi, c.modLo = reciprocal(uint64(c.sets))
 	return c, nil
 }
@@ -222,19 +232,22 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 // true on hit. Misses allocate (write-allocate) and evict the least
 // recently used line.
 //
-// The way scan reads only the packed tag array; LRU/dirty updates happen
-// after the scan, on the single way involved, and the LRU ticks are read
-// only when a miss finds no empty way.
+// The way scan reads only the packed tag array; the LRU tick is written
+// after the scan, on the single way involved, and the ticks are read only
+// when a miss finds no empty way.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	lineAddr := addr / LineBytes
 	set := c.setIndex(lineAddr)
 	base := set * c.ways
 	tags := c.tags[base : base+c.ways]
 	tag := lineAddr + 1
+	if c.tick == math.MaxUint32 {
+		c.tick = renumber(c.tags, c.lru)
+	}
 	c.tick++
 	hit, empty := -1, -1
 	for i, t := range tags {
-		if t == tag {
+		if t&^dirtyBit == tag {
 			hit = i
 			break
 		}
@@ -245,7 +258,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	if hit >= 0 {
 		c.lru[base+hit] = c.tick
 		if write {
-			c.dirty[base+hit] = true
+			tags[hit] |= dirtyBit
 		}
 		c.stats.Hits++
 		return true
@@ -255,13 +268,15 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	if slot < 0 {
 		slot = c.lruVictim(base)
 		c.stats.Evictions++
-		if c.dirty[base+slot] {
+		if tags[slot]&dirtyBit != 0 {
 			c.stats.Writebacks++
 		}
 	}
-	c.tags[base+slot] = tag
+	if write {
+		tag |= dirtyBit
+	}
+	tags[slot] = tag
 	c.lru[base+slot] = c.tick
-	c.dirty[base+slot] = write
 	return false
 }
 
@@ -272,7 +287,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 //
 //go:noinline
 func (c *Cache) lruVictim(base int) int {
-	victim, oldest := 0, ^uint64(0)
+	victim, oldest := 0, uint32(math.MaxUint32)
 	for i, v := range c.lru[base : base+c.ways] {
 		if v < oldest {
 			oldest = v
@@ -282,13 +297,43 @@ func (c *Cache) lruVictim(base int) int {
 	return victim
 }
 
+// renumber restamps the valid lines' LRU ticks 1..n in their existing
+// order and returns n, the clock to continue from. Cache.Access and
+// WayPartitioned.Access call it when their 32-bit clock would wrap. Only
+// the order of ticks is ever read (a victim is the smallest tick among
+// its candidates, and a resize orders lines by tick), so no later hit,
+// miss, victim or resize placement changes. Valid lines hold distinct
+// ticks, so the order is total.
+func renumber(tags []uint64, lru []uint32) uint32 {
+	sc := resizePool.Get().(*resizeScratch)
+	defer resizePool.Put(sc)
+	keys := sc.keys[:0]
+	for i, t := range tags {
+		if t != 0 {
+			keys = append(keys, resizeKey{tick: lru[i], slot: uint32(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b resizeKey) int { return cmp.Compare(a.tick, b.tick) })
+	for i, k := range keys {
+		lru[k.slot] = uint32(i + 1)
+	}
+	sc.keys = keys
+	return uint32(len(keys))
+}
+
 // Warm asks the host to load the set that holds addr's line, tags and LRU
 // ticks, without changing any state, so that a later Access finds it in
-// the host's caches.
+// the host's caches. It prefetches the lines holding the set's first and
+// last tag and its first tick: for the 16-way LLC, both tag lines and the
+// one 64 B tick row.
 func (c *Cache) Warm(addr uint64) {
 	base := c.setIndex(addr/LineBytes) * c.ways
-	sets := [2]uintptr{uintptr(unsafe.Pointer(&c.tags[base])), uintptr(unsafe.Pointer(&c.lru[base]))}
-	prefetchSets(sets[:])
+	lines := [3]uintptr{
+		uintptr(unsafe.Pointer(&c.tags[base])),
+		uintptr(unsafe.Pointer(&c.tags[base+c.ways-1])),
+		uintptr(unsafe.Pointer(&c.lru[base])),
+	}
+	prefetchLines(lines[:])
 }
 
 // Contains reports whether the line holding addr is present, without
@@ -298,7 +343,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	base := c.setIndex(lineAddr) * c.ways
 	tag := lineAddr + 1
 	for _, t := range c.tags[base : base+c.ways] {
-		if t == tag {
+		if t&^dirtyBit == tag {
 			return true
 		}
 	}
@@ -324,21 +369,19 @@ func (c *Cache) ValidLines() int {
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.lru)
-	clear(c.dirty)
 	c.tick = 0
 	c.stats = Stats{}
 }
 
 // Flush invalidates everything, counting writebacks for dirty lines.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		if c.tags[i] != 0 && c.dirty[i] {
+	for _, t := range c.tags {
+		if t&dirtyBit != 0 {
 			c.stats.Writebacks++
 		}
-		c.tags[i] = 0
-		c.lru[i] = 0
-		c.dirty[i] = false
 	}
+	clear(c.tags)
+	clear(c.lru)
 }
 
 // Resize changes the number of sets to match newSize, preserving lines
@@ -349,7 +392,7 @@ func (c *Cache) Flush() {
 // fills the first empty way of its new set, or, in a full set, replaces
 // the least recently used occupant if that occupant is strictly older. A
 // line that does not fit is dropped, and each dropped dirty line counts as
-// a writeback.
+// a writeback. A line's dirty bit travels with its tag word.
 //
 // No sort runs over the whole partition. A histogram pass hashes each
 // valid line once, keeping its new set, and counts the lines per new set;
@@ -361,8 +404,11 @@ func (c *Cache) Flush() {
 //
 // Every bucket is strictly ascending because no two valid lines share an
 // LRU tick: Access stamps the one line it touches with a fresh tick,
-// Resize moves ticks without changing them, and Flush and Reset invalidate
-// every line.
+// Resize moves ticks without changing them, renumber keeps them distinct,
+// and Flush and Reset invalidate every line.
+//
+// The new arrays are the ones the previous size change replaced, cleared,
+// when they are large enough; the replaced arrays become the next spares.
 func (c *Cache) Resize(newSize int64) error {
 	cfg := Config{SizeBytes: newSize, Ways: c.ways}
 	if err := cfg.Validate(); err != nil {
@@ -372,12 +418,14 @@ func (c *Cache) Resize(newSize int64) error {
 	if newSets == c.sets {
 		return nil
 	}
-	oldTags, oldLRU, oldDirty := c.tags, c.lru, c.dirty
+	oldTags, oldLRU := c.tags, c.lru
 	c.sets = newSets
 	c.modHi, c.modLo = reciprocal(uint64(newSets))
-	c.tags = make([]uint64, newSets*c.ways)
-	c.lru = make([]uint64, newSets*c.ways)
-	c.dirty = make([]bool, newSets*c.ways)
+	c.tags = grow(c.spareTags, newSets*c.ways)
+	c.lru = grow(c.spareLRU, newSets*c.ways)
+	clear(c.tags)
+	clear(c.lru)
+	c.spareTags, c.spareLRU = oldTags, oldLRU
 
 	sc := resizePool.Get().(*resizeScratch)
 	defer resizePool.Put(sc)
@@ -389,7 +437,7 @@ func (c *Cache) Resize(newSize int64) error {
 	n := 0
 	for i, t := range oldTags {
 		if t != 0 {
-			s := uint32(c.setIndex(t - 1))
+			s := uint32(c.setIndex(t&^dirtyBit - 1))
 			sets[i] = s
 			end[s+1]++
 			n++
@@ -414,7 +462,7 @@ func (c *Cache) Resize(newSize int64) error {
 		b := keys[lo:end[s]]
 		lo = end[s]
 		sortByTick(b)
-		c.placeBucket(s, b, oldTags, oldDirty)
+		c.placeBucket(s, b, oldTags)
 	}
 	return nil
 }
@@ -436,31 +484,32 @@ func sortByTick(b []resizeKey) {
 // way k mod ways, which leaves the last ways lines, and a writeback for
 // each dirty line among the first len(b)−ways, which the later ones
 // displace.
-func (c *Cache) placeBucket(s int, b []resizeKey, oldTags []uint64, oldDirty []bool) {
+func (c *Cache) placeBucket(s int, b []resizeKey, oldTags []uint64) {
 	drop := max(0, len(b)-c.ways)
 	for _, k := range b[:drop] {
-		if oldDirty[k.slot] {
+		if oldTags[k.slot]&dirtyBit != 0 {
 			c.stats.Writebacks++
 		}
 	}
 	base := s * c.ways
 	for k := drop; k < len(b); k++ {
 		way := base + k%c.ways
-		c.tags[way], c.lru[way], c.dirty[way] = oldTags[b[k].slot], b[k].tick, oldDirty[b[k].slot]
+		c.tags[way], c.lru[way] = oldTags[b[k].slot], b[k].tick
 	}
 }
 
-// resizeKey is one surviving line's reinsertion key: its LRU tick and its
-// slot in the pre-resize arrays.
+// resizeKey is one valid line's ordering key, for Resize and renumber: its
+// LRU tick and its slot in the arrays being read.
 type resizeKey struct {
-	tick uint64
+	tick uint32
 	slot uint32
 }
 
-// resizeScratch holds one Resize's transient buffers: the keys (16 B per
+// resizeScratch holds one Resize's transient buffers: the keys (8 B per
 // valid line), the per-new-set bucket ends (4 B per set) and each old
-// slot's new set (4 B per old slot). They are pooled so that a resize at a
-// steady partition size allocates only the new tag, LRU and dirty arrays.
+// slot's new set (4 B per old slot). They are pooled, and the cache keeps
+// its replaced arrays as spares, so that resizing between sizes already
+// seen allocates nothing.
 type resizeScratch struct {
 	keys []resizeKey
 	end  []uint32

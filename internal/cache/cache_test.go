@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache {
@@ -427,7 +430,7 @@ func TestWarmChangesNothing(t *testing.T) {
 		c.Access(a, i%3 == 0)
 		s.Access(a)
 	}
-	tags, lru, dirty, tick, stats := slices.Clone(c.tags), slices.Clone(c.lru), slices.Clone(c.dirty), c.tick, c.Stats()
+	tags, lru, tick, stats := slices.Clone(c.tags), slices.Clone(c.lru), c.tick, c.Stats()
 	shadow := make([][]uint64, len(s.arrays))
 	for i := range s.arrays {
 		shadow[i] = slices.Clone(s.arrays[i].tags)
@@ -437,12 +440,113 @@ func TestWarmChangesNothing(t *testing.T) {
 		c.Warm(a)
 		s.Warm(a)
 	}
-	if !slices.Equal(c.tags, tags) || !slices.Equal(c.lru, lru) || !slices.Equal(c.dirty, dirty) || c.tick != tick || c.Stats() != stats {
+	if !slices.Equal(c.tags, tags) || !slices.Equal(c.lru, lru) || c.tick != tick || c.Stats() != stats {
 		t.Error("Cache.Warm changed the cache")
 	}
 	for i := range s.arrays {
 		if !slices.Equal(s.arrays[i].tags, shadow[i]) {
 			t.Errorf("ShadowSet.Warm changed shadow array %d", i)
 		}
+	}
+}
+
+// TestDirtyLineIsTheSameLine: the dirty bit that a write folds into a
+// line's tag word changes nothing but the writeback count. Every line of
+// one cache is written and every line of its clean twin only read; the
+// written lines are still found by Contains and counted by ValidLines,
+// rehash through each Resize to the same set and way as their clean
+// twins, and each counts one writeback when it is evicted and when it is
+// flushed.
+func TestDirtyLineIsTheSameLine(t *testing.T) {
+	cfg := Config{SizeBytes: 8 << 10, Ways: 4}
+	dirty, clean := MustNew(cfg), MustNew(cfg)
+	var addrs []uint64
+	for a := uint64(0); a < 64*LineBytes; a += LineBytes {
+		dirty.Access(a, true)
+		clean.Access(a, false)
+		addrs = append(addrs, a)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, tag := range dirty.tags {
+			if tag != 0 && tag&^dirtyBit <= uint64(len(addrs)) && tag&dirtyBit == 0 {
+				t.Fatalf("%s: slot %d holds a written line without its dirty bit", when, i)
+			}
+			if tag&^dirtyBit != clean.tags[i] || dirty.lru[i] != clean.lru[i] {
+				t.Fatalf("%s: slot %d holds tag %#x tick %d, clean twin %#x tick %d",
+					when, i, tag&^dirtyBit, dirty.lru[i], clean.tags[i], clean.lru[i])
+			}
+		}
+		if dirty.ValidLines() != clean.ValidLines() {
+			t.Fatalf("%s: %d valid lines, clean twin %d", when, dirty.ValidLines(), clean.ValidLines())
+		}
+		for _, a := range addrs {
+			if dirty.Contains(a) != clean.Contains(a) {
+				t.Fatalf("%s: Contains(%#x) = %v, clean twin %v", when, a, dirty.Contains(a), clean.Contains(a))
+			}
+		}
+	}
+	check("filled")
+	if n := dirty.ValidLines(); n != len(addrs) {
+		t.Fatalf("%d valid lines, want %d", n, len(addrs))
+	}
+	for _, size := range []int64{16 << 10, 3 << 10, 1 << 10, 8 << 10} {
+		if err := dirty.Resize(size); err != nil {
+			t.Fatal(err)
+		}
+		if err := clean.Resize(size); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("resized to %d", size))
+		if d, c := dirty.Stats(), clean.Stats(); d.Writebacks != uint64(len(addrs)-dirty.ValidLines()) || c.Writebacks != 0 {
+			t.Fatalf("resized to %d: %d and %d writebacks, want one per dropped written line (%d) and 0",
+				size, d.Writebacks, c.Writebacks, len(addrs)-dirty.ValidLines())
+		}
+	}
+	resident := func() (n int) {
+		for _, a := range addrs {
+			if dirty.Contains(a) {
+				n++
+			}
+		}
+		return n
+	}
+	written, before := resident(), dirty.Stats()
+	for a := uint64(1 << 20); resident() > 0; a += LineBytes {
+		dirty.Access(a, false)
+		clean.Access(a, false)
+	}
+	check("after evictions")
+	if got := dirty.Stats().Writebacks - before.Writebacks; got != uint64(written) {
+		t.Errorf("%d writebacks for the eviction of %d written lines", got, written)
+	}
+	if clean.Stats().Writebacks != 0 {
+		t.Errorf("clean twin counted %d writebacks", clean.Stats().Writebacks)
+	}
+	dirty.Access(0, true)
+	before = dirty.Stats()
+	dirty.Flush()
+	if got := dirty.Stats().Writebacks - before.Writebacks; got != 1 {
+		t.Errorf("Flush of one written line counted %d writebacks, want 1", got)
+	}
+}
+
+// TestLineFootprint pins the line format: a 16 MB, 16-way cache, the
+// paper's LLC, keeps 12 B per line (an 8 B tag word that carries the
+// dirty bit and a 4 B LRU tick), 3,145,728 B of tag and tick state, and
+// that New allocates less than one byte per line besides.
+func TestLineFootprint(t *testing.T) {
+	const want = 3_145_728
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := MustNew(Config{SizeBytes: 16 << 20, Ways: 16})
+	runtime.ReadMemStats(&after)
+	lines := c.Sets() * c.Ways()
+	state := cap(c.tags)*int(unsafe.Sizeof(c.tags[0])) + cap(c.lru)*int(unsafe.Sizeof(c.lru[0]))
+	if lines != 262_144 || state != want {
+		t.Fatalf("%d lines hold %d B of tag and tick state, want 262,144 lines and %d B", lines, state, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got < want || got >= want+uint64(lines) {
+		t.Errorf("New allocated %d B, want the %d B of line state and under %d B more", got, want, lines)
 	}
 }

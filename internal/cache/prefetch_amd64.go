@@ -7,3 +7,9 @@ package cache
 //
 //go:noescape
 func prefetchSets(addrs []uintptr)
+
+// prefetchLines is prefetchSets for one cache line per address: the line
+// holding it.
+//
+//go:noescape
+func prefetchLines(addrs []uintptr)

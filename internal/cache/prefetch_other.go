@@ -4,3 +4,6 @@ package cache
 
 // prefetchSets is a no-op where no prefetch instruction is wired up.
 func prefetchSets(addrs []uintptr) {}
+
+// prefetchLines is a no-op where no prefetch instruction is wired up.
+func prefetchLines(addrs []uintptr) {}

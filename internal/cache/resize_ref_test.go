@@ -5,7 +5,7 @@ import "sort"
 // refLine is the array-of-structs survivor record of referenceResize.
 type refLine struct {
 	lineAddr uint64
-	lru      uint64
+	lru      uint32
 	valid    bool
 	dirty    bool
 }
@@ -23,19 +23,19 @@ func (c *Cache) referenceResize(newSize int64) error {
 	if newSets == c.sets {
 		return nil
 	}
-	oldTags, oldLRU, oldDirty := c.tags, c.lru, c.dirty
+	oldTags, oldLRU := c.tags, c.lru
 	c.sets = newSets
 	c.modHi, c.modLo = reciprocal(uint64(newSets))
 	c.tags = make([]uint64, newSets*c.ways)
-	c.lru = make([]uint64, newSets*c.ways)
-	c.dirty = make([]bool, newSets*c.ways)
+	c.lru = make([]uint32, newSets*c.ways)
+	dirty := make([]bool, newSets*c.ways)
 	// Reinsert surviving lines in LRU order (oldest first) so that when a
 	// new set overflows, the most recently used lines win.
 	survivors := make([]refLine, 0, len(oldTags))
 	for i, t := range oldTags {
 		if t != 0 {
 			survivors = append(survivors, refLine{
-				lineAddr: t - 1, lru: oldLRU[i], valid: true, dirty: oldDirty[i],
+				lineAddr: t&^dirtyBit - 1, lru: oldLRU[i], valid: true, dirty: t&dirtyBit != 0,
 			})
 		}
 	}
@@ -44,12 +44,12 @@ func (c *Cache) referenceResize(newSize int64) error {
 		set := c.setIndex(l.lineAddr)
 		base := set * c.ways
 		placed := false
-		slot, oldest := -1, ^uint64(0)
+		slot, oldest := -1, ^uint32(0)
 		for i := 0; i < c.ways; i++ {
 			if c.tags[base+i] == 0 {
 				c.tags[base+i] = l.lineAddr + 1
 				c.lru[base+i] = l.lru
-				c.dirty[base+i] = l.dirty
+				dirty[base+i] = l.dirty
 				placed = true
 				break
 			}
@@ -63,15 +63,20 @@ func (c *Cache) referenceResize(newSize int64) error {
 			// is older because we insert oldest-first). The displaced line
 			// is dropped; count its writeback if dirty.
 			if oldest < l.lru {
-				if c.dirty[base+slot] {
+				if dirty[base+slot] {
 					c.stats.Writebacks++
 				}
 				c.tags[base+slot] = l.lineAddr + 1
 				c.lru[base+slot] = l.lru
-				c.dirty[base+slot] = l.dirty
+				dirty[base+slot] = l.dirty
 			} else if l.dirty {
 				c.stats.Writebacks++
 			}
+		}
+	}
+	for i, d := range dirty {
+		if d {
+			c.tags[i] |= dirtyBit
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 )
 
 // WayPartitioned is the classic way-partitioned shared cache (Catalyst [28],
@@ -12,22 +13,23 @@ import (
 // comparison point for the granularity ablation — same total capacity,
 // coarser resizing alphabet.
 //
-// State shares the resizable Cache's hot-path layout: packed tags
-// (lineAddr+1, 0 = invalid) scanned apart from the LRU/dirty metadata, and
-// a precomputed Lemire reciprocal in place of the set-index divide. The
-// access semantics — scan order, empty-way preference, min-LRU
-// first-index-wins victims, and the Resize migration's most-recently-used
-// selection — are those of the original array-of-structs implementation.
+// State shares the resizable Cache's line format and hot-path layout: 12 B
+// per line, packed tag words (lineAddr+1, 0 = invalid, dirtyBit for a
+// written line) scanned apart from the 32-bit LRU ticks, the same
+// order-preserving renumber when the clock would wrap, and a precomputed
+// Lemire reciprocal in place of the set-index divide. The access
+// semantics — scan order, empty-way preference, min-LRU first-index-wins
+// victims, and the Resize migration's most-recently-used selection — are
+// those of the original array-of-structs implementation.
 type WayPartitioned struct {
-	sets  int
-	ways  int
-	tags  []uint64 // sets*ways, set-major
-	lru   []uint64
-	dirty []bool
+	sets int
+	ways int
+	tags []uint64 // sets*ways, set-major
+	lru  []uint32
 	// modHi/modLo form the 128-bit Lemire reciprocal ceil(2^128/sets); the
 	// set count never changes, so it is computed once.
 	modHi, modLo uint64
-	tick         uint64
+	tick         uint32
 	// wayStart/wayCount give each domain its contiguous way range.
 	wayStart []int
 	wayCount []int
@@ -61,8 +63,7 @@ func NewWayPartitioned(cfg Config, initialWays []int) (*WayPartitioned, error) {
 		stats:    make([]Stats, len(initialWays)),
 	}
 	w.tags = make([]uint64, w.sets*w.ways)
-	w.lru = make([]uint64, w.sets*w.ways)
-	w.dirty = make([]bool, w.sets*w.ways)
+	w.lru = make([]uint32, w.sets*w.ways)
 	w.modHi, w.modLo = reciprocal(uint64(w.sets))
 	w.layout()
 	return w, nil
@@ -104,14 +105,17 @@ func (w *WayPartitioned) Access(domain int, addr uint64, write bool) bool {
 	base := row + w.wayStart[domain]
 	count := w.wayCount[domain]
 	tags := w.tags[base : base+count]
+	if w.tick == math.MaxUint32 {
+		w.tick = renumber(w.tags, w.lru)
+	}
 	w.tick++
 	st := &w.stats[domain]
 	empty := -1
 	for i, t := range tags {
-		if t == tag {
+		if t&^dirtyBit == tag {
 			w.lru[base+i] = w.tick
 			if write {
-				w.dirty[base+i] = true
+				tags[i] |= dirtyBit
 			}
 			st.Hits++
 			return true
@@ -126,7 +130,7 @@ func (w *WayPartitioned) Access(domain int, addr uint64, write bool) bool {
 		// No empty way, so every entry is valid: the plain min-LRU scan
 		// (first index wins ties) matches the valid-only scan it replaces.
 		lru := w.lru[base : base+count]
-		victim, oldest := 0, ^uint64(0)
+		victim, oldest := 0, uint32(math.MaxUint32)
 		for i, v := range lru {
 			if v < oldest {
 				oldest = v
@@ -135,13 +139,15 @@ func (w *WayPartitioned) Access(domain int, addr uint64, write bool) bool {
 		}
 		slot = victim
 		st.Evictions++
-		if w.dirty[base+slot] {
+		if tags[slot]&dirtyBit != 0 {
 			st.Writebacks++
 		}
 	}
-	w.tags[base+slot] = tag
+	if write {
+		tag |= dirtyBit
+	}
+	tags[slot] = tag
 	w.lru[base+slot] = w.tick
-	w.dirty[base+slot] = write
 	return false
 }
 
@@ -150,7 +156,7 @@ func (w *WayPartitioned) Contains(domain int, addr uint64) bool {
 	row, tag := w.setBase(addr)
 	base := row + w.wayStart[domain]
 	for _, t := range w.tags[base : base+w.wayCount[domain]] {
-		if t == tag {
+		if t&^dirtyBit == tag {
 			return true
 		}
 	}
@@ -193,8 +199,7 @@ func (w *WayPartitioned) Resize(newWays []int) error {
 	w.wayCount = append(w.wayCount[:0], newWays...)
 	w.layout()
 	newTags := make([]uint64, len(w.tags))
-	newLRU := make([]uint64, len(w.lru))
-	newDirty := make([]bool, len(w.dirty))
+	newLRU := make([]uint32, len(w.lru))
 	if w.scratch == nil {
 		w.scratch = make([]bool, w.ways)
 	}
@@ -202,11 +207,11 @@ func (w *WayPartitioned) Resize(newWays []int) error {
 		base := set * w.ways
 		for d := range newWays {
 			w.migrate(base+oldStart[d], oldCount[d],
-				newTags, newLRU, newDirty, base+w.wayStart[d], w.wayCount[d],
+				newTags, newLRU, base+w.wayStart[d], w.wayCount[d],
 				&w.stats[d])
 		}
 	}
-	w.tags, w.lru, w.dirty = newTags, newLRU, newDirty
+	w.tags, w.lru = newTags, newLRU
 	return nil
 }
 
@@ -215,13 +220,13 @@ func (w *WayPartitioned) Resize(newWays []int) error {
 // charging writebacks for dropped dirty lines. Selection is by repeated max
 // with first-index tie wins — way counts are at most the associativity, so
 // the quadratic scan is trivial.
-func (w *WayPartitioned) migrate(srcBase, srcN int, dstTags, dstLRU []uint64, dstDirty []bool, dstBase, dstN int, st *Stats) {
+func (w *WayPartitioned) migrate(srcBase, srcN int, dstTags []uint64, dstLRU []uint32, dstBase, dstN int, st *Stats) {
 	used := w.scratch[:srcN]
 	for i := range used {
 		used[i] = false
 	}
 	for slot := 0; slot < dstN; slot++ {
-		best, bestLRU := -1, uint64(0)
+		best, bestLRU := -1, uint32(0)
 		for i := 0; i < srcN; i++ {
 			if used[i] || w.tags[srcBase+i] == 0 {
 				continue
@@ -235,11 +240,10 @@ func (w *WayPartitioned) migrate(srcBase, srcN int, dstTags, dstLRU []uint64, ds
 		}
 		dstTags[dstBase+slot] = w.tags[srcBase+best]
 		dstLRU[dstBase+slot] = w.lru[srcBase+best]
-		dstDirty[dstBase+slot] = w.dirty[srcBase+best]
 		used[best] = true
 	}
 	for i := 0; i < srcN; i++ {
-		if w.tags[srcBase+i] != 0 && !used[i] && w.dirty[srcBase+i] {
+		if !used[i] && w.tags[srcBase+i]&dirtyBit != 0 {
 			st.Writebacks++
 		}
 	}

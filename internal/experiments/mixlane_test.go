@@ -833,7 +833,7 @@ func TestWarmMixBuildsNoShadowRecorder(t *testing.T) {
 		// Warm tapes that re-recorded the masks through one recorder per
 		// domain allocated 63.7 MB here.
 		recordingBytes = 63_700_000
-		// Measured: 37.1 MB (37.9 MB under the race detector).
+		// Measured: 21.0 MB (21.9 MB under the race detector).
 		maxBytes = 39_000_000
 	)
 	mix, err := workload.MixByID(1)

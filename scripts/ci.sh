@@ -32,7 +32,9 @@
 #           observability-equivalence tests; then each fuzz target (journal
 #           recovery, lane sidecar, rich fe-cache entry, trace round trip,
 #           cache resize, monitor shadow set) for a bounded 10 seconds, and
-#           one iteration of each root benchmark as a smoke run
+#           one iteration of each root benchmark and of each internal/cache
+#           benchmark (access, resize, set index) as a smoke
+#           run
 #
 # Everything is hermetic (no network, no external services); the whole
 # script runs in a few minutes on a laptop. CI=full additionally runs the
@@ -160,6 +162,12 @@ echo "==> go test -bench (smoke: each root benchmark once)"
 # R'max and the ablations) are not timed here — perfbench/run.sh times
 # campaigns — but one iteration each keeps them compiling and running.
 go test -run '^$' -bench . -benchtime 1x .
+
+echo "==> go test -bench (smoke: each internal/cache benchmark once)"
+# The resize benchmarks copy a full partition with the test harness's
+# clone, which must track the line format; one iteration keeps them
+# compiling and running.
+go test -run '^$' -bench . -benchtime 1x ./internal/cache
 
 if [ "${CI:-}" = "full" ]; then
     echo "==> go test ./... (long suite)"
